@@ -37,12 +37,7 @@ from .quadrature import (
 )
 from .specfun import (
     FnEval,
-    bessel_k,
-    bessel_y,
     csch_k1,
-    polylog,
-    sech2_moment,
-    struve_h,
     struve_k,
     upper_incomplete_gamma_half,
 )
@@ -51,7 +46,6 @@ from .triangle import (
     class_count,
     enumerate_classes,
     generators_237,
-    systole_lengths,
     table_corpus,
     to_spectrum,
     triangle_area,
@@ -73,8 +67,6 @@ __all__ = [
     "SeriesEvaluation",
     "adaptive_quadrature",
     "assumption_check",
-    "bessel_k",
-    "bessel_y",
     "casimir_energy",
     "class_count",
     "csch_k1",
@@ -91,12 +83,8 @@ __all__ = [
     "identity_interval",
     "identity_series",
     "integrate_decaying",
-    "polylog",
     "read_spectrum_file",
-    "sech2_moment",
-    "struve_h",
     "struve_k",
-    "systole_lengths",
     "table_corpus",
     "tail_direct_sum",
     "tail_far_bound",

@@ -1,6 +1,6 @@
 """Compensated (error-free-transform) summation helpers.
 
-Series loops in this package accumulate through :class:`NeumaierSum` so the
+The geodesic winding sums accumulate through :class:`NeumaierSum` so the
 summation error stays at the level of one rounding of the running total
 rather than growing with the term count.
 """

@@ -1,7 +1,8 @@
 """The three spectral contributions and their rigorous truncation bounds.
 
 The cone-point (elliptic) and area (identity) terms are exponentially
-convergent double series in Struve kernels; both carry truncation bounds
+convergent Euler-transformed series in Struve kernels, both evaluated as
+one weighted sum sum_k (-1)^k w_k f_k; both carry truncation bounds
 inherited from the geometric remainder of the 1/(1+x) expansions that
 generate them.  The geodesic (hyperbolic) term is a sum over a length
 spectrum with a closed-form csch*K_{3/2} majorant controlling the
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -125,9 +127,6 @@ class LengthSpectrum:
             out.extend([ell] * mult)
         return out
 
-    def multiplicity_at(self, length: float, tol: float = 1e-9) -> int:
-        return sum(m for ell, m in self.entries if abs(ell - length) <= tol)
-
     def merged(self, tol: float = 1e-9) -> "LengthSpectrum":
         """Opt-in merge of entries whose lengths agree within tol."""
         out: list[list] = []
@@ -182,6 +181,35 @@ class EnergyBreakdown:
 
 
 # ----------------------------------------------------------------------
+# Euler-transformed kernel series, shared by the elliptic and identity terms
+# ----------------------------------------------------------------------
+
+# kind -> (c_n, shift) of sum_{n<N} c_n 2^{-n-shift} sum_{k<=n} (-1)^k C(n,k) f_k
+_EULER_KINDS = {"elliptic": (lambda n: 1, 2), "identity": (lambda n: n + 1, 6)}
+
+
+@lru_cache(maxsize=128)
+def _euler_weights(N: int, kind: str) -> Tuple[float, ...]:
+    """w_k = sum_{n=k}^{N-1} c_n C(n,k) 2^{-n-shift}, each correctly rounded.
+
+    Swapping the finite double sum gives sum_k (-1)^k w_k f_k.  Every w_k
+    is an exact integer over 2^{N-1+shift}, rounded once by the division.
+    """
+    c, shift = _EULER_KINDS[kind]
+    denom = 1 << (N - 1 + shift)
+    return tuple(
+        sum(c(n) * math.comb(n, k) << (N - 1 - n) for n in range(k, N)) / denom
+        for k in range(N))
+
+
+def _euler_sum(f, kind: str) -> float:
+    """sum_k (-1)^k w_k f_k over the kernel values f, in one fsum."""
+    w = _euler_weights(len(f), kind)
+    return math.fsum(wk * fk if k % 2 == 0 else -wk * fk
+                     for k, (wk, fk) in enumerate(zip(w, f)))
+
+
+# ----------------------------------------------------------------------
 # cone-point (elliptic) term
 # ----------------------------------------------------------------------
 
@@ -223,29 +251,15 @@ def elliptic_kernel_series(C: float, D: float = 0.0, s: float = -0.5,
         raise ValueError("N must be >= 1")
 
     f = [_k1_over_arg(C + D * k) for k in range(N)]
-    outer = NeumaierSum()
-    for n in range(N):
-        inner = NeumaierSum()
-        for k in range(n + 1):
-            term = math.comb(n, k) * f[k]
-            inner.add(term if k % 2 == 0 else -term)
-        outer.add(math.ldexp(inner.total, -(n + 2)))
-    return SeriesEvaluation(math.pi * outer.total,
+    return SeriesEvaluation(math.pi * _euler_sum(f, "elliptic"),
                             elliptic_kernel_truncation_bound(C, N), N)
 
 
 def elliptic_kernel_series_noise(C: float, D: float = 0.0, N: int = 60) -> float:
-    """First-order rounding envelope of the alternating inner sums.
-
-    eps times the 2^{-n-2}-scaled sum of |binomial * kernel| terms; the
-    compensated accumulation keeps the realized noise at this level.
-    """
+    """First-order rounding envelope pi * eps * sum_k w_k |K_1(C+Dk)/(C+Dk)|."""
     f = [abs(_k1_over_arg(C + D * k)) for k in range(N)]
-    acc = 0.0
-    for n in range(N):
-        abs_inner = math.fsum(math.comb(n, k) * f[k] for k in range(n + 1))
-        acc += math.ldexp(abs_inner, -(n + 2))
-    return math.pi * acc * math.ulp(1.0)
+    w = _euler_weights(N, "elliptic")
+    return math.pi * math.ulp(1.0) * math.fsum(wk * fk for wk, fk in zip(w, f))
 
 
 def _cone_weights(sig: OrbifoldSignature):
@@ -310,14 +324,7 @@ def identity_series(volume: float, N: int = 60) -> SeriesEvaluation:
     if N < 1:
         raise ValueError("N must be >= 1")
     f = [struve_k(2, math.pi * (1 + k)).value / (1 + k) ** 2 for k in range(N)]
-    outer = NeumaierSum()
-    for n in range(N):
-        inner = NeumaierSum()
-        for k in range(n + 1):
-            term = math.comb(n, k) * f[k]
-            inner.add(term if k % 2 == 0 else -term)
-        outer.add((n + 1) * math.ldexp(inner.total, -(n + 6)))
-    value = -volume / math.pi * outer.total
+    value = -volume / math.pi * _euler_sum(f, "identity")
     bound = (volume * (N + 2) * math.ldexp(1.0, -(N + 1))
              * struve_k(2, math.pi).value / (16.0 * math.pi))
     return SeriesEvaluation(value, bound, N)

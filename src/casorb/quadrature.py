@@ -174,19 +174,16 @@ def integrate_decaying(
     tol: float = 1e-12,
     max_intervals: int = 4000,
 ) -> QuadResult:
-    """Integrate a smooth decaying integrand over a standard domain.
+    """Integrate a smooth decaying integrand over [0, inf) or (-inf, inf).
 
-    ``domain`` is one of ``"halfline"`` ([0, inf)), ``"realline"``
-    ((-inf, inf)) or ``"unit"`` ([0, 1]).  The semi-infinite cases use the
+    ``domain`` is ``"halfline"`` or ``"realline"``.  Both use the
     exponential substitution t = e^{-y}; the real line folds to the half
     line first, f(y) + f(-y).
     """
-    if domain in ("halfline", "[0,inf)"):
+    if domain == "halfline":
         g = _halfline(f)
-    elif domain in ("realline", "(-inf,inf)"):
+    elif domain == "realline":
         g = _halfline(lambda y: f(y) + f(-y))
-    elif domain in ("unit", "[0,1]"):
-        g = f
     else:
         raise ValueError(f"unknown domain {domain!r}")
     return adaptive_quadrature(g, 0.0, 1.0, tol_abs=tol, tol_rel=tol,
@@ -237,8 +234,6 @@ def identity_integral(tol: float = 5e-13) -> QuadResult:
     """int_{-inf}^{inf} (1/4 + r^2)^{3/2} sech^2(pi r) dr.
 
     The integrand is even, so it is integrated on [0, inf) and doubled.
-    Deliberately independent of the closed-form moment route in
-    :mod:`casorb.specfun`.
     """
 
     def f(r: float) -> float:

@@ -11,11 +11,8 @@ the z <= 12 accuracy contract of 1e-12 * max(1, |value|) holds with
 margin; binary64 alone loses ~1e-11 to cancellation at the top of that
 window.  Everything downstream of the kernels is plain binary64.
 
-The modified Bessel function K_1 rides on scipy (Cephes ``k1``/``k1e``)
-for z >= 4: the classical large-z expansion only reaches ~1e-4 relative
-accuracy at z = 4 under optimal truncation, far short of the 1e-12
-contract, while the in-house series below covers z < 4.  The expansion is
-still exposed (z >= 18) as an independent cross-check path.
+The modified Bessel function K_1 enters only through ``csch_k1``, which
+rides on scipy's Cephes ``k1e``.
 """
 
 from __future__ import annotations
@@ -35,13 +32,9 @@ __all__ = [
     "struve_h",
     "bessel_y",
     "struve_k",
-    "bessel_k",
-    "bessel_k1_asymptotic",
     "csch_k1",
     "csch_k1_array",
-    "sech2_moment",
     "upper_incomplete_gamma_half",
-    "polylog",
     "clear_caches",
 ]
 
@@ -175,65 +168,28 @@ def _bessel_y_series_ld(n: int, z: float):
     return value, bound
 
 
-def _hankel_pq(n: int, z: float):
-    """Optimally truncated P, Q sums of the large-z Hankel expansion."""
-    mu = 4 * n * n
-    psum, qsum = 1.0, 0.0
-    a = 1.0            # a_m / z^m, running
-    m = 0
-    prev = math.inf
-    while True:
-        m += 1
-        a = a * (mu - (2 * m - 1) ** 2) / (8.0 * m * z)
-        if abs(a) >= prev or m > 60:
-            # lump the first omitted terms into a shared truncation bound
-            a_next = a * (mu - (2 * m + 1) ** 2) / (8.0 * (m + 1) * z)
-            err = abs(a) + abs(a_next)
-            return psum, qsum, err, err
-        prev = abs(a)
-        term = a if (m // 2) % 2 == 0 else -a
-        if m % 2 == 1:
-            qsum += term
-        else:
-            psum += term
-
-
-def _bessel_y_asymptotic(n: int, z: float):
-    psum, qsum, perr, qerr = _hankel_pq(n, z)
-    omega = z - (0.5 * n + 0.25) * math.pi
-    amp = math.sqrt(2.0 / (math.pi * z))
-    value = amp * (math.sin(omega) * psum + math.cos(omega) * qsum)
-    # argument-reduction noise in omega feeds through the derivative ~ amp
-    bound = amp * (perr + qerr) + 4 * _EPS * z * amp + 8 * _EPS * abs(value)
-    return value, bound
-
-
 def struve_h(nu: int, z: float) -> FnEval:
-    """Struve function H_nu for nu in {1, 2}."""
+    """Struve function H_nu for nu in {1, 2} and 0 < z <= 12 (power series)."""
     if nu not in (1, 2):
         raise UnsupportedOrderError(f"struve_h supports orders 1 and 2, got {nu}")
     if z <= 0:
         raise ValueError("z must be positive")
-    if z <= 12.0:
-        value, bound = _struve_h_series_ld(nu, z)
-        return FnEval(value, bound, "series")
-    k = struve_k(nu, z)
-    y = bessel_y(nu, z)
-    return FnEval(k.value + y.value, k.abs_error_bound + y.abs_error_bound,
-                  "integral_rep")
+    if z > 12.0:
+        raise ValueError("struve_h is validated for z <= 12")
+    value, bound = _struve_h_series_ld(nu, z)
+    return FnEval(value, bound, "series")
 
 
 def bessel_y(nu: int, z: float) -> FnEval:
-    """Bessel function of the second kind Y_nu for nu in {1, 2}."""
+    """Bessel function Y_nu for nu in {1, 2} and 0 < z <= 12 (power series)."""
     if nu not in (1, 2):
         raise UnsupportedOrderError(f"bessel_y supports orders 1 and 2, got {nu}")
     if z <= 0:
         raise ValueError("z must be positive")
-    if z <= 12.0:
-        value, bound = _bessel_y_series_ld(nu, z)
-        return FnEval(value, bound, "series")
-    value, bound = _bessel_y_asymptotic(nu, z)
-    return FnEval(value, bound, "asymptotic")
+    if z > 12.0:
+        raise ValueError("bessel_y is validated for z <= 12")
+    value, bound = _bessel_y_series_ld(nu, z)
+    return FnEval(value, bound, "series")
 
 
 # ----------------------------------------------------------------------
@@ -334,86 +290,6 @@ def struve_k(nu: float, z: float, method: str = "auto") -> FnEval:
 
 
 # ----------------------------------------------------------------------
-# modified Bessel K
-# ----------------------------------------------------------------------
-
-def _bessel_k1_series_ld(z: float):
-    # K_1(z) = 1/z + log(z/2) I_1(z) - (z/4) sum_k (psi(k+1)+psi(k+2)) u_k
-    # with u_k = (z^2/4)^k / (k! (k+1)!); all-positive inner sums.
-    zh = _LD(z) / 2
-    q = zh * zh
-    lg = np.log(zh)
-    u = _LD(1)
-    hk = _LD(0)
-    hk1 = _LD(1)
-    isum = _LD(0)
-    ssum = _LD(0)
-    absacc = _LD(0)
-    part_scale = float(zh) * (abs(float(lg)) + 0.5)
-    wsum = 3.0 / z
-    k = 0
-    while True:
-        w = -2 * _EULER_LD + hk + hk1
-        isum += u
-        ssum += w * u
-        mag = u * (1 + abs(w))
-        absacc += mag
-        wsum += (k + 3) * float(mag) * part_scale
-        ratio = q / ((_LD(k) + 1) * (_LD(k) + 2))
-        if ratio < 0.5 and mag < _LD(1e-26) * max(absacc, _LD(1)):
-            trunc = 4 * float(u * ratio) * part_scale
-            break
-        u = u * ratio
-        hk += _LD(1) / _LD(k + 1)
-        hk1 += _LD(1) / _LD(k + 2)
-        k += 1
-        if k > 300:
-            raise ArithmeticError("K_1 series failed to converge")
-    value = float(1 / _LD(z) + lg * zh * isum - zh / 2 * ssum)
-    bound = trunc + 4 * _EPS_LD * wsum + 2 * _EPS * abs(value)
-    return value, bound
-
-
-def bessel_k1_asymptotic(z: float) -> FnEval:
-    """Optimally truncated large-z expansion of K_1; cross-check route, z >= 18."""
-    if z < 18.0:
-        raise ValueError("asymptotic route for K_1 is validated for z >= 18")
-    t = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        t_next = t * (4.0 - (2 * k + 1) ** 2) / (8.0 * (k + 1) * z)
-        if abs(t_next) >= abs(t) or k > 100:
-            bound = abs(t_next)
-            break
-        total += t_next
-        t = t_next
-        k += 1
-    amp = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
-    return FnEval(amp * total, amp * bound + 8 * _EPS * amp * abs(total),
-                  "asymptotic")
-
-
-def bessel_k(nu: float, z: float) -> FnEval:
-    """Modified Bessel function K_nu for nu in {1/2, 1, 3/2}."""
-    nu2 = int(round(2 * nu))
-    if nu2 not in (1, 2, 3) or abs(2 * nu - nu2) > 1e-12:
-        raise UnsupportedOrderError(
-            f"bessel_k supports orders 1/2, 1, 3/2, got {nu}")
-    if z <= 0:
-        raise ValueError("z must be positive")
-    if nu2 == 1:
-        return _closed(math.sqrt(math.pi / (2.0 * z)) * math.exp(-z))
-    if nu2 == 3:
-        return _closed(math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * (1.0 + 1.0 / z))
-    if z < 4.0:
-        value, bound = _bessel_k1_series_ld(z)
-        return FnEval(value, bound, "series")
-    value = float(sps.k1e(z)) * math.exp(-z)
-    return FnEval(value, 5e-15 * abs(value) + 5e-324, "series")
-
-
-# ----------------------------------------------------------------------
 # combined kernels and utilities
 # ----------------------------------------------------------------------
 
@@ -434,46 +310,6 @@ def csch_k1_array(z: np.ndarray) -> np.ndarray:
     return 2.0 * e * sps.k1e(z) / -np.expm1(-2.0 * z)
 
 
-def _borwein_zeta_strip(s: float, n: int = 50) -> float:
-    # Borwein's alternating-series acceleration for eta(s), Re s > 0
-    d = [0] * (n + 1)
-    acc = 0
-    for i in range(n + 1):
-        acc += math.factorial(n + i - 1) * 4 ** i // (
-            math.factorial(n - i) * math.factorial(2 * i))
-        d[i] = acc
-    total = 0.0
-    for k in range(n):
-        term = (d[k] - d[n]) / (k + 1) ** s
-        total += term if k % 2 == 0 else -term
-    eta = -total / d[n]
-    return eta / (1.0 - 2.0 ** (1.0 - s))
-
-
-def _riemann_zeta(s: float) -> float:
-    if s == 1.0:
-        raise ZeroDivisionError("zeta pole at s = 1")
-    if s > 1.0:
-        return float(sps.zeta(s))
-    if s == 0.0:
-        return -0.5
-    if s > 0.0:
-        return _borwein_zeta_strip(s)
-    # reflection onto s' = 1 - s > 1
-    return (2.0 ** s * math.pi ** (s - 1.0) * math.sin(math.pi * s / 2.0)
-            * math.gamma(1.0 - s) * float(sps.zeta(1.0 - s)))
-
-
-def sech2_moment(b: float) -> float:
-    """int_0^inf x^{b-1} sech^2(x) dx = 2^{2-b} (1 - 2^{2-b}) Gamma(b) zeta(b-1)."""
-    if b <= 0:
-        raise ValueError("b must be positive")
-    if b == 2.0:
-        raise ValueError("b = 2 hits the zeta pole; the moment needs a limit there")
-    p = 2.0 ** (2.0 - b)
-    return p * (1.0 - p) * math.gamma(b) * _riemann_zeta(b - 1.0)
-
-
 def upper_incomplete_gamma_half(a: float) -> float:
     """int_a^inf t^{-1/2} e^{-t} dt = sqrt(pi) * erfc(sqrt(a))."""
     if a < 0:
@@ -481,28 +317,10 @@ def upper_incomplete_gamma_half(a: float) -> float:
     return math.sqrt(math.pi) * math.erfc(math.sqrt(a))
 
 
-def polylog(s: float, x: float) -> float:
-    """Li_s(x) for s in {1, 3/2} and 0 <= x < 1 by direct summation."""
-    if s not in (1.0, 1.5):
-        raise UnsupportedOrderError(f"polylog supports s = 1 and s = 3/2, got {s}")
-    if not 0.0 <= x < 1.0:
-        raise ValueError("x must lie in [0, 1)")
-    if s == 1.0:
-        return -math.log1p(-x)
-    if x == 0.0:
-        return 0.0
-    total = 0.0
-    term = x
-    n = 1
-    while True:
-        total += term / n ** 1.5
-        n += 1
-        term *= x
-        # geometric tail bound for the remainder
-        if term / (n ** 1.5 * (1.0 - x)) < 1e-18 * max(total, 1e-300):
-            return total
-
-
 def clear_caches() -> None:
-    """Drop kernel memoization (used by timing-sensitive tests)."""
-    _struve_k_dispatch.cache_clear()
+    """Drop every memoized result: kernels, series weights, corpus, generators."""
+    from . import contributions, triangle   # both import this module
+
+    for cache in (_struve_k_dispatch, contributions._euler_weights,
+                  triangle.table_corpus, triangle.generators_237):
+        cache.cache_clear()

@@ -34,7 +34,6 @@ __all__ = [
     "NonHyperbolicSignatureError",
     "triangle_area",
     "triangle_signature",
-    "systole_lengths",
     "generators_237",
     "word_to_matrix",
     "word_length",
@@ -132,33 +131,6 @@ def triangle_area(p: int, q: int, r: int) -> float:
 def triangle_signature(p: int, q: int, r: int) -> OrbifoldSignature:
     return OrbifoldSignature((p, q, r), triangle_area(p, q, r),
                              label=f"({p},{q},{r})")
-
-
-def _acosh_length(x: float) -> float:
-    if x <= 1.0:
-        raise ValueError(f"arcosh argument must exceed 1 (got {x}); "
-                         "no positive geodesic length at this signature")
-    return 2.0 * math.acosh(x)
-
-
-def systole_lengths(p: int, q: int, r: int):
-    """First three geodesic lengths of a (p,q,r) quotient with all orders >= 3.
-
-    The labelling convention is q >= p >= r; the closed forms are evaluated
-    for any hyperbolic all->=3 triple.  Order-2 cone points are outside
-    their range.
-    """
-    for m in (p, q, r):
-        if not isinstance(m, int) or m < 3:
-            raise ValueError("systole formulas need all cone orders >= 3")
-    if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) >= 1:
-        raise NonHyperbolicSignatureError(
-            f"({p},{q},{r}) is not hyperbolic")
-    cp, cq, cr = (math.cos(math.pi / m) for m in (p, q, r))
-    l1 = _acosh_length(2.0 * cr * cp + cq)
-    l2 = _acosh_length(2.0 * cq * cr + cp)
-    l3 = _acosh_length(2.0 * cp * cq + cr)
-    return (l1, l2, l3)
 
 
 @lru_cache(maxsize=1)

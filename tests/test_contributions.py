@@ -1,10 +1,15 @@
 """Series routes, tail bounds, and the certified assembly."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casorb.contributions import (
+    _euler_sum,
+    _euler_weights,
     LengthSpectrum,
     OrbifoldSignature,
     SeriesEvaluation,
@@ -36,7 +41,7 @@ from casorb.contributions import (
     tail_windings_prefactor,
 )
 from casorb.quadrature import elliptic_kernel_integral, identity_integral
-from casorb.specfun import csch_k1
+from casorb.specfun import csch_k1, struve_k
 
 VOL_237 = 2.0 * math.pi * (1.0 - (1.0 / 2 + 1.0 / 3 + 1.0 / 7))
 SIG_237 = OrbifoldSignature((2, 3, 7), VOL_237, "(2,3,7)")
@@ -52,6 +57,55 @@ def _corpus_spectrum():
     from casorb.triangle import table_corpus, to_spectrum
 
     return to_spectrum(table_corpus(), provenance="table_corpus")
+
+
+# (c_n, shift) of sum_{n<N} c_n 2^{-n-shift} sum_{k<=n} (-1)^k C(n,k) f_k
+EULER_SERIES = {"elliptic": (lambda n: 1, 2), "identity": (lambda n: n + 1, 6)}
+EPS = math.ulp(1.0)
+
+kernel_values = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+def _double_sum(f, kind, sign=-1):
+    """The binomial double loop the Euler weights replace, in exact arithmetic."""
+    c, shift = EULER_SERIES[kind]
+    F = [Fraction(x) for x in f]
+    return sum(Fraction(c(n), 2 ** (n + shift))
+               * sum(sign ** k * math.comb(n, k) * F[k] for k in range(n + 1))
+               for n in range(len(f)))
+
+
+class TestEulerWeights:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(sorted(EULER_SERIES)),
+           f=st.lists(kernel_values, min_size=1, max_size=80))
+    def test_sum_matches_exact_double_sum(self, kind, f):
+        w = _euler_weights(len(f), kind)
+        envelope = EPS * math.fsum(wk * abs(fk) for wk, fk in zip(w, f))
+        gap = abs(Fraction(_euler_sum(f, kind)) - _double_sum(f, kind))
+        assert gap <= Fraction(envelope)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(N=st.integers(1, 80))
+    def test_weights_correctly_rounded_and_bounded(self, N):
+        for kind, (c, shift) in EULER_SERIES.items():
+            w = _euler_weights(N, kind)
+            for k, wk in enumerate(w):
+                exact = sum(Fraction(c(n) * math.comb(n, k), 2 ** (n + shift))
+                            for n in range(k, N))
+                assert wk == float(exact)
+                assert wk > 0.0
+                # the n -> inf sums: sum_n C(n,k) 2^-n = 2, (n+1) C(n,k) 2^-n = 4(k+1)
+                assert wk <= (0.5 if kind == "elliptic" else (k + 1) / 16.0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(C=st.sampled_from([math.pi / 7, math.pi / 3, 1.0, 6 * math.pi / 7]),
+           D=st.sampled_from([0.0, math.pi]),
+           N=st.integers(1, 80))
+    def test_noise_matches_double_loop_envelope(self, C, D, N):
+        f = [struve_k(1, C + D * k).value / (C + D * k) for k in range(N)]
+        looped = math.pi * EPS * float(_double_sum([abs(x) for x in f], "elliptic", 1))
+        assert elliptic_kernel_series_noise(C, D, N) == pytest.approx(looped, rel=1e-15)
 
 
 class TestEllipticKernelSeries:
@@ -339,7 +393,7 @@ class TestSpectrumTypesAndIO:
         spec = LengthSpectrum.from_pairs(
             [(1.0, 2), (1.0 + 1e-12, 3), (2.0, 1)], "file")
         assert spec.total_multiplicity == 6
-        assert spec.multiplicity_at(1.0, tol=1e-9) == 5
+        assert sum(m for ell, m in spec.entries if abs(ell - 1.0) <= 1e-9) == 5
         merged = spec.merged(1e-9)
         assert merged.entries == ((1.0, 5), (2.0, 1))
         # merge is opt-in: the raw spectrum keeps both entries
