@@ -24,6 +24,7 @@ from .contributions import (
     identity_interval,
     identity_series,
     read_spectrum_file,
+    tail_b1_bound,
     tail_direct_sum,
     tail_far_bound,
     tail_higher_windings_bound,
@@ -86,6 +87,7 @@ __all__ = [
     "read_spectrum_file",
     "struve_k",
     "table_corpus",
+    "tail_b1_bound",
     "tail_direct_sum",
     "tail_far_bound",
     "tail_higher_windings_bound",

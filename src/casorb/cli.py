@@ -7,7 +7,6 @@ configurations produce byte-identical reports.
 
 Exit codes: 0 success, 2 domain errors (bad signature, malformed
 spectrum file), 1 internal numerical failure (non-convergent quadrature).
-Set CASORB_THREADS to parallelize the tail reduction.
 """
 
 from __future__ import annotations
@@ -123,11 +122,14 @@ def _parse_triangle(text: str):
     return tuple(int(p) for p in parts)
 
 
-def _signature_from_args(args) -> co.OrbifoldSignature:
+def _signature_from_args(args, needs_area: bool = True) -> co.OrbifoldSignature:
     if args.triangle:
         return tri.triangle_signature(*_parse_triangle(args.triangle))
     if args.cone_orders:
         orders = tuple(int(x) for x in args.cone_orders.split(","))
+        if args.volume is None and needs_area:
+            raise ValueError("--cone-orders needs --volume (the hyperbolic area)")
+        # a command that never reads the area gets a placeholder
         volume = args.volume if args.volume is not None else 1.0
         return co.OrbifoldSignature(orders, volume)
     if args.volume is not None:
@@ -162,7 +164,12 @@ def _add_series_flags(p):
     p.add_argument("--n-tail-tol", type=float, default=1e-13,
                    help="winding-tail tolerance for the geodesic sum")
     p.add_argument("--tail-j-hi", type=int, default=10_000_000,
-                   help="direct-sum cutoff for the index tail")
+                   help="upper index of the b1 tail bound")
+
+
+_SPECTRUM_HELP = ("table | enumerate:N | file:PATH; enumerate:N overcounts, "
+                  "since words equal in the group are not identified, so it "
+                  "is an exploration source only")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy", help="full breakdown and certified lower bound")
     _add_signature_flags(p)
-    p.add_argument("--spectrum", help="table | enumerate:N | file:PATH")
+    p.add_argument("--spectrum", help=_SPECTRUM_HELP)
     _add_series_flags(p)
     p.add_argument("--output", choices=("text", "json", "csv"), default="text")
 
@@ -189,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("text", "json"), default="text")
 
     p = sub.add_parser("hyperbolic", help="geodesic head contribution")
-    p.add_argument("--spectrum", required=True, help="table | enumerate:N | file:PATH")
+    p.add_argument("--spectrum", required=True, help=_SPECTRUM_HELP)
     p.add_argument("--n-tail-tol", type=float, default=1e-13)
     p.add_argument("--output", choices=("text", "json"), default="text")
 
@@ -224,7 +231,7 @@ def _cmd_energy(args) -> str:
 
 
 def _cmd_elliptic(args) -> str:
-    sig = _signature_from_args(args)
+    sig = _signature_from_args(args, needs_area=False)
     ser = co.elliptic_contribution(sig, args.N)
     if args.output == "json":
         return json.dumps({"value": _jsonable(ser.value),
@@ -288,7 +295,7 @@ def _cmd_spectrum(args) -> str:
 
 
 def _cmd_tail(args) -> str:
-    b1 = co.tail_direct_sum(args.j_lo, args.j_hi)
+    b1 = co.tail_b1_bound(args.j_lo, args.j_hi)
     b2 = co.tail_far_bound(args.j_hi)
     b3 = co.tail_higher_windings_bound(args.j_lo)
     total = b1 + b2 + b3

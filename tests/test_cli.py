@@ -137,6 +137,14 @@ class TestSubcommands:
         d = json.loads(out)
         assert d["b2"] > 0 and d["b3"] == pytest.approx(7.4965e-5, abs=1e-8)
 
+    def test_tail_b1_matches_energy(self, capsys):
+        code1, tail_out, _ = _capture(capsys, [
+            "tail", "--j-hi", "100000", "--output", "json"])
+        code2, energy_out, _ = _capture(capsys, FAST_ENERGY + ["--output", "json"])
+        assert code1 == code2 == 0
+        b1 = json.loads(energy_out)["hyperbolic"]["components"]["b1"]
+        assert json.loads(tail_out)["b1"] == b1
+
     def test_verify_237(self, capsys):
         code, out, _ = _capture(capsys, [
             "verify-237", "--tail-j-hi", "100000"])
@@ -172,6 +180,20 @@ class TestExitCodes:
     def test_missing_signature(self, capsys):
         code, _, _ = _capture(capsys, ["elliptic"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["energy", "identity"])
+    def test_cone_orders_without_volume(self, capsys, command):
+        code, out, err = _capture(capsys, [
+            command, "--cone-orders", "2,3,7", "--output", "json"])
+        assert code == 2
+        assert out == ""
+        assert "--volume" in err
+
+    def test_elliptic_cone_orders_without_volume(self, capsys):
+        code, out, _ = _capture(capsys, [
+            "elliptic", "--cone-orders", "2,3,7", "--output", "json"])
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(0.875676, abs=5e-7)
 
     def test_unknown_flag(self, capsys):
         code, _, _ = _capture(capsys, ["energy", "--frobnicate"])

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from casorb.contributions import (
     identity_series,
     read_spectrum_file,
     spectrum_file_lines,
+    tail_b1_bound,
     tail_direct_sum,
     tail_far_bound,
     tail_far_integral,
@@ -41,7 +43,7 @@ from casorb.contributions import (
     tail_windings_prefactor,
 )
 from casorb.quadrature import elliptic_kernel_integral, identity_integral
-from casorb.specfun import csch_k1, struve_k
+from casorb.specfun import csch_k1, csch_k1_array, struve_k
 
 VOL_237 = 2.0 * math.pi * (1.0 - (1.0 / 2 + 1.0 / 3 + 1.0 / 7))
 SIG_237 = OrbifoldSignature((2, 3, 7), VOL_237, "(2,3,7)")
@@ -308,11 +310,38 @@ class TestTails:
         assert b > a
 
     def test_chunking_invariance(self):
-        a = tail_direct_sum(51, 40000)
-        b = tail_direct_sum(51, 40000, chunk=777)
-        c = tail_direct_sum(51, 40000, chunk=1024, threads=4)
-        assert abs(a - b) <= 1e-12
-        assert abs(a - c) <= 1e-12
+        j = np.arange(51, 40001, dtype=np.float64)
+        terms = csch_k1_array(0.5 * (np.log(j) + np.log(np.log(j))))
+        chunked = math.fsum(float(terms[i:i + 777].sum())
+                            for i in range(0, terms.size, 777))
+        assert abs(tail_direct_sum(51, 40000) - chunked / (4.0 * math.pi)) <= 1e-12
+
+    @pytest.mark.parametrize("j_lo, j_hi", [
+        (51, 5000), (51, 10001), (51, 2 * 10**5), (51, 10**6), (200, 10**6),
+        (51, 10**7), (20_000, 10**6)])
+    def test_b1_bound_dominates_direct_sum(self, j_lo, j_hi):
+        bound = tail_b1_bound(j_lo, j_hi)
+        direct = tail_direct_sum(j_lo, j_hi)
+        assert direct <= bound <= direct + 1e-8
+
+    def test_b1_bound_is_direct_sum_below_head(self):
+        for j_lo, j_hi in ((3, 3), (51, 2000), (51, 10**4), (9000, 10**4)):
+            assert tail_b1_bound(j_lo, j_hi) == tail_direct_sum(j_lo, j_hi)
+
+    def test_b1_bound_errors(self):
+        for j_lo, j_hi in ((2, 100), (0, 100), (100, 99)):
+            with pytest.raises(ValueError):
+                tail_b1_bound(j_lo, j_hi)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(j=st.floats(4.0, 1e7))
+    def test_tail_term_convex(self, j):
+        # the premise of tail_b1_bound: f(j) = csch(z_j) K_1(z_j) is convex
+        def f(x):
+            return csch_k1(0.5 * (math.log(x) + math.log(math.log(x))))
+
+        h = j / 10.0
+        assert f(j - h) + f(j + h) - 2.0 * f(j) > 0.0
 
     def test_far_bound_parts(self):
         assert tail_far_prefactor(10**7) == pytest.approx(0.311949, abs=1e-5)
