@@ -6,7 +6,8 @@ certified (2,3,7) pipeline.  All float output goes through a fixed
 configurations produce byte-identical reports.
 
 Exit codes: 0 success, 2 domain errors (bad signature, malformed
-spectrum file), 1 internal numerical failure (non-convergent quadrature).
+spectrum file, a spectrum that cannot be certified), 1 internal numerical
+failure (non-convergent quadrature).
 """
 
 from __future__ import annotations

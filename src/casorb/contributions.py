@@ -282,14 +282,12 @@ def elliptic_contribution(sig: OrbifoldSignature, N: int = 60) -> SeriesEvaluati
     return SeriesEvaluation(math.fsum(vals), math.fsum(bounds), N)
 
 
-def elliptic_contribution_via_integral(sig: OrbifoldSignature,
-                                       tol_rel: float = 1e-12) -> QuadResult:
+def elliptic_contribution_via_integral(sig: OrbifoldSignature) -> QuadResult:
     """Quadrature cross-route for :func:`elliptic_contribution`."""
     vals, errs, evals = [], [], 0
     conv = True
     for m, ell, w in _cone_weights(sig):
-        res = elliptic_kernel_integral(math.pi * ell / m, math.pi, -0.5,
-                                       tol_rel=tol_rel)
+        res = elliptic_kernel_integral(math.pi * ell / m, math.pi, -0.5)
         vals.append(w * res.value)
         errs.append(w * res.est_error)
         evals += res.evaluations
@@ -397,10 +395,9 @@ def hyperbolic_contribution(spectrum: LengthSpectrum,
                             math.fsum(bounds) / FOUR_PI, max_n)
 
 
-def geodesic_contribution(ell: float, weight: int = 1,
-                          n_tail_tol: float = 1e-14) -> float:
+def geodesic_contribution(ell: float, weight: int = 1) -> float:
     """Contribution of one geodesic class counted ``weight`` times."""
-    s, _, _ = _winding_sum(ell, n_tail_tol)
+    s, _, _ = _winding_sum(ell, 1e-14)
     return -weight * s / FOUR_PI
 
 
@@ -412,19 +409,17 @@ def _growth_threshold(j: int) -> float:
     return math.log(j) + math.log(math.log(j))
 
 
-def assumption_check(spectrum: LengthSpectrum,
-                     start_index: int = 1) -> AssumptionReport:
+def assumption_check(spectrum: LengthSpectrum) -> AssumptionReport:
     """Check ell_j >= log j + log log j for represented indices j.
 
-    Indices below 3 are skipped (and counted): log log j only makes sense
+    Indices 1 and 2 are skipped (and counted): log log j only makes sense
     once log j clears 1.
     """
     lengths = spectrum.expand()
-    lo = max(start_index, 3)
-    skipped = min(len(lengths), lo - 1)
+    skipped = min(len(lengths), 2)
     first_violation = None
     checked_through = 0
-    for j in range(lo, len(lengths) + 1):
+    for j in range(3, len(lengths) + 1):
         checked_through = j
         if lengths[j - 1] < _growth_threshold(j):
             first_violation = j
@@ -561,36 +556,53 @@ def growth_inequality_check(j: int, n: int) -> bool:
 # assembly
 # ----------------------------------------------------------------------
 
+# Geodesic index at which the tail model takes over from the spectrum.
+_TAIL_J_LO = 51
+
+
 def casimir_energy(sig: OrbifoldSignature,
                    spectrum: Optional[LengthSpectrum] = None,
                    N: int = 60,
                    n_tail_tol: float = 1e-13,
-                   tail_j_lo: int = 51,
                    tail_j_hi: int = 10_000_000) -> EnergyBreakdown:
     """Assemble the certified lower bound for the energy at s = -1/2.
 
     The bound takes the pessimistic end of every piece: the low end of the
     identity bracket, the cone-point series minus its truncation bound,
     the spectrum head, and minus the full tail magnitude (the b1 convexity
-    bound plus far-index and higher-winding bounds).  The tail model
-    presumes the spectrum covers the geodesics below index ``tail_j_lo``
-    and that the growth floor holds beyond; ``assumption`` records what was
-    checkable.  With an empty spectrum only the identity and cone terms are
-    reported.
+    bound plus far-index and higher-winding bounds).  The tail starts at
+    geodesic index 51: it presumes the spectrum lists every geodesic below
+    that index and that the growth floor ell_j >= log j + log log j holds
+    from there on.  A non-empty spectrum of total multiplicity below 50,
+    or one whose own lengths break the growth floor, is refused with
+    ValueError, since no certified bound follows.  With an empty spectrum
+    only the identity and cone terms are reported.
     """
+    has_spectrum = spectrum is not None and len(spectrum) > 0
+    if has_spectrum:
+        covered = spectrum.total_multiplicity
+        if covered < _TAIL_J_LO - 1:
+            raise ValueError(
+                f"spectrum covers j=1..{covered} but the tail starts at "
+                f"j={_TAIL_J_LO}; no certified bound")
+        report = assumption_check(spectrum)
+        if not report.holds:
+            raise ValueError(
+                f"growth assumption ell_j >= log j + log log j fails at "
+                f"j={report.first_violation}; no certified bound")
+
     ident = identity_series(sig.volume, N)
     interval = identity_interval(sig.volume)
     ellip = elliptic_contribution(sig, N)
 
-    if spectrum is not None and len(spectrum) > 0:
+    if has_spectrum:
         head = hyperbolic_contribution(spectrum, n_tail_tol)
-        b1 = tail_b1_bound(tail_j_lo, tail_j_hi)
+        b1 = tail_b1_bound(_TAIL_J_LO, tail_j_hi)
         b2 = tail_far_bound(tail_j_hi)
-        b3 = tail_higher_windings_bound(tail_j_lo)
+        b3 = tail_higher_windings_bound(_TAIL_J_LO)
         tail_components: Optional[Tuple[float, float, float]] = (b1, b2, b3)
         tail_bound = b1 + b2 + b3
         head_value, head_bound = head.value, head.truncation_bound
-        report = assumption_check(spectrum)
     else:
         tail_components = None
         tail_bound = 0.0

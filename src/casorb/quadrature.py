@@ -168,12 +168,8 @@ def _halfline(f: Callable[[float], float]) -> Callable[[float], float]:
     return g
 
 
-def integrate_decaying(
-    f: Callable[[float], float],
-    domain: str,
-    tol: float = 1e-12,
-    max_intervals: int = 4000,
-) -> QuadResult:
+def integrate_decaying(f: Callable[[float], float], domain: str,
+                       tol: float = 1e-12) -> QuadResult:
     """Integrate a smooth decaying integrand over [0, inf) or (-inf, inf).
 
     ``domain`` is ``"halfline"`` or ``"realline"``.  Both use the
@@ -186,17 +182,11 @@ def integrate_decaying(
         g = _halfline(lambda y: f(y) + f(-y))
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    return adaptive_quadrature(g, 0.0, 1.0, tol_abs=tol, tol_rel=tol,
-                               max_intervals=max_intervals)
+    return adaptive_quadrature(g, 0.0, 1.0, tol_abs=tol, tol_rel=tol)
 
 
-def elliptic_kernel_integral(
-    C: float,
-    D: float = 0.0,
-    s: float = -0.5,
-    tol_rel: float = 1e-12,
-    max_intervals: int = 20000,
-) -> QuadResult:
+def elliptic_kernel_integral(C: float, D: float = 0.0,
+                             s: float = -0.5) -> QuadResult:
     """int_0^inf e^{-Cy} / (e^{-Dy} + 1) * (1+y^2)^{-s} dy.
 
     Evaluated in the t = e^{-y} coordinates, where the integrand becomes
@@ -218,9 +208,8 @@ def elliptic_kernel_integral(
         lt = math.log(t)
         return math.exp(cm1 * lt + ms * math.log1p(lt * lt)) / (math.exp(D * lt) + 1.0)
 
-    res = adaptive_quadrature(integrand, 0.0, 1.0, tol_abs=0.0,
-                              tol_rel=tol_rel, max_intervals=max_intervals)
-    return res
+    return adaptive_quadrature(integrand, 0.0, 1.0, tol_abs=0.0,
+                               tol_rel=1e-12, max_intervals=20000)
 
 
 def _sech(x: float) -> float:
@@ -230,7 +219,7 @@ def _sech(x: float) -> float:
     return 2.0 * e / (1.0 + e * e)
 
 
-def identity_integral(tol: float = 5e-13) -> QuadResult:
+def identity_integral() -> QuadResult:
     """int_{-inf}^{inf} (1/4 + r^2)^{3/2} sech^2(pi r) dr.
 
     The integrand is even, so it is integrated on [0, inf) and doubled.
@@ -240,6 +229,6 @@ def identity_integral(tol: float = 5e-13) -> QuadResult:
         s = _sech(math.pi * r)
         return (0.25 + r * r) ** 1.5 * s * s
 
-    res = integrate_decaying(f, "halfline", tol=tol)
+    res = integrate_decaying(f, "halfline", tol=5e-13)
     return QuadResult(2.0 * res.value, 2.0 * res.est_error,
                       res.evaluations, res.converged)

@@ -222,6 +222,8 @@ def _struve_k_integral(nu: int, z: float) -> FnEval:
 def _struve_k_asymptotic(nu: int, z: float) -> FnEval:
     # (1/pi) sum_k Gamma(k+1/2) (z/2)^{nu-2k-1} / Gamma(nu+1/2-k),
     # truncated at the smallest term, which also bounds the error.
+    if z < 40.0:
+        raise ValueError("asymptotic route for Struve K requires z >= 40")
     if nu == 1:
         t = 2.0 / math.pi
     else:
@@ -251,34 +253,21 @@ def _struve_k_series(nu: int, z: float) -> FnEval:
 
 
 @lru_cache(maxsize=100000)
-def _struve_k_dispatch(nu2: int, z: float, method: str) -> FnEval:
-    nu = nu2 / 2.0
+def _struve_k_dispatch(nu2: int, z: float) -> FnEval:
     if nu2 == 1:   # nu = 1/2: H - Y telescopes to an elementary expression
         return _closed(math.sqrt(2.0 / (math.pi * z)))
     if nu2 == 3:   # nu = 3/2
         return _closed(math.sqrt(z / (2.0 * math.pi)) * (1.0 + 2.0 / (z * z)))
-    n = nu2 // 2
-    if method == "auto" or method == "integral":
-        return _struve_k_integral(n, z)
-    if method == "series":
-        if z > 12.0:
-            raise ValueError("series route for Struve K is validated for z <= 12")
-        return _struve_k_series(n, z)
-    if method == "asymptotic":
-        if z < 40.0:
-            raise ValueError("asymptotic route for Struve K requires z >= 40")
-        return _struve_k_asymptotic(n, z)
-    raise ValueError(f"unknown method {method!r}")
+    return _struve_k_integral(nu2 // 2, z)
 
 
-def struve_k(nu: float, z: float, method: str = "auto") -> FnEval:
+def struve_k(nu: float, z: float) -> FnEval:
     """Struve function of the second kind, K_nu = H_nu - Y_nu.
 
-    Orders 1/2 and 3/2 are closed forms (the expansion terminates).  For
-    orders 1 and 2 the default route is the Laplace-type integral
-    representation, stable for every z > 0; ``method="series"`` (z <= 12)
-    and ``method="asymptotic"`` (z >= 40) select the independent check
-    routes.
+    Orders 1/2 and 3/2 are closed forms (the expansion terminates).  Orders
+    1 and 2 take the Laplace-type integral representation, stable for every
+    z > 0.  The power series (z <= 12) and the asymptotic expansion
+    (z >= 40) are kept as private check routes for the tests.
     """
     nu2 = int(round(2 * nu))
     if nu2 not in (1, 2, 3, 4) or abs(2 * nu - nu2) > 1e-12:
@@ -286,7 +275,7 @@ def struve_k(nu: float, z: float, method: str = "auto") -> FnEval:
             f"struve_k supports orders 1/2, 1, 3/2, 2, got {nu}")
     if z <= 0:
         raise ValueError("z must be positive")
-    return _struve_k_dispatch(nu2, float(z), method)
+    return _struve_k_dispatch(nu2, float(z))
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .contributions import LengthSpectrum, OrbifoldSignature, geodesic_contribution
 
@@ -164,13 +164,18 @@ def word_to_matrix(word: str) -> Mat2:
     return m
 
 
-def word_length(word: str) -> float:
-    """Geodesic length 2 arcosh(|tr|/2) of a hyperbolic word."""
-    t = abs(word_to_matrix(word).trace)
+def _matrix_length(word: str, m: Mat2) -> float:
+    """2 arcosh(|tr m|/2) for the matrix m of word; elliptic words raise."""
+    t = abs(m.trace)
     if t <= 2.0 + 1e-12:
         raise EllipticWordError(
             f"{word!r} has |trace| = {t:.6f} <= 2: finite order or parabolic")
     return 2.0 * math.acosh(t / 2.0)
+
+
+def word_length(word: str) -> float:
+    """Geodesic length 2 arcosh(|tr|/2) of a hyperbolic word."""
+    return _matrix_length(word, word_to_matrix(word))
 
 
 def star_word(word: str) -> str:
@@ -272,7 +277,7 @@ def table_corpus() -> tuple[GeodesicClass, ...]:
     classes = []
     for word, count, ref_len, ref_a in _CORPUS_ROWS:
         m = word_to_matrix(word)
-        length = word_length(word)
+        length = _matrix_length(word, m)
         a = geodesic_contribution(length, count)
         if abs(length - ref_len) > _LENGTH_TOL:
             raise CorpusIntegrityError(
@@ -298,8 +303,7 @@ def _lyndon_words(max_len: int) -> Iterator[str]:
             w.pop()
 
 
-def enumerate_classes(max_letters: int,
-                      n_tail_tol: float = 1e-14) -> list[GeodesicClass]:
+def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     """All hyperbolic involution orbits of aperiodic cyclic words.
 
     One :class:`GeodesicClass` per orbit, sorted by length then canonical
@@ -319,13 +323,13 @@ def enumerate_classes(max_letters: int,
             continue
         seen.add(rep)
         m = word_to_matrix(rep)
-        t = abs(m.trace)
-        if t <= 2.0 + 1e-12:
+        try:
+            length = _matrix_length(rep, m)
+        except EllipticWordError:
             skipped += 1
             continue
-        length = 2.0 * math.acosh(t / 2.0)
         count = len(orbit)
-        a = geodesic_contribution(length, count, n_tail_tol)
+        a = geodesic_contribution(length, count)
         classes.append(GeodesicClass(rep, m.trace, length, count, a))
     classes.sort(key=lambda c: (c.length, c.representative.translate(_TRANS)))
     if skipped:
@@ -334,15 +338,17 @@ def enumerate_classes(max_letters: int,
     return classes
 
 
-def trace_coincidences(classes: Iterable[GeodesicClass],
-                       tol: float = 1e-9) -> list[list[GeodesicClass]]:
-    """Groups of distinct orbits sharing a trace (necessary for conjugacy)."""
-    by_trace: dict[float, list[GeodesicClass]] = {}
+def trace_coincidences(
+        classes: Iterable[GeodesicClass]) -> list[list[GeodesicClass]]:
+    """Groups of distinct orbits whose |traces| agree within 1e-9.
+
+    A shared trace is necessary for conjugacy, not sufficient.
+    """
     out = []
     ordered = sorted(classes, key=lambda c: abs(c.trace))
     group: list[GeodesicClass] = []
     for c in ordered:
-        if group and abs(abs(c.trace) - abs(group[-1].trace)) <= tol:
+        if group and abs(abs(c.trace) - abs(group[-1].trace)) <= 1e-9:
             group.append(c)
         else:
             if len(group) > 1:
@@ -354,18 +360,14 @@ def trace_coincidences(classes: Iterable[GeodesicClass],
 
 
 def to_spectrum(classes: Iterable[GeodesicClass],
-                merge_tol: Optional[float] = None,
                 provenance: str = "enumerated") -> LengthSpectrum:
     """Expand class counts into a length spectrum.
 
-    Entries stay separate by default even at equal lengths; pass
-    ``merge_tol`` (typically 1e-9) to merge explicitly.
+    Entries stay separate even at equal lengths; call ``.merged(tol)`` on
+    the result (typically tol = 1e-9) to merge them.
     """
-    spec = LengthSpectrum.from_pairs(
+    return LengthSpectrum.from_pairs(
         ((c.length, c.class_count) for c in classes), provenance)
-    if merge_tol is not None:
-        spec = spec.merged(merge_tol)
-    return spec
 
 
 def classes_to_json(classes: Iterable[GeodesicClass]) -> str:

@@ -1,11 +1,14 @@
-"""CLI behavior: determinism, formats, exit codes."""
+"""CLI behavior: determinism, formats, exit codes, golden outputs."""
 
 import json
+import pathlib
 
 import pytest
 
 from casorb import cli
 from casorb.cli import fmt10, run
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def _capture(capsys, argv):
@@ -16,6 +19,26 @@ def _capture(capsys, argv):
 
 FAST_ENERGY = ["energy", "--triangle", "2,3,7", "--spectrum", "table",
                "--tail-j-hi", "100000"]
+
+ENERGY_237 = ["energy", "--triangle", "2,3,7", "--spectrum", "table"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("energy_text", ENERGY_237),
+    ("energy_json", ENERGY_237 + ["--output", "json"]),
+    ("energy_csv", ENERGY_237 + ["--output", "csv"]),
+    ("verify_237", ["verify-237"]),
+    ("elliptic", ["elliptic", "--triangle", "2,3,7"]),
+    ("identity", ["identity", "--volume", "0.1495996"]),
+    ("hyperbolic", ["hyperbolic", "--spectrum", "table"]),
+    ("tail", ["tail"]),
+    ("spectrum_table", ["spectrum", "--table"]),
+])
+def test_golden_output(capsys, name, argv):
+    # default outputs are byte-stable; a deliberate change rewrites the file
+    code, out, err = _capture(capsys, argv)
+    assert code == 0, err
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 class TestFormatting:
@@ -194,6 +217,25 @@ class TestExitCodes:
             "elliptic", "--cone-orders", "2,3,7", "--output", "json"])
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.875676, abs=5e-7)
+
+    def test_refuses_enumerated_spectrum(self, capsys):
+        # enumerate:N overcounts, so the growth assumption fails at j = 3
+        code, out, err = _capture(capsys, [
+            "energy", "--triangle", "2,3,7", "--spectrum", "enumerate:12",
+            "--tail-j-hi", "100000"])
+        assert code == 2
+        assert out == ""
+        assert "fails at j=3" in err
+
+    def test_refuses_short_spectrum_file(self, capsys, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("0.98,1\n")
+        code, out, err = _capture(capsys, [
+            "energy", "--triangle", "2,3,7", "--spectrum", f"file:{path}",
+            "--tail-j-hi", "100000"])
+        assert code == 2
+        assert out == ""
+        assert "covers j=1..1 " in err
 
     def test_unknown_flag(self, capsys):
         code, _, _ = _capture(capsys, ["energy", "--frobnicate"])

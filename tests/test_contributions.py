@@ -398,6 +398,30 @@ class TestAssembly:
         assert b.certified_lower_bound == pytest.approx(reconstructed, abs=1e-15)
         assert b.assumption_verified_through == 51
 
+    def test_refuses_spectrum_short_of_tail_start(self):
+        # the tail starts at j = 51, so the head must list geodesics 1..50
+        table = _corpus_spectrum()
+        assert table.total_multiplicity == 51
+        assert casimir_energy(SIG_237, table, tail_j_hi=10**5).certified_lower_bound > 0
+        entries = table.entries[:-1]
+        short = LengthSpectrum(entries, "file")
+        assert short.total_multiplicity == 49
+        with pytest.raises(ValueError, match=r"covers j=1\.\.49 "):
+            casimir_energy(SIG_237, short, tail_j_hi=10**5)
+        with pytest.raises(ValueError, match=r"covers j=1\.\.1 "):
+            casimir_energy(SIG_237, LengthSpectrum.from_pairs([(0.98, 1)]),
+                           tail_j_hi=10**5)
+        fifty = LengthSpectrum(entries + ((5.46, 1),), "file")
+        assert casimir_energy(SIG_237, fifty, tail_j_hi=10**5).assumption.holds
+
+    def test_refuses_growth_violation(self):
+        from casorb.triangle import enumerate_classes, to_spectrum
+
+        spec = to_spectrum(enumerate_classes(12))
+        assert spec.total_multiplicity >= 50
+        with pytest.raises(ValueError, match=r"fails at j=3;"):
+            casimir_energy(SIG_237, spec, tail_j_hi=10**5)
+
     def test_series_evaluation_invariants(self):
         with pytest.raises(ValueError):
             SeriesEvaluation(1.0, -1.0, 10)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from casorb import specfun
 from casorb.specfun import (
     FnEval,
     UnsupportedOrderError,
@@ -119,15 +120,16 @@ class TestStruveK:
             assert struve_k(0.5, z).method == "closed_form"
 
     def test_tri_method_consistency(self):
-        # any two applicable routes agree within the sum of their bounds
+        # the production value and each private check route applicable at z
+        # agree within the sum of their bounds
         for z in np.geomspace(1e-3, 200.0, 200):
             z = float(z)
             for nu in (0.5, 1.0, 1.5, 2.0):
                 evals = [struve_k(nu, z)]
                 if nu in (1.0, 2.0) and z <= 12.0:
-                    evals.append(struve_k(nu, z, "series"))
+                    evals.append(specfun._struve_k_series(int(nu), z))
                 if nu in (1.0, 2.0) and z >= 40.0:
-                    evals.append(struve_k(nu, z, "asymptotic"))
+                    evals.append(specfun._struve_k_asymptotic(int(nu), z))
                 for i in range(len(evals)):
                     for j in range(i + 1, len(evals)):
                         gap = abs(evals[i].value - evals[j].value)
@@ -147,11 +149,13 @@ class TestStruveK:
 
     def test_method_windows(self):
         with pytest.raises(ValueError):
-            struve_k(1, 13.0, "series")
+            specfun._struve_k_series(1, 13.0)
         with pytest.raises(ValueError):
-            struve_k(1, 39.0, "asymptotic")
+            specfun._struve_k_asymptotic(1, 39.0)
         with pytest.raises(UnsupportedOrderError):
             struve_k(2.5, 1.0)
+        with pytest.raises(TypeError):   # the route is not the caller's choice
+            struve_k(1, 1.0, "series")
 
     def test_small_angle_blowup(self):
         # pi K_1(theta)/(4 theta) grows like C/theta^2, bounded constant
@@ -225,7 +229,7 @@ class TestMoments:
 
 
 def test_clear_caches_empties_every_cache():
-    from casorb import contributions, specfun, triangle
+    from casorb import contributions, triangle
 
     contributions.elliptic_contribution(triangle.triangle_signature(2, 3, 7), 20)
     triangle.table_corpus()
