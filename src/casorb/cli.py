@@ -6,8 +6,9 @@ certified (2,3,7) pipeline.  All float output goes through a fixed
 configurations produce byte-identical reports.
 
 Exit codes: 0 success, 2 domain errors (bad signature, malformed
-spectrum file, a spectrum that cannot be certified), 1 internal numerical
-failure (non-convergent quadrature).
+spectrum file, an ``energy`` run without a spectrum, a built-in (2,3,7)
+spectrum given with other cone orders, a spectrum that cannot be
+certified), 1 internal numerical failure (non-convergent quadrature).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from . import contributions as co
 from . import triangle as tri
@@ -33,16 +33,13 @@ def fmt10(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _jsonable(x: Optional[float]):
+def _jsonable(x: float) -> float:
     # pre-round floats so dumps -> loads -> dumps is byte-stable
-    return None if x is None else float(fmt10(x))
+    return float(fmt10(x))
 
 
 def breakdown_dict(b: co.EnergyBreakdown) -> dict:
-    comps = None
-    if b.tail_components is not None:
-        b1, b2, b3 = b.tail_components
-        comps = {"b1": _jsonable(b1), "b2": _jsonable(b2), "b3": _jsonable(b3)}
+    b1, b2, b3 = b.tail_components
     return {
         "identity": {
             "value": _jsonable(b.identity.value),
@@ -57,7 +54,8 @@ def breakdown_dict(b: co.EnergyBreakdown) -> dict:
         "hyperbolic": {
             "head": _jsonable(b.hyperbolic_head),
             "tail_bound": _jsonable(b.hyperbolic_tail_magnitude_bound),
-            "components": comps,
+            "components": {"b1": _jsonable(b1), "b2": _jsonable(b2),
+                           "b3": _jsonable(b3)},
         },
         "certified_lower_bound": _jsonable(b.certified_lower_bound),
         "assumption": {
@@ -71,6 +69,7 @@ def emit_breakdown(b: co.EnergyBreakdown, fmt: str = "text") -> str:
     """Render a breakdown as text, canonical JSON, or component CSV."""
     if fmt == "json":
         return json.dumps(breakdown_dict(b), indent=2)
+    b1, b2, b3 = b.tail_components
     if fmt == "csv":
         rows = [
             ("identity", b.identity.value, b.identity.truncation_bound),
@@ -78,11 +77,11 @@ def emit_breakdown(b: co.EnergyBreakdown, fmt: str = "text") -> str:
             ("elliptic", b.elliptic.value, b.elliptic.truncation_bound),
             ("hyperbolic_head", b.hyperbolic_head, b.hyperbolic_head_bound),
             ("hyperbolic_tail_bound", b.hyperbolic_tail_magnitude_bound, None),
+            ("b1", b1, None),
+            ("b2", b2, None),
+            ("b3", b3, None),
+            ("certified_lower_bound", b.certified_lower_bound, None),
         ]
-        if b.tail_components is not None:
-            for key, val in zip(("b1", "b2", "b3"), b.tail_components):
-                rows.append((key, val, None))
-        rows.append(("certified_lower_bound", b.certified_lower_bound, None))
         lines = ["component,value,extra"]
         for name, val, extra in rows:
             tail = "" if extra is None else fmt10(extra)
@@ -101,13 +100,11 @@ def emit_breakdown(b: co.EnergyBreakdown, fmt: str = "text") -> str:
             f"hyperbolic head     {fmt10(b.hyperbolic_head)}"
             f"   (bound {fmt10(b.hyperbolic_head_bound)})",
             f"hyperbolic tail     <= {fmt10(b.hyperbolic_tail_magnitude_bound)}",
+            f"  tail components   b1={fmt10(b1)} b2={fmt10(b2)} b3={fmt10(b3)}",
+            f"certified lower bound {fmt10(b.certified_lower_bound)}",
+            f"growth assumption   checked through j={b.assumption.checked_through},"
+            f" holds={b.assumption.holds}",
         ]
-        if b.tail_components is not None:
-            b1, b2, b3 = b.tail_components
-            lines.append(f"  tail components   b1={fmt10(b1)} b2={fmt10(b2)} b3={fmt10(b3)}")
-        lines.append(f"certified lower bound {fmt10(b.certified_lower_bound)}")
-        lines.append(f"growth assumption   checked through j={b.assumption.checked_through},"
-                     f" holds={b.assumption.holds}")
         return "\n".join(lines)
     raise ValueError(f"unknown output format {fmt!r}")
 
@@ -138,10 +135,8 @@ def _signature_from_args(args, needs_area: bool = True) -> co.OrbifoldSignature:
     raise ValueError("need --triangle P,Q,R, or --cone-orders (with --volume), or --volume")
 
 
-def _spectrum_from_args(args) -> Optional[co.LengthSpectrum]:
-    src = getattr(args, "spectrum", None)
-    if src is None:
-        return None
+def _spectrum_from_args(args) -> co.LengthSpectrum:
+    src = args.spectrum
     if src == "table":
         return tri.to_spectrum(tri.table_corpus(), provenance="table_corpus")
     if src.startswith("enumerate:"):
@@ -159,18 +154,10 @@ def _add_signature_flags(p):
     p.add_argument("--volume", type=float, help="hyperbolic area of the quotient")
 
 
-def _add_series_flags(p):
-    p.add_argument("--N", type=int, default=60,
-                   help="outer series truncation (default 60)")
-    p.add_argument("--n-tail-tol", type=float, default=1e-13,
-                   help="winding-tail tolerance for the geodesic sum")
-    p.add_argument("--tail-j-hi", type=int, default=10_000_000,
-                   help="upper index of the b1 tail bound")
-
-
-_SPECTRUM_HELP = ("table | enumerate:N | file:PATH; enumerate:N overcounts, "
-                  "since words equal in the group are not identified, so it "
-                  "is an exploration source only")
+_SPECTRUM_HELP = ("table | enumerate:N | file:PATH; table and enumerate:N are "
+                  "(2,3,7) spectra; enumerate:N overcounts, since words equal "
+                  "in the group are not identified, so it is an exploration "
+                  "source only")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -183,22 +170,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy", help="full breakdown and certified lower bound")
     _add_signature_flags(p)
     p.add_argument("--spectrum", help=_SPECTRUM_HELP)
-    _add_series_flags(p)
     p.add_argument("--output", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("elliptic", help="cone-point contribution")
     _add_signature_flags(p)
-    p.add_argument("--N", type=int, default=60)
     p.add_argument("--output", choices=("text", "json"), default="text")
 
     p = sub.add_parser("identity", help="area contribution and bracket")
     _add_signature_flags(p)
-    p.add_argument("--N", type=int, default=60)
     p.add_argument("--output", choices=("text", "json"), default="text")
 
     p = sub.add_parser("hyperbolic", help="geodesic head contribution")
     p.add_argument("--spectrum", required=True, help=_SPECTRUM_HELP)
-    p.add_argument("--n-tail-tol", type=float, default=1e-13)
     p.add_argument("--output", choices=("text", "json"), default="text")
 
     p = sub.add_parser("spectrum", help="export a length spectrum")
@@ -214,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify-237", help="run the full (2,3,7) certification")
-    _add_series_flags(p)
     p.add_argument("--output", choices=("text", "json"), default="text")
     return ap
 
@@ -225,15 +207,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_energy(args) -> str:
     sig = _signature_from_args(args)
-    spectrum = _spectrum_from_args(args)
-    b = co.casimir_energy(sig, spectrum, N=args.N, n_tail_tol=args.n_tail_tol,
-                          tail_j_hi=args.tail_j_hi)
+    if args.spectrum is None:
+        raise ValueError("energy needs --spectrum: without the geodesic term "
+                         "there is no lower bound")
+    builtin = args.spectrum == "table" or args.spectrum.startswith("enumerate:")
+    if builtin and sorted(sig.cone_orders) != [2, 3, 7]:
+        raise ValueError(f"--spectrum {args.spectrum} is a (2,3,7) spectrum; "
+                         f"give cone orders 2,3,7 or a file:PATH spectrum")
+    b = co.casimir_energy(sig, _spectrum_from_args(args))
     return emit_breakdown(b, args.output)
 
 
 def _cmd_elliptic(args) -> str:
     sig = _signature_from_args(args, needs_area=False)
-    ser = co.elliptic_contribution(sig, args.N)
+    ser = co.elliptic_contribution(sig)
     if args.output == "json":
         return json.dumps({"value": _jsonable(ser.value),
                            "bound": _jsonable(ser.truncation_bound),
@@ -244,7 +231,7 @@ def _cmd_elliptic(args) -> str:
 
 def _cmd_identity(args) -> str:
     sig = _signature_from_args(args)
-    ser = co.identity_series(sig.volume, args.N)
+    ser = co.identity_series(sig.volume)
     lo, hi = co.identity_interval(sig.volume)
     inside = lo < ser.value < hi
     if args.output == "json":
@@ -258,7 +245,7 @@ def _cmd_identity(args) -> str:
 
 def _cmd_hyperbolic(args) -> str:
     spectrum = _spectrum_from_args(args)
-    ser = co.hyperbolic_contribution(spectrum, args.n_tail_tol)
+    ser = co.hyperbolic_contribution(spectrum)
     if args.output == "json":
         return json.dumps({"head": _jsonable(ser.value),
                            "bound": _jsonable(ser.truncation_bound),
@@ -311,8 +298,7 @@ def _cmd_tail(args) -> str:
 def _cmd_verify_237(args) -> str:
     sig = tri.triangle_signature(2, 3, 7)
     spectrum = tri.to_spectrum(tri.table_corpus(), provenance="table_corpus")
-    b = co.casimir_energy(sig, spectrum, N=args.N, n_tail_tol=args.n_tail_tol,
-                          tail_j_hi=args.tail_j_hi)
+    b = co.casimir_energy(sig, spectrum)
     reference = (b.elliptic.value - b.elliptic.truncation_bound
                  + b.identity_interval[0] + b.hyperbolic_head
                  - co.REFERENCE_TAIL_237)

@@ -171,7 +171,7 @@ class EnergyBreakdown:
     hyperbolic_head: float
     hyperbolic_head_bound: float
     hyperbolic_tail_magnitude_bound: float
-    tail_components: Optional[Tuple[float, float, float]]
+    tail_components: Tuple[float, float, float]
     certified_lower_bound: float
     assumption: AssumptionReport
 
@@ -379,15 +379,17 @@ def _winding_sum(ell: float, tol: float):
             raise ArithmeticError("winding sum did not reach tolerance")
 
 
-def hyperbolic_contribution(spectrum: LengthSpectrum,
-                            n_tail_tol: float = 1e-13) -> SeriesEvaluation:
-    """-(1/4pi) sum over the spectrum of the winding sums."""
+def hyperbolic_contribution(spectrum: LengthSpectrum) -> SeriesEvaluation:
+    """-(1/4pi) sum over the spectrum of the winding sums.
+
+    Each winding sum stops once its majorant tail is at most 1e-13.
+    """
     if len(spectrum) == 0:
         raise ValueError("empty length spectrum")
     vals, bounds = [], []
     max_n = 0
     for ell, mult in spectrum.entries:
-        s, tail, n = _winding_sum(ell, n_tail_tol)
+        s, tail, n = _winding_sum(ell, 1e-13)
         vals.append(mult * s)
         bounds.append(mult * tail)
         max_n = max(max_n, n)
@@ -561,9 +563,7 @@ _TAIL_J_LO = 51
 
 
 def casimir_energy(sig: OrbifoldSignature,
-                   spectrum: Optional[LengthSpectrum] = None,
-                   N: int = 60,
-                   n_tail_tol: float = 1e-13,
+                   spectrum: LengthSpectrum,
                    tail_j_hi: int = 10_000_000) -> EnergyBreakdown:
     """Assemble the certified lower bound for the energy at s = -1/2.
 
@@ -573,52 +573,40 @@ def casimir_energy(sig: OrbifoldSignature,
     bound plus far-index and higher-winding bounds).  The tail starts at
     geodesic index 51: it presumes the spectrum lists every geodesic below
     that index and that the growth floor ell_j >= log j + log log j holds
-    from there on.  A non-empty spectrum of total multiplicity below 50,
-    or one whose own lengths break the growth floor, is refused with
-    ValueError, since no certified bound follows.  With an empty spectrum
-    only the identity and cone terms are reported.
+    from there on.  A spectrum of total multiplicity below 50 (an empty
+    one included), or one whose own lengths break the growth floor, is
+    refused with ValueError, since no certified bound follows.
     """
-    has_spectrum = spectrum is not None and len(spectrum) > 0
-    if has_spectrum:
-        covered = spectrum.total_multiplicity
-        if covered < _TAIL_J_LO - 1:
-            raise ValueError(
-                f"spectrum covers j=1..{covered} but the tail starts at "
-                f"j={_TAIL_J_LO}; no certified bound")
-        report = assumption_check(spectrum)
-        if not report.holds:
-            raise ValueError(
-                f"growth assumption ell_j >= log j + log log j fails at "
-                f"j={report.first_violation}; no certified bound")
+    covered = spectrum.total_multiplicity
+    if covered < _TAIL_J_LO - 1:
+        raise ValueError(
+            f"spectrum covers j=1..{covered} but the tail starts at "
+            f"j={_TAIL_J_LO}; no certified bound")
+    report = assumption_check(spectrum)
+    if not report.holds:
+        raise ValueError(
+            f"growth assumption ell_j >= log j + log log j fails at "
+            f"j={report.first_violation}; no certified bound")
 
-    ident = identity_series(sig.volume, N)
+    ident = identity_series(sig.volume)
     interval = identity_interval(sig.volume)
-    ellip = elliptic_contribution(sig, N)
-
-    if has_spectrum:
-        head = hyperbolic_contribution(spectrum, n_tail_tol)
-        b1 = tail_b1_bound(_TAIL_J_LO, tail_j_hi)
-        b2 = tail_far_bound(tail_j_hi)
-        b3 = tail_higher_windings_bound(_TAIL_J_LO)
-        tail_components: Optional[Tuple[float, float, float]] = (b1, b2, b3)
-        tail_bound = b1 + b2 + b3
-        head_value, head_bound = head.value, head.truncation_bound
-    else:
-        tail_components = None
-        tail_bound = 0.0
-        head_value = head_bound = 0.0
-        report = AssumptionReport(True, None, 0, 0)
+    ellip = elliptic_contribution(sig)
+    head = hyperbolic_contribution(spectrum)
+    b1 = tail_b1_bound(_TAIL_J_LO, tail_j_hi)
+    b2 = tail_far_bound(tail_j_hi)
+    b3 = tail_higher_windings_bound(_TAIL_J_LO)
+    tail_bound = b1 + b2 + b3
 
     certified = (ellip.value - ellip.truncation_bound + interval[0]
-                 + head_value - tail_bound)
+                 + head.value - tail_bound)
     return EnergyBreakdown(
         identity=ident,
         identity_interval=interval,
         elliptic=ellip,
-        hyperbolic_head=head_value,
-        hyperbolic_head_bound=head_bound,
+        hyperbolic_head=head.value,
+        hyperbolic_head_bound=head.truncation_bound,
         hyperbolic_tail_magnitude_bound=tail_bound,
-        tail_components=tail_components,
+        tail_components=(b1, b2, b3),
         certified_lower_bound=certified,
         assumption=report,
     )

@@ -17,9 +17,6 @@ def _capture(capsys, argv):
     return code, captured.out, captured.err
 
 
-FAST_ENERGY = ["energy", "--triangle", "2,3,7", "--spectrum", "table",
-               "--tail-j-hi", "100000"]
-
 ENERGY_237 = ["energy", "--triangle", "2,3,7", "--spectrum", "table"]
 
 
@@ -58,20 +55,20 @@ class TestFormatting:
 
 class TestDeterminismAndRoundTrip:
     def test_json_deterministic_and_roundtrips(self, capsys):
-        code1, out1, _ = _capture(capsys, FAST_ENERGY + ["--output", "json"])
-        code2, out2, _ = _capture(capsys, FAST_ENERGY + ["--output", "json"])
+        code1, out1, _ = _capture(capsys, ENERGY_237 + ["--output", "json"])
+        code2, out2, _ = _capture(capsys, ENERGY_237 + ["--output", "json"])
         assert code1 == code2 == 0
         assert out1 == out2
         payload = json.loads(out1)
         assert json.dumps(payload, indent=2) + "\n" == out1
 
     def test_text_deterministic(self, capsys):
-        _, out1, _ = _capture(capsys, FAST_ENERGY)
-        _, out2, _ = _capture(capsys, FAST_ENERGY)
+        _, out1, _ = _capture(capsys, ENERGY_237)
+        _, out2, _ = _capture(capsys, ENERGY_237)
         assert out1 == out2
 
     def test_csv_layout(self, capsys):
-        code, out, _ = _capture(capsys, FAST_ENERGY + ["--output", "csv"])
+        code, out, _ = _capture(capsys, ENERGY_237 + ["--output", "csv"])
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "component,value,extra"
@@ -83,7 +80,7 @@ class TestDeterminismAndRoundTrip:
 
 class TestEnergyValues:
     def test_breakdown_fields(self, capsys):
-        code, out, _ = _capture(capsys, FAST_ENERGY + ["--output", "json"])
+        code, out, _ = _capture(capsys, ENERGY_237 + ["--output", "json"])
         assert code == 0
         d = json.loads(out)
         assert d["elliptic"]["value"] == pytest.approx(0.875676, abs=5e-7)
@@ -94,18 +91,22 @@ class TestEnergyValues:
         assert d["assumption"]["verified_through"] == 51
 
     def test_full_tail_b1_field(self, capsys):
-        code, out, _ = _capture(capsys, [
-            "energy", "--triangle", "2,3,7", "--spectrum", "table",
-            "--output", "json"])
+        code, out, _ = _capture(capsys, ENERGY_237 + ["--output", "json"])
         assert code == 0
         d = json.loads(out)
         assert d["hyperbolic"]["components"]["b1"] == pytest.approx(
             0.138415, abs=1e-5)
 
-    def test_cone_free_run(self, capsys):
+    def test_cone_free_run(self, capsys, tmp_path):
+        # the built-in table is refused without cone orders 2,3,7, so the
+        # same spectrum goes in as a file
+        code, out, _ = _capture(capsys, ["spectrum", "--table"])
+        assert code == 0
+        path = tmp_path / "spec.txt"
+        path.write_text(out)
         code, out, _ = _capture(capsys, [
-            "energy", "--volume", "1.0", "--spectrum", "table",
-            "--tail-j-hi", "100000", "--output", "json"])
+            "energy", "--volume", "1.0", "--spectrum", f"file:{path}",
+            "--output", "json"])
         assert code == 0
         d = json.loads(out)
         assert d["elliptic"]["value"] == 0
@@ -161,16 +162,14 @@ class TestSubcommands:
         assert d["b2"] > 0 and d["b3"] == pytest.approx(7.4965e-5, abs=1e-8)
 
     def test_tail_b1_matches_energy(self, capsys):
-        code1, tail_out, _ = _capture(capsys, [
-            "tail", "--j-hi", "100000", "--output", "json"])
-        code2, energy_out, _ = _capture(capsys, FAST_ENERGY + ["--output", "json"])
+        code1, tail_out, _ = _capture(capsys, ["tail", "--output", "json"])
+        code2, energy_out, _ = _capture(capsys, ENERGY_237 + ["--output", "json"])
         assert code1 == code2 == 0
         b1 = json.loads(energy_out)["hyperbolic"]["components"]["b1"]
         assert json.loads(tail_out)["b1"] == b1
 
     def test_verify_237(self, capsys):
-        code, out, _ = _capture(capsys, [
-            "verify-237", "--tail-j-hi", "100000"])
+        code, out, _ = _capture(capsys, ["verify-237"])
         assert code == 0
         assert "reference tail 0.293867" in out
         assert "recomputed tail" in out
@@ -221,8 +220,7 @@ class TestExitCodes:
     def test_refuses_enumerated_spectrum(self, capsys):
         # enumerate:N overcounts, so the growth assumption fails at j = 3
         code, out, err = _capture(capsys, [
-            "energy", "--triangle", "2,3,7", "--spectrum", "enumerate:12",
-            "--tail-j-hi", "100000"])
+            "energy", "--triangle", "2,3,7", "--spectrum", "enumerate:12"])
         assert code == 2
         assert out == ""
         assert "fails at j=3" in err
@@ -231,8 +229,7 @@ class TestExitCodes:
         path = tmp_path / "one.txt"
         path.write_text("0.98,1\n")
         code, out, err = _capture(capsys, [
-            "energy", "--triangle", "2,3,7", "--spectrum", f"file:{path}",
-            "--tail-j-hi", "100000"])
+            "energy", "--triangle", "2,3,7", "--spectrum", f"file:{path}"])
         assert code == 2
         assert out == ""
         assert "covers j=1..1 " in err
@@ -241,10 +238,40 @@ class TestExitCodes:
         code, _, _ = _capture(capsys, ["energy", "--frobnicate"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [ENERGY_237, ["verify-237"]],
+                             ids=["energy", "verify-237"])
+    @pytest.mark.parametrize("flag", [["--N", "40"], ["--n-tail-tol", "1e-12"],
+                                      ["--tail-j-hi", "100000"]],
+                             ids=["N", "n-tail-tol", "tail-j-hi"])
+    def test_removed_series_flag(self, capsys, command, flag):
+        code, out, err = _capture(capsys, [*command, *flag])
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("signature", [["--triangle", "2,3,7"],
+                                           ["--volume", "1.0"]])
+    def test_energy_needs_spectrum(self, capsys, signature):
+        code, out, err = _capture(capsys, ["energy", *signature])
+        assert code == 2
+        assert out == ""
+        assert "--spectrum" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--triangle", "3,3,4", "--spectrum", "table"],
+        ["--volume", "1.0", "--spectrum", "table"],
+        ["--triangle", "2,3,8", "--spectrum", "enumerate:12"],
+    ])
+    def test_refuses_237_spectrum_for_other_signature(self, capsys, argv):
+        code, out, err = _capture(capsys, ["energy", *argv, "--output", "csv"])
+        assert code == 2
+        assert out == ""
+        assert "(2,3,7) spectrum" in err
+
     def test_numerical_failure_exit_code(self, capsys, monkeypatch):
         from casorb.quadrature import QuadratureNonConvergence
 
-        def boom(sig, N):
+        def boom(sig, N=60):
             raise QuadratureNonConvergence("forced for the exit-code contract")
 
         monkeypatch.setattr(cli.co, "elliptic_contribution", boom)

@@ -247,7 +247,7 @@ class TestHyperbolic:
                 assert actual <= hyperbolic_n_tail_bound(ell, m)
 
     def test_corpus_head(self):
-        head = hyperbolic_contribution(_corpus_spectrum(), 1e-13)
+        head = hyperbolic_contribution(_corpus_spectrum())
         assert head.value == pytest.approx(-0.5680851, abs=1e-6)
 
     def test_single_class(self):
@@ -380,15 +380,11 @@ class TestAssembly:
         assert b.certified_lower_bound < 0.0
         assert b.identity.value + b.hyperbolic_head < 0.0
 
-    def test_empty_spectrum_identity_only(self):
+    def test_empty_spectrum_refused(self):
+        # no geodesic term means no lower bound
         sig = OrbifoldSignature((), 1.0)
-        b = casimir_energy(sig, None)
-        assert b.hyperbolic_head == 0.0
-        assert b.hyperbolic_tail_magnitude_bound == 0.0
-        assert b.tail_components is None
-        lo, hi = b.identity_interval
-        assert lo < b.identity.value < hi
-        assert b.certified_lower_bound == pytest.approx(lo, rel=1e-15)
+        with pytest.raises(ValueError, match=r"covers j=1\.\.0 "):
+            casimir_energy(sig, LengthSpectrum((), "file"))
 
     def test_certified_bound_identity(self):
         b = casimir_energy(SIG_237, _corpus_spectrum(), tail_j_hi=10**5)

@@ -20,3 +20,11 @@ def test_all_names_resolve(name):
 
 def test_top_level_exports_are_unique():
     assert len(casorb.__all__) == len(set(casorb.__all__))
+
+
+def test_top_level_surface_is_pinned():
+    # the names the certificate needs; everything else stays in its module
+    assert sorted(casorb.__all__) == sorted([
+        "OrbifoldSignature", "LengthSpectrum", "EnergyBreakdown",
+        "casimir_energy", "triangle_signature", "table_corpus", "to_spectrum",
+        "enumerate_classes", "read_spectrum_file", "__version__"])
