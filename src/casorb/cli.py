@@ -6,15 +6,18 @@ certified (2,3,7) pipeline.  All float output goes through a fixed
 configurations produce byte-identical reports.
 
 Exit codes: 0 success, 2 domain errors (bad signature, malformed
-spectrum file, an ``energy`` run without a spectrum, a built-in (2,3,7)
-spectrum given with other cone orders, a spectrum that cannot be
-certified), 1 internal numerical failure (non-convergent quadrature).
+spectrum file, an area that breaks Gauss-Bonnet for the given cone
+orders, an ``energy`` run without a spectrum, ``energy --spectrum
+enumerate:N``, the built-in (2,3,7) spectrum given with other cone orders,
+a spectrum that cannot be certified), 1 internal numerical failure
+(non-convergent quadrature).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import contributions as co
@@ -125,14 +128,27 @@ def _signature_from_args(args, needs_area: bool = True) -> co.OrbifoldSignature:
         return tri.triangle_signature(*_parse_triangle(args.triangle))
     if args.cone_orders:
         orders = tuple(int(x) for x in args.cone_orders.split(","))
-        if args.volume is None and needs_area:
-            raise ValueError("--cone-orders needs --volume (the hyperbolic area)")
-        # a command that never reads the area gets a placeholder
-        volume = args.volume if args.volume is not None else 1.0
-        return co.OrbifoldSignature(orders, volume)
+        if args.volume is None:
+            if needs_area:
+                raise ValueError("--cone-orders needs --volume (the hyperbolic area)")
+            # a command that never reads the area gets a placeholder
+            return co.OrbifoldSignature(orders, 1.0)
+        _check_gauss_bonnet(orders, args.volume)
+        return co.OrbifoldSignature(orders, args.volume)
     if args.volume is not None:
         return co.OrbifoldSignature((), args.volume)
     raise ValueError("need --triangle P,Q,R, or --cone-orders (with --volume), or --volume")
+
+
+def _check_gauss_bonnet(orders, area: float) -> None:
+    """Refuse an area that is not 2 pi (2g - 2 + sum(1 - 1/m)) for any genus g >= 0."""
+    chi = sum(1.0 - 1.0 / m for m in orders) - 2.0
+    g = round((area / (2 * math.pi) - chi) / 2)
+    if g < 0 or abs(area - 2 * math.pi * (2 * g + chi)) > 1e-6 * area:
+        raise ValueError(
+            f"--volume {area} breaks Gauss-Bonnet for cone orders "
+            f"{','.join(map(str, orders))}: the area must be "
+            f"2*pi*(2g - 2 + sum(1 - 1/m)) for an integer genus g >= 0")
 
 
 def _spectrum_from_args(args) -> co.LengthSpectrum:
@@ -157,7 +173,7 @@ def _add_signature_flags(p):
 _SPECTRUM_HELP = ("table | enumerate:N | file:PATH; table and enumerate:N are "
                   "(2,3,7) spectra; enumerate:N overcounts, since words equal "
                   "in the group are not identified, so it is an exploration "
-                  "source only")
+                  "source only, which energy refuses")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -210,8 +226,13 @@ def _cmd_energy(args) -> str:
     if args.spectrum is None:
         raise ValueError("energy needs --spectrum: without the geodesic term "
                          "there is no lower bound")
-    builtin = args.spectrum == "table" or args.spectrum.startswith("enumerate:")
-    if builtin and sorted(sig.cone_orders) != [2, 3, 7]:
+    if args.spectrum.startswith("enumerate:"):
+        raise ValueError(
+            "energy cannot certify --spectrum enumerate:N: N <= 3 does not "
+            "reach j=50, and for N >= 4 the overcounted (2,3,7) spectrum "
+            "fails at j=3 of the growth assumption; use --spectrum table "
+            "or file:PATH")
+    if args.spectrum == "table" and sorted(sig.cone_orders) != [2, 3, 7]:
         raise ValueError(f"--spectrum {args.spectrum} is a (2,3,7) spectrum; "
                          f"give cone orders 2,3,7 or a file:PATH spectrum")
     b = co.casimir_energy(sig, _spectrum_from_args(args))

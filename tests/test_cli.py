@@ -217,6 +217,26 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.875676, abs=5e-7)
 
+    @pytest.mark.parametrize("command", ["energy", "identity"])
+    def test_refuses_area_breaking_gauss_bonnet(self, capsys, tmp_path, command):
+        # cone orders (2,3): genus 0 is spherical, genus 1 has area 7 pi/3
+        _, spectrum, _ = _capture(capsys, ["spectrum", "--table"])
+        path = tmp_path / "spec.txt"
+        path.write_text(spectrum)
+        extra = ["--spectrum", f"file:{path}"] if command == "energy" else []
+        code, out, err = _capture(capsys, [
+            command, "--cone-orders", "2,3", "--volume", "1.0", *extra])
+        assert code == 2
+        assert out == ""
+        assert "Gauss-Bonnet" in err
+
+    def test_gauss_bonnet_area_runs(self, capsys):
+        # 0.1495996 is pi/21, the (2,3,7) area, to 7 digits
+        code, out, err = _capture(capsys, [
+            "identity", "--cone-orders", "2,3,7", "--volume", "0.1495996"])
+        assert code == 0, err
+        assert out == (GOLDEN / "identity.txt").read_text(encoding="utf-8")
+
     def test_refuses_enumerated_spectrum(self, capsys):
         # enumerate:N overcounts, so the growth assumption fails at j = 3
         code, out, err = _capture(capsys, [

@@ -157,6 +157,57 @@ class TestStruveK:
         with pytest.raises(TypeError):   # the route is not the caller's choice
             struve_k(1, 1.0, "series")
 
+    def test_production_arguments_match_mpmath(self):
+        # every z a cold (2,3,7) casimir_energy hands to struve_k: the
+        # elliptic series at C + D k = pi l/m + pi k, the identity at pi(1+k)
+        mp = pytest.importorskip("mpmath")
+        from casorb.contributions import _cone_weights
+        from casorb.triangle import triangle_signature
+
+        sig = triangle_signature(2, 3, 7)
+        zs = [math.pi * ell / m + math.pi * k
+              for m, ell, _ in _cone_weights(sig) for k in range(60)]
+        zs += [math.pi * (1 + k) for k in range(60)]
+        with mp.workdps(30):
+            for z in zs:
+                x = mp.mpf(z)
+                # Y_1 from the Wronskian J_1 Y_0 - J_0 Y_1 = 2/(pi x) and Y_2
+                # by recurrence: mpmath's integer-order Y_1, Y_2 cost 3x Y_0
+                y0 = mp.bessely(0, x)
+                y1 = (mp.besselj(1, x) * y0 - 2 / (mp.pi * x)) / mp.besselj(0, x)
+                y2 = 2 * y1 / x - y0
+                for nu, y in ((1, y1), (2, y2)):
+                    e = struve_k(nu, z)
+                    want = mp.struveh(nu, x) - y
+                    err = abs(float(mp.mpf(e.value) - want))
+                    assert err <= 1e-13 * abs(float(want)), (nu, z, err)
+                    assert err <= e.abs_error_bound, (nu, z, err)
+
+    def test_cold_237_quadrature_cost(self, monkeypatch):
+        # one Kronrod run per cache miss, each converged, and on average at
+        # most 300 integrand evaluations (the u = e^{-zt} map needed ~1087)
+        from casorb.contributions import elliptic_contribution, identity_series
+        from casorb.triangle import triangle_signature
+
+        real = specfun.adaptive_quadrature
+        runs = []
+
+        def counting(*args, **kwargs):
+            res = real(*args, **kwargs)
+            runs.append(res)
+            return res
+
+        monkeypatch.setattr(specfun, "adaptive_quadrature", counting)
+        clear_caches()
+        sig = triangle_signature(2, 3, 7)
+        elliptic_contribution(sig)
+        identity_series(sig.volume)
+        misses = specfun._struve_k_dispatch.cache_info().misses
+        assert misses > 0
+        assert len(runs) == misses
+        assert all(r.converged for r in runs)
+        assert sum(r.evaluations for r in runs) <= 300 * misses
+
     def test_small_angle_blowup(self):
         # pi K_1(theta)/(4 theta) grows like C/theta^2, bounded constant
         for theta in np.geomspace(1e-4, 1e-1, 20):
