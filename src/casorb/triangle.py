@@ -12,6 +12,11 @@ Cyclic-word distinctness is a combinatorial proxy for distinctness of
 conjugacy classes: group relations can identify words beyond the orbit
 moves (same-trace classes are flagged, never merged here), so the count
 is an upper bound on the number of distinct classes.
+
+:func:`enumerate_classes` tests orbit minimality and builds matrices
+inline; :func:`word_orbit`, :func:`canonical_rotation`,
+:func:`word_to_matrix` and :func:`class_count` are the per-word oracles
+that the tests hold it to.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _TRANS = str.maketrans("RL", "01")   # R < L for canonical ordering
+_UNTRANS = str.maketrans("01", "RL")
+_STAR01 = str.maketrans("01", "10")
 
 
 class WordError(ValueError):
@@ -187,13 +194,46 @@ def reverse_word(word: str) -> str:
     return _validate_word(word)[::-1]
 
 
+def _rotation_slices(n: int) -> list[slice]:
+    return [slice(i, i + n) for i in range(n)]
+
+
+def _least_rotation(w01: str, slices: list[slice]) -> str:
+    """Least rotation of a word over "01"; slices = _rotation_slices(len(w01))."""
+    doubled = w01 + w01
+    return min(map(doubled.__getitem__, slices))
+
+
+def _involution_images(w01: str) -> tuple[str, str, str]:
+    """Star, reversal and reversed star of a word over "01".
+
+    Star comes first: for half the Lyndon words of up to 16 letters its
+    least rotation is the smaller one, and the orbit test stops there.
+    """
+    s = w01.translate(_STAR01)
+    return s, w01[::-1], s[::-1]
+
+
+def _orbit_size(w01: str, slices: list[slice]) -> int:
+    """Orbit size of the Lyndon word w01 over "01", or 0 if it is not least.
+
+    w01 is its own least rotation, so it represents its orbit exactly
+    when no involution image has a smaller least rotation.  Stops at the
+    first smaller one.
+    """
+    forms = {w01}
+    for v in _involution_images(w01):
+        f = _least_rotation(v, slices)
+        if f < w01:
+            return 0
+        forms.add(f)
+    return len(forms)
+
+
 def canonical_rotation(word: str) -> str:
     """Lexicographically minimal cyclic rotation, ordering R < L."""
-    _validate_word(word)
-    doubled = word + word
-    n = len(word)
-    return min((doubled[i:i + n] for i in range(n)),
-               key=lambda w: w.translate(_TRANS))
+    w01 = _validate_word(word).translate(_TRANS)
+    return _least_rotation(w01, _rotation_slices(len(w01))).translate(_UNTRANS)
 
 
 def word_orbit(word: str) -> tuple[str, ...]:
@@ -202,14 +242,11 @@ def word_orbit(word: str) -> tuple[str, ...]:
     The reversal realizes inversion up to conjugacy (trace-checked by the
     test suite), so these four cyclic words model {g, g^-1, g*, (g*)^-1}.
     """
-    sw = star_word(word)
-    forms = {
-        canonical_rotation(word),
-        canonical_rotation(word[::-1]),
-        canonical_rotation(sw),
-        canonical_rotation(sw[::-1]),
-    }
-    return tuple(sorted(forms, key=lambda w: w.translate(_TRANS)))
+    w01 = _validate_word(word).translate(_TRANS)
+    slices = _rotation_slices(len(w01))
+    forms = {_least_rotation(v, slices)
+             for v in (w01, *_involution_images(w01))}
+    return tuple(f.translate(_UNTRANS) for f in sorted(forms))
 
 
 def class_count(word: str) -> int:
@@ -290,17 +327,15 @@ def table_corpus() -> tuple[GeodesicClass, ...]:
 
 
 def _lyndon_words(max_len: int) -> Iterator[str]:
-    # Duval's generator: all Lyndon words of length <= max_len over R < L.
-    w = [-1]
-    alphabet = "RL"
+    # Duval's generator: all Lyndon words of length <= max_len over "0" < "1",
+    # in lexicographic order.  The successor of w repeats w up to max_len,
+    # drops the trailing 1s and raises the last 0 to 1.
+    w = "0"
     while w:
-        w[-1] += 1
-        yield "".join(alphabet[x] for x in w)
-        m = len(w)
-        while len(w) < max_len:
-            w.append(w[len(w) - m])
-        while w and w[-1] == 1:
-            w.pop()
+        yield w
+        w = (w * (max_len // len(w) + 1))[:max_len].rstrip("1")
+        if w:
+            w = w[:-1] + "1"
 
 
 def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
@@ -310,25 +345,51 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     word.  Finite-order words are skipped (count logged).  Orbits that
     share a trace are kept separate; use :func:`trace_coincidences` to
     inspect them.
+
+    Duval's generator yields each aperiodic rotation class once, as its
+    least rotation, in R < L lexicographic order.  A word is therefore its
+    orbit's representative exactly when none of its reversal, star and
+    reversed star has a smaller least rotation; the test stops at the
+    first that does, and otherwise the orbit size is the number of
+    distinct least forms.  The representative is the least word of its
+    orbit, so it is the first member the generator yields, and no set of
+    seen orbits is needed.
+
+    ``prefixes[k]`` holds the product of the first k letters of the
+    previous representative.  Consecutive representatives share most of
+    their prefix, so each new one keeps the stack up to the common prefix
+    and multiplies only the remaining letters on.  The products run left
+    to right from the identity through the same ``Mat2.__matmul__`` as
+    :func:`word_to_matrix`, so every matrix, trace and length is
+    bit-identical to the per-word oracle.
     """
     if not 1 <= max_letters <= 20:
         raise ValueError("max_letters must lie in 1..20")
-    seen: set[str] = set()
+    _, _, R, L = generators_237()
+    slices = [_rotation_slices(n) for n in range(max_letters + 1)]
+    prefixes = [Mat2(1.0, 0.0, 0.0, 1.0)]
+    prev = ""
     skipped = 0
     classes: list[GeodesicClass] = []
-    for word in _lyndon_words(max_letters):
-        orbit = word_orbit(word)
-        rep = orbit[0]
-        if rep in seen:
+    for w01 in _lyndon_words(max_letters):
+        count = _orbit_size(w01, slices[len(w01)])
+        if not count:
             continue
-        seen.add(rep)
-        m = word_to_matrix(rep)
+        rep = w01.translate(_UNTRANS)
+        k = 0
+        common = min(len(prev), len(w01))
+        while k < common and prev[k] == w01[k]:
+            k += 1
+        del prefixes[k + 1:]
+        for ch in w01[k:]:
+            prefixes.append(prefixes[-1] @ (R if ch == "0" else L))
+        prev = w01
+        m = prefixes[-1]
         try:
             length = _matrix_length(rep, m)
         except EllipticWordError:
             skipped += 1
             continue
-        count = len(orbit)
         a = geodesic_contribution(length, count)
         classes.append(GeodesicClass(rep, m.trace, length, count, a))
     classes.sort(key=lambda c: (c.length, c.representative.translate(_TRANS)))

@@ -30,6 +30,9 @@ ENERGY_237 = ["energy", "--triangle", "2,3,7", "--spectrum", "table"]
     ("hyperbolic", ["hyperbolic", "--spectrum", "table"]),
     ("tail", ["tail"]),
     ("spectrum_table", ["spectrum", "--table"]),
+    ("spectrum_enumerate12", ["spectrum", "--enumerate", "12", "--output", "json"]),
+    ("hyperbolic_enumerate16",
+     ["hyperbolic", "--spectrum", "enumerate:16", "--output", "json"]),
 ])
 def test_golden_output(capsys, name, argv):
     # default outputs are byte-stable; a deliberate change rewrites the file

@@ -1,14 +1,23 @@
 """Triangle-group geometry, word calculus, and the reference corpus."""
 
+import itertools
 import json
+import logging
 import math
 import random
 
 import pytest
 
-from casorb.contributions import read_spectrum_file, spectrum_file_lines
+from casorb import triangle
+from casorb.contributions import (
+    geodesic_contribution,
+    read_spectrum_file,
+    spectrum_file_lines,
+)
 from casorb.triangle import (
     EllipticWordError,
+    GeodesicClass,
+    Mat2,
     NonHyperbolicSignatureError,
     WordError,
     canonical_rotation,
@@ -32,6 +41,41 @@ from casorb.triangle import (
 # group relations identify the word with its reversed star beyond cyclic
 # rotation, halving the true class count for these three corpus words.
 RELATION_MERGED_WORDS = {"RLRRLRRLL", "RLRLRRLRRLL", "RLRLLRLLRRLL"}
+
+TO_01 = str.maketrans("RL", "01")   # R < L
+TO_RL = str.maketrans("01", "RL")
+
+
+def _lyndon_words_by_rotation(max_len):
+    """Lyndon words over R < L, in that order, by comparing every rotation."""
+    out = []
+    for n in range(1, max_len + 1):
+        for letters in itertools.product("01", repeat=n):
+            w = "".join(letters)
+            if all(w < w[i:] + w[:i] for i in range(1, n)):
+                out.append(w)
+    return [w.translate(TO_RL) for w in sorted(out)]
+
+
+def _enumerate_by_orbits(max_letters):
+    """enumerate_classes rebuilt per word from the oracles and a seen set."""
+    seen = set()
+    classes = []
+    for word in _lyndon_words_by_rotation(max_letters):
+        orbit = word_orbit(word)
+        rep = orbit[0]
+        if rep in seen:
+            continue
+        seen.add(rep)
+        try:
+            length = word_length(rep)
+        except EllipticWordError:
+            continue
+        m = word_to_matrix(rep)
+        classes.append(GeodesicClass(rep, m.trace, length, len(orbit),
+                                     geodesic_contribution(length, len(orbit))))
+    classes.sort(key=lambda c: (c.length, c.representative.translate(TO_01)))
+    return classes
 
 
 def _random_words(n, rng, min_len=2, max_len=14):
@@ -120,6 +164,13 @@ class TestWords:
         # R sorts before L
         assert canonical_rotation("LR") == "RL"
         assert canonical_rotation("LLRLR") == "RLRLL"
+
+    def test_canonical_rotation_matches_every_rotation(self):
+        rng = random.Random(7)
+        for w in _random_words(300, rng, min_len=1, max_len=16):
+            rotations = [w[i:] + w[:i] for i in range(len(w))]
+            want = min(rotations, key=lambda r: r.translate(TO_01))
+            assert canonical_rotation(w) == want
 
     def test_cyclic_trace_invariance_random(self):
         rng = random.Random(20240809)
@@ -236,6 +287,47 @@ class TestEnumeration:
         # RRL shares the systole trace with RL: flagged, not merged
         flagged = {c.representative for g in groups for c in g}
         assert {"RL", "RRL"} <= flagged
+
+    def test_lyndon_generator_order(self):
+        got = [w.translate(TO_RL) for w in triangle._lyndon_words(14)]
+        assert got == _lyndon_words_by_rotation(14)
+
+    def test_orbit_size_matches_word_orbit(self):
+        # the least-form test is the representative test of word_orbit
+        slices = [triangle._rotation_slices(n) for n in range(15)]
+        for word in _lyndon_words_by_rotation(14):
+            w01 = word.translate(TO_01)
+            orbit = word_orbit(word)
+            size = triangle._orbit_size(w01, slices[len(word)])
+            if orbit[0] == word:
+                assert size == len(orbit), word
+            else:
+                assert size == 0, word
+
+    @pytest.mark.parametrize("max_letters", range(1, 13))
+    def test_matches_per_word_oracles(self, max_letters):
+        # equal floats: prefix-shared products are bit-identical to word_to_matrix
+        assert enumerate_classes(max_letters) == _enumerate_by_orbits(max_letters)
+
+    def test_prefix_shared_product_count(self, monkeypatch):
+        generators_237()
+        products = 0
+        matmul = Mat2.__matmul__
+
+        def counting(self, other):
+            nonlocal products
+            products += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(Mat2, "__matmul__", counting)
+        enumerate_classes(12)
+        # 2832 with one word_to_matrix per representative
+        assert products <= 600
+
+    def test_finite_order_orbits_logged(self, caplog):
+        caplog.set_level(logging.INFO, logger="casorb.triangle")
+        enumerate_classes(16)
+        assert "skipped 414 finite-order orbits" in caplog.text
 
     def test_bounds(self):
         with pytest.raises(ValueError):
