@@ -1,8 +1,9 @@
 """Compensated (error-free-transform) summation helpers.
 
-The geodesic winding sums accumulate through :class:`NeumaierSum` so the
-summation error stays at the level of one rounding of the running total
-rather than growing with the term count.
+:class:`NeumaierSum` keeps the summation error at the level of one
+rounding of the running total rather than growing with the term count.
+The scalar winding-sum loop that the tests hold the batched sums to
+accumulates through it.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .compensated import NeumaierSum
 from .quadrature import QuadResult, elliptic_kernel_integral
 from .specfun import csch_k1, csch_k1_array, struve_k, upper_incomplete_gamma_half
 
@@ -44,6 +43,7 @@ __all__ = [
     "hyperbolic_n_tail_bound",
     "hyperbolic_contribution",
     "geodesic_contribution",
+    "geodesic_contributions",
     "assumption_check",
     "tail_direct_sum",
     "tail_b1_bound",
@@ -348,10 +348,14 @@ def hyperbolic_term(ell: float, n: int) -> float:
     return csch_k1(0.5 * n * ell) / n
 
 
-def _csch_k32(z: float) -> float:
+def _n_tail_bounds(ell, n_done):
+    """:func:`hyperbolic_n_tail_bound` elementwise over arrays."""
+    n = n_done + 1.0
+    z = 0.5 * n * ell
     # csch(z) K_{3/2}(z) = sqrt(2 pi / z) (1+z) e^{-2z} / (z (1 - e^{-2z}))
-    return (math.sqrt(2.0 * math.pi / z) * (1.0 + z) * math.exp(-2.0 * z)
-            / (z * -math.expm1(-2.0 * z)))
+    csch_k32 = (np.sqrt(2.0 * np.pi / z) * (1.0 + z) * np.exp(-2.0 * z)
+                / (z * -np.expm1(-2.0 * z)))
+    return csch_k32 / n / -np.expm1(-ell)
 
 
 def hyperbolic_n_tail_bound(ell: float, n_done: int) -> float:
@@ -360,23 +364,45 @@ def hyperbolic_n_tail_bound(ell: float, n_done: int) -> float:
     K_1 <= K_{3/2} gives a closed-form majorant whose successive terms
     shrink at least by e^{-ell}; the tail is the usual geometric sum.
     """
-    n = n_done + 1
-    first = _csch_k32(0.5 * n * ell) / n
-    return first / -math.expm1(-ell)
+    return float(_n_tail_bounds(float(ell), n_done))
 
 
-def _winding_sum(ell: float, tol: float):
-    """sum_n (1/n) csch K_1 truncated once the majorant tail is <= tol."""
-    acc = NeumaierSum()
-    n = 0
-    while True:
-        n += 1
-        acc.add(hyperbolic_term(ell, n))
-        tail = hyperbolic_n_tail_bound(ell, n)
-        if tail <= tol:
-            return acc.total, tail, n
-        if n > 100000:
+# Windings tested per pass when searching for each length's stopping point.
+_WINDING_BLOCK = 32
+_MAX_WINDINGS = 100_000
+
+
+def _winding_sums(lengths, tol: float):
+    """Winding sums of many lengths in one kernel call.
+
+    For each length ell, sum_{n <= N} (1/n) csch(n ell/2) K_1(n ell/2),
+    where N is the first winding count whose majorant tail
+    (:func:`hyperbolic_n_tail_bound`) is at most tol.  Returns the sums,
+    those tails and the N, as arrays.  Each sum adds its terms smallest
+    first.
+    """
+    ell = np.asarray(lengths, dtype=np.float64)
+    n = np.zeros(ell.size, dtype=np.int64)
+    tails = np.zeros(ell.size)
+    todo = np.arange(ell.size)
+    start = 1
+    while todo.size:
+        if start > _MAX_WINDINGS:
             raise ArithmeticError("winding sum did not reach tolerance")
+        k = np.arange(start, start + _WINDING_BLOCK)
+        t = _n_tail_bounds(ell[todo, None], k)
+        ok = t <= tol
+        hit = ok.any(axis=1)
+        first = ok.argmax(axis=1)[hit]
+        n[todo[hit]] = k[first]
+        tails[todo[hit]] = t[hit, first]
+        todo = todo[~hit]
+        start += _WINDING_BLOCK
+    offsets = np.cumsum(n) - n
+    # windings n, n-1, ..., 1 within each length's run
+    k = (np.repeat(offsets + n, n) - np.arange(n.sum())).astype(np.float64)
+    terms = csch_k1_array(0.5 * k * np.repeat(ell, n)) / k
+    return np.add.reduceat(terms, offsets), tails, n
 
 
 def hyperbolic_contribution(spectrum: LengthSpectrum) -> SeriesEvaluation:
@@ -386,21 +412,25 @@ def hyperbolic_contribution(spectrum: LengthSpectrum) -> SeriesEvaluation:
     """
     if len(spectrum) == 0:
         raise ValueError("empty length spectrum")
-    vals, bounds = [], []
-    max_n = 0
-    for ell, mult in spectrum.entries:
-        s, tail, n = _winding_sum(ell, 1e-13)
-        vals.append(mult * s)
-        bounds.append(mult * tail)
-        max_n = max(max_n, n)
-    return SeriesEvaluation(-math.fsum(vals) / FOUR_PI,
-                            math.fsum(bounds) / FOUR_PI, max_n)
+    ell, mult = (np.array(col) for col in zip(*spectrum.entries))
+    sums, tails, n = _winding_sums(ell, 1e-13)
+    return SeriesEvaluation(-math.fsum(mult * sums) / FOUR_PI,
+                            math.fsum(mult * tails) / FOUR_PI, int(n.max()))
+
+
+def geodesic_contributions(lengths, weights) -> list[float]:
+    """Contributions of geodesic classes, each counted ``weight`` times.
+
+    One batched winding sum; each stops once its majorant tail is at most
+    1e-14.
+    """
+    sums, _, _ = _winding_sums(lengths, 1e-14)
+    return (-np.asarray(weights, dtype=np.int64) * sums / FOUR_PI).tolist()
 
 
 def geodesic_contribution(ell: float, weight: int = 1) -> float:
     """Contribution of one geodesic class counted ``weight`` times."""
-    s, _, _ = _winding_sum(ell, 1e-14)
-    return -weight * s / FOUR_PI
+    return geodesic_contributions([ell], [weight])[0]
 
 
 # ----------------------------------------------------------------------
@@ -459,9 +489,10 @@ def tail_direct_sum(j_lo: int = 51, j_hi: int = 10_000_000) -> float:
 _TAIL_HEAD_TERMS = 10_000
 # Panels of the geometric trapezoid beyond the head.
 _TAIL_PANELS = 16_384
-# Relative inflation covering scipy k1e's documented peak relative error
-# (Cephes: 7.8e-16 on [0, 30]) and the rounding of log/exp/expm1, of the
-# panel widths and of both sums, each a few units of 2^-53.
+# Relative inflation covering every rounding in the bound, about 2e-14 in
+# all: csch_k1's proved error (specfun.CSCH_K1_REL_ERROR, 1.9e-15), the
+# error of z_j (a few units of 2^-53, times |z g'/g| <= 2z + 2 <= 21 for
+# j <= 10^7), the panel widths and both sums.
 _TAIL_REL_MARGIN = 1e-12
 
 
@@ -477,10 +508,13 @@ def tail_b1_bound(j_lo: int = 51, j_hi: int = 10_000_000) -> float:
     partition; a 16384-panel geometric trapezoid is used.  That sum is
     inflated by a relative 1e-12.
 
-    Rigor class: documented library accuracy.  The inequalities are exact;
-    the margin covers scipy ``k1e``'s documented relative error and the
-    floating-point rounding.  When ``j_hi <= 10^4`` the result is the
-    direct sum itself, with no integral part and no margin.
+    Rigor class: proof.  The inequalities are exact, and the margin covers
+    the floating-point error, whose largest parts are csch_k1's relative
+    bound (``specfun.CSCH_K1_REL_ERROR``, proved in the comment block that
+    opens the e^z K_1 section of ``specfun``) and the rounding of z_j.
+    Both take numpy's exp, expm1 and log to be within 1 ulp, as measured.
+    When ``j_hi <= 10^4`` the result is the direct sum itself, with no
+    integral part and no margin.
     """
     if not 3 <= j_lo <= j_hi:
         raise ValueError("need 3 <= j_lo <= j_hi")
@@ -569,13 +603,14 @@ def casimir_energy(sig: OrbifoldSignature,
 
     The bound takes the pessimistic end of every piece: the low end of the
     identity bracket, the cone-point series minus its truncation bound,
-    the spectrum head, and minus the full tail magnitude (the b1 convexity
-    bound plus far-index and higher-winding bounds).  The tail starts at
-    geodesic index 51: it presumes the spectrum lists every geodesic below
-    that index and that the growth floor ell_j >= log j + log log j holds
-    from there on.  A spectrum of total multiplicity below 50 (an empty
-    one included), or one whose own lengths break the growth floor, is
-    refused with ValueError, since no certified bound follows.
+    the spectrum head minus its winding-truncation bound, and minus the
+    full tail magnitude (the b1 convexity bound plus far-index and
+    higher-winding bounds).  The tail starts at geodesic index 51: it
+    presumes the spectrum lists every geodesic below that index and that
+    the growth floor ell_j >= log j + log log j holds from there on.  A
+    spectrum of total multiplicity below 50 (an empty one included), or
+    one whose own lengths break the growth floor, is refused with
+    ValueError, since no certified bound follows.
     """
     covered = spectrum.total_multiplicity
     if covered < _TAIL_J_LO - 1:
@@ -598,7 +633,7 @@ def casimir_energy(sig: OrbifoldSignature,
     tail_bound = b1 + b2 + b3
 
     certified = (ellip.value - ellip.truncation_bound + interval[0]
-                 + head.value - tail_bound)
+                 + head.value - head.truncation_bound - tail_bound)
     return EnergyBreakdown(
         identity=ident,
         identity_interval=interval,

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .contributions import LengthSpectrum, OrbifoldSignature, geodesic_contribution
+from .contributions import LengthSpectrum, OrbifoldSignature, geodesic_contributions
 
 __all__ = [
     "Mat2",
@@ -311,19 +311,21 @@ def table_corpus() -> tuple[GeodesicClass, ...]:
     recomputed from the generator matrices and winding sums, then checked
     against the stored reference values before anything is returned.
     """
-    classes = []
-    for word, count, ref_len, ref_a in _CORPUS_ROWS:
+    found = []      # (word, trace, length, count)
+    for word, count, ref_len, _ in _CORPUS_ROWS:
         m = word_to_matrix(word)
         length = _matrix_length(word, m)
-        a = geodesic_contribution(length, count)
         if abs(length - ref_len) > _LENGTH_TOL:
             raise CorpusIntegrityError(
                 f"{word}: recomputed length {length} vs reference {ref_len}")
+        found.append((word, m.trace, length, count))
+    contributions = geodesic_contributions([f[2] for f in found],
+                                           [f[3] for f in found])
+    for (word, _, _, ref_a), a in zip(_CORPUS_ROWS, contributions):
         if abs(a - ref_a) > _CONTRIBUTION_TOL:
             raise CorpusIntegrityError(
                 f"{word}: recomputed contribution {a} vs reference {ref_a}")
-        classes.append(GeodesicClass(word, m.trace, length, count, a))
-    return tuple(classes)
+    return tuple(GeodesicClass(*f, a) for f, a in zip(found, contributions))
 
 
 def _lyndon_words(max_len: int) -> Iterator[str]:
@@ -370,7 +372,7 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     prefixes = [Mat2(1.0, 0.0, 0.0, 1.0)]
     prev = ""
     skipped = 0
-    classes: list[GeodesicClass] = []
+    found = []      # (representative, trace, length, count)
     for w01 in _lyndon_words(max_letters):
         count = _orbit_size(w01, slices[len(w01)])
         if not count:
@@ -390,8 +392,10 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
         except EllipticWordError:
             skipped += 1
             continue
-        a = geodesic_contribution(length, count)
-        classes.append(GeodesicClass(rep, m.trace, length, count, a))
+        found.append((rep, m.trace, length, count))
+    contributions = geodesic_contributions([f[2] for f in found],
+                                           [f[3] for f in found])
+    classes = [GeodesicClass(*f, a) for f, a in zip(found, contributions)]
     classes.sort(key=lambda c: (c.length, c.representative.translate(_TRANS)))
     if skipped:
         log.info("enumerate_classes(%d): skipped %d finite-order orbits",

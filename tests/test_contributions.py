@@ -272,6 +272,57 @@ class TestHyperbolic:
         assert four == pytest.approx(4.0 * one, rel=1e-13)
 
 
+class TestBatchedWindingSums:
+    @staticmethod
+    def _scalar_winding_sum(ell, tol):
+        # the per-length loop the batched sums replaced, kept as the oracle
+        from casorb.compensated import NeumaierSum
+
+        acc = NeumaierSum()
+        n = 0
+        while True:
+            n += 1
+            acc.add(hyperbolic_term(ell, n))
+            tail = hyperbolic_n_tail_bound(ell, n)
+            if tail <= tol:
+                return acc.total, tail, n
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-14])
+    def test_matches_scalar_loop(self, tol):
+        from casorb.contributions import _winding_sums
+        from casorb.triangle import enumerate_classes, table_corpus
+
+        lengths = [c.length for c in enumerate_classes(16)]
+        assert len(lengths) == 2147
+        lengths += [c.length for c in table_corpus()]
+        sums, tails, ns = _winding_sums(lengths, tol)
+        for ell, s, tail, n in zip(lengths, sums, tails, ns):
+            want, want_tail, want_n = self._scalar_winding_sum(ell, tol)
+            assert n == want_n and tail == want_tail
+            assert abs(s - want) <= 4 * math.ulp(want)
+
+    def test_one_call_per_batch(self, monkeypatch):
+        # enumerate_classes and table_corpus evaluate all lengths at once
+        from casorb import contributions, triangle
+
+        calls = []
+        real = contributions.csch_k1_array
+
+        def counting(z):
+            calls.append(np.size(z))
+            return real(z)
+
+        monkeypatch.setattr(contributions, "csch_k1_array", counting)
+        classes = triangle.enumerate_classes(12)
+        assert len(calls) == 1
+        triangle.table_corpus.cache_clear()
+        corpus = triangle.table_corpus()
+        hyperbolic_contribution(_corpus_spectrum())
+        assert len(calls) == 3
+        for c in list(classes) + list(corpus):
+            assert c.contribution == geodesic_contribution(c.length, c.class_count)
+
+
 class TestAssumption:
     def test_corpus_holds(self):
         rep = assumption_check(_corpus_spectrum())
@@ -390,6 +441,7 @@ class TestAssembly:
         b = casimir_energy(SIG_237, _corpus_spectrum(), tail_j_hi=10**5)
         reconstructed = (b.elliptic.value - b.elliptic.truncation_bound
                          + b.identity_interval[0] + b.hyperbolic_head
+                         - b.hyperbolic_head_bound
                          - b.hyperbolic_tail_magnitude_bound)
         assert b.certified_lower_bound == pytest.approx(reconstructed, abs=1e-15)
         assert b.assumption_verified_through == 51

@@ -28,3 +28,26 @@ def test_top_level_surface_is_pinned():
         "OrbifoldSignature", "LengthSpectrum", "EnergyBreakdown",
         "casimir_energy", "triangle_signature", "table_corpus", "to_spectrum",
         "enumerate_classes", "read_spectrum_file", "__version__"])
+
+
+@pytest.mark.parametrize("code", [
+    "import casorb",
+    "from casorb import cli; assert cli.run(['verify-237', '--output', 'json']) == 0",
+])
+def test_no_scipy_in_fresh_interpreter(code):
+    # numpy is the only numerical dependency: neither the import nor a CLI
+    # run may load scipy
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(casorb.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p))
+    probe = (code + "\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -290,3 +290,60 @@ def test_clear_caches_empties_every_cache():
     clear_caches()
     for cache in caches:
         assert cache.cache_info().currsize == 0, cache.__name__
+
+
+def _seam_points():
+    # every window seam 2^k of the K_1 kernel below underflow, with the
+    # neighbouring floats on each side
+    pts = []
+    for k in range(-2, 9):
+        c = 2.0 ** k
+        pts += [math.nextafter(math.nextafter(c, 0.0), 0.0), math.nextafter(c, 0.0),
+                c, math.nextafter(c, math.inf)]
+    return pts
+
+
+class TestK1Kernel:
+    @staticmethod
+    def _rel_errors(zs):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        got = csch_k1_array(np.array(zs))
+        out = []
+        for z, g in zip(zs, got):
+            want = mp.besselk(1, mp.mpf(z)) / mp.sinh(mp.mpf(z))
+            out.append(float(abs((mp.mpf(float(g)) - want) / want)))
+        return np.array(out)
+
+    def test_tail_window_and_seams_match_mpmath(self):
+        zs = list(np.linspace(2.5, 9.5, 200)) + _seam_points()
+        errs = self._rel_errors(zs)
+        assert errs.max() <= 2e-15
+        assert np.all(errs <= specfun.CSCH_K1_REL_ERROR)
+
+    def test_declared_bound_dominates_everywhere(self):
+        # series route, every window, and the head's winding arguments
+        zs = list(np.geomspace(1e-3, 0.25, 20, endpoint=False))
+        zs += list(np.geomspace(0.25, 350.0, 80))
+        errs = self._rel_errors(zs)
+        assert np.all(errs <= specfun.CSCH_K1_REL_ERROR)
+        assert specfun.CSCH_K1_REL_ERROR < 1e-14
+
+    def test_scalar_is_array_element(self):
+        rng = np.random.default_rng(8)
+        zs = np.concatenate([np.exp(rng.uniform(math.log(1e-3), math.log(800.0), 3000)),
+                             _seam_points()])
+        rng.shuffle(zs)
+        unsorted = csch_k1_array(zs)
+        ordered = csch_k1_array(np.sort(zs))
+        for z, v in zip(zs, unsorted):
+            assert csch_k1(float(z)) == csch_k1_array([z])[0] == v
+        assert np.array_equal(np.sort(unsorted)[::-1], ordered)
+
+    def test_zero_past_underflow(self):
+        zs = np.linspace(380.0, 800.0, 200)
+        vals = csch_k1_array(zs)
+        assert not np.isnan(vals).any()
+        assert np.all(vals == 0.0)
+        for z in (380.0, 512.0, 800.0, 1e6):
+            assert csch_k1(z) == 0.0
