@@ -322,7 +322,7 @@ def _cmd_verify_237(args) -> str:
     b = co.casimir_energy(sig, spectrum)
     reference = (b.elliptic.value - b.elliptic.truncation_bound
                  + b.identity_interval[0] + b.hyperbolic_head
-                 - co.REFERENCE_TAIL_237)
+                 - b.hyperbolic_head_bound - co.REFERENCE_TAIL_237)
     if args.output == "json":
         d = breakdown_dict(b)
         d["reference_tail"] = {

@@ -490,7 +490,7 @@ _TAIL_HEAD_TERMS = 10_000
 # Panels of the geometric trapezoid beyond the head.
 _TAIL_PANELS = 16_384
 # Relative inflation covering every rounding in the bound, about 2e-14 in
-# all: csch_k1's proved error (specfun.CSCH_K1_REL_ERROR, 1.9e-15), the
+# all: csch_k1's error (specfun.CSCH_K1_REL_ERROR, 1.9e-15), the
 # error of z_j (a few units of 2^-53, times |z g'/g| <= 2z + 2 <= 21 for
 # j <= 10^7), the panel widths and both sums.
 _TAIL_REL_MARGIN = 1e-12
@@ -508,11 +508,12 @@ def tail_b1_bound(j_lo: int = 51, j_hi: int = 10_000_000) -> float:
     partition; a 16384-panel geometric trapezoid is used.  That sum is
     inflated by a relative 1e-12.
 
-    Rigor class: proof.  The inequalities are exact, and the margin covers
-    the floating-point error, whose largest parts are csch_k1's relative
-    bound (``specfun.CSCH_K1_REL_ERROR``, proved in the comment block that
-    opens the e^z K_1 section of ``specfun``) and the rounding of z_j.
-    Both take numpy's exp, expm1 and log to be within 1 ulp, as measured.
+    Rigor class: proof, given numpy's exp, expm1 and log within 1 ulp (an
+    allowance measured against mpmath, not documented by numpy).  The
+    inequalities are exact, and the margin covers the floating-point
+    error, whose largest parts are csch_k1's relative bound
+    (``specfun.CSCH_K1_REL_ERROR``, proved in the comment block that opens
+    the e^z K_1 section of ``specfun``) and the rounding of z_j.
     When ``j_hi <= 10^4`` the result is the direct sum itself, with no
     integral part and no margin.
     """

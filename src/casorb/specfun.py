@@ -22,8 +22,10 @@ The modified Bessel function K_1 enters only through ``csch_k1`` and
 ``csch_k1_array``, which share one numpy kernel for e^z K_1(z): the power
 series below z = 1/4 and, above, Chebyshev series on dyadic windows whose
 coefficients are built at import from a trapezoid rule.  Its relative
-error bound is proved and computed from the coefficients in use
-(``CSCH_K1_REL_ERROR``, about 1.9e-15).
+error bound (``CSCH_K1_REL_ERROR``, about 1.9e-15) is computed from the
+coefficients in use and proved given one assumption: numpy's elementary
+functions are within ``_ELEM_ULP`` ulp, an allowance measured against
+mpmath, not documented by numpy.
 """
 
 from __future__ import annotations
@@ -334,13 +336,24 @@ def struve_k(nu: float, z: float) -> FnEval:
 _U = 2.0 ** -53                     # binary64 unit roundoff
 _U_LD = _EPS_LD / 2                 # longdouble unit roundoff
 # Allowance for the elementary functions, in ulp: numpy's exp, expm1 and
-# log, and the 80-bit exp and cos of the table build.  numpy and libm prove
-# no bound; against mpmath they stayed within 0.66 ulp (binary64, 20 000
-# arguments each) and 0.57 ulp (80-bit, 3000 arguments each).
+# log, and the 80-bit exp and cos of the table build.  This is the one
+# assumption of the bounds below, not a proof: numpy and libm document no
+# error bound, and numpy picks its SIMD implementation per CPU.  Against
+# mpmath they stayed within 0.66 ulp (binary64, 20 000 arguments each;
+# numpy 2.4 on an AVX-512 x86-64 machine) and 0.57 ulp (80-bit, 3000
+# arguments each).
 _ELEM_ULP = 1.0
 _K1E_LO_EXP, _K1E_HI_EXP = -2, 9    # windows [2^k, 2^{k+1}), -2 <= k < 9
 _K1E_LO = 2.0 ** _K1E_LO_EXP
 _K1E_TOP = math.nextafter(2.0 ** _K1E_HI_EXP, 0.0)
+# The table build below also sets how fast the tail runs.  Its one pass
+# over all windows frees ~0.8 MB of temporaries (11 windows x 33 points x
+# _TRAP_NODES longdoubles), and glibc raises its dynamic mmap and trim
+# thresholds to match.  The tail's arrays (~16 000 floats, just over the
+# 128 KiB default) then stay on the heap; with the default thresholds they
+# are mapped and faulted in again on every call, and a warm tail_b1_bound
+# took 2.3 ms instead of 1.3 ms (MALLOC_MMAP_THRESHOLD_=131072, x86-64).
+# Shrinking _CHEB_N, _TRAP_NODES or the window range shrinks that pass.
 _CHEB_N = 32                        # interpolation degree
 _CHEB_TERMS = 21                    # coefficients kept for evaluation
 _BERNSTEIN_RHO = 4.0
@@ -389,10 +402,8 @@ def _k1e_tables():
     """Chebyshev coefficients of e^z K_1 on every window, and the largest
     relative error bound among the windows.
 
-    All windows are sampled in one pass.  Freeing that pass's ~0.8 MB of
-    temporaries also lifts glibc's dynamic mmap and trim thresholds, so
-    the tail's 128 KiB arrays later stay on the heap instead of being
-    returned to the system and faulted in again on every call.
+    All windows are sampled in one pass; see the note above _CHEB_N on
+    what freeing that pass's temporaries does to the tail's speed.
     """
     n = _CHEB_N
     j = np.arange(n + 1)
@@ -451,16 +462,18 @@ _K1E_SERIES_REL_BOUND = 4.1 * _U + 2 * _ELEM_ULP * _U + _U
 
 CSCH_K1_REL_ERROR = (max(_K1E_CHEB_REL_BOUND, _K1E_SERIES_REL_BOUND)
                      + 2 * 2 * _ELEM_ULP * _U + 2 * _U)
-"""Proved relative error of csch_k1 and csch_k1_array for 1e-150 <= z <= 350.
+"""Relative error of csch_k1 and csch_k1_array for 1e-150 <= z <= 350.
 
 The larger kernel bound, an allowance of _ELEM_ULP ulp for each of
 exp(-2z) and expm1(-2z), and the two roundings of the product and quotient.
+Proved given numpy's exp, expm1 and log within _ELEM_ULP ulp, which is
+measured, not documented.
 Past z = 354, e^{-2z} is subnormal and only an absolute bound holds.
 """
 
 
 def _k1e_series(z):
-    """e^z K_1(z) by DLMF 10.31.1 for 0 < z < 1/4."""
+    """e^z K_1(z) by DLMF 10.31.1 for an array of 0 < z < 1/4."""
     q = 0.25 * z * z
     lg = np.log(0.5 * z)
     r = 1.0
@@ -472,7 +485,8 @@ def _k1e_series(z):
 
 
 def _clenshaw(c, t2):
-    """sum_k c_k T_k(t2 / 2) for a float or an array t2."""
+    """sum_k c_k T_k(t2 / 2), for one window's coefficients c or for each
+    element's coefficients stacked along c's second axis."""
     b1 = b2 = 0.0
     for ck in c[:0:-1]:
         tmp = t2 * b1
@@ -487,41 +501,35 @@ def _clenshaw(c, t2):
 
 
 def _k1e(z):
-    """e^z K_1(z) for a positive float or a 1-d float64 array of them.
+    """e^z K_1(z) for a 1-d float64 array of positive z.
 
-    Both take the same operations in the same order, so a float gives the
-    array's value bit for bit.  Arguments at or past 2^9 are evaluated at
-    the top of the last window; csch_k1 multiplies them by e^{-2z} = 0.
+    Arguments at or past 2^9 are evaluated at the top of the last window;
+    csch_k1_array multiplies them by e^{-2z} = 0.
     """
-    if np.ndim(z) == 0:
-        if z < _K1E_LO:
-            return _k1e_series(z)
-        mant, expo = math.frexp(min(z, _K1E_TOP))
-        return _clenshaw(_K1E_COEFS[expo - _K1E_LO_EXP - 1], 8.0 * mant - 6.0)
     mant, expo = np.frexp(np.clip(z, _K1E_LO, _K1E_TOP))
     window = expo - _K1E_LO_EXP - 1
     t2 = 8.0 * mant - 6.0                   # 2t, t = 4 mant - 3: both exact
-    # One Clenshaw run per window costs ~64 numpy calls, which dominates
-    # when windows hold few elements each; gathering every element's
-    # coefficients instead costs one terms x n copy.  Monotone input (the
-    # tail) comes in long runs and takes the first way; anything else (the
-    # winding sums, which interleave windows) takes the second.
-    if np.any(window[1:] < window[:-1]):
-        out = _clenshaw(np.take(_K1E_COEFS.T, window, axis=1), t2)
-    else:
+    # Both ways below take the same operations, so they agree bit for bit.
+    # One Clenshaw run per window costs ~64 numpy calls per occupied
+    # window; gathering each element's coefficients costs one 21 x n copy.
+    # Monotone input (the tail) takes the first way and anything else (the
+    # winding sums) the second.  Either way alone is slower on one of
+    # them (x86-64, numpy 2.4): gathering made a warm tail_b1_bound (26 335
+    # points) take 1.57 ms instead of 1.28, and sorting the winding terms
+    # by window to run them per window made the table spectrum's warm
+    # hyperbolic_contribution (413 terms) take 0.25 ms instead of 0.13.
+    if np.all(window[1:] >= window[:-1]):
         out = np.empty_like(t2)
         edges = np.searchsorted(window, np.arange(len(_K1E_COEFS) + 1))
         for c, lo, hi in zip(_K1E_COEFS, edges[:-1], edges[1:]):
             if lo < hi:
                 out[lo:hi] = _clenshaw(c, t2[lo:hi])
+    else:
+        out = _clenshaw(np.take(_K1E_COEFS.T, window, axis=1), t2)
     small = z < _K1E_LO
     if small.any():
         out[small] = _k1e_series(z[small])
     return out
-
-
-def _csch_times(z, k1e):
-    return 2.0 * np.exp(-2.0 * z) * k1e / -np.expm1(-2.0 * z)
 
 
 # ----------------------------------------------------------------------
@@ -529,11 +537,8 @@ def _csch_times(z, k1e):
 # ----------------------------------------------------------------------
 
 def csch_k1(z: float) -> float:
-    """csch(z) * K_1(z); bit-identical to :func:`csch_k1_array` at z."""
-    if z <= 0:
-        raise ValueError("z must be positive")
-    z = float(z)
-    return float(_csch_times(z, _k1e(z)))
+    """csch(z) * K_1(z): the one-element case of :func:`csch_k1_array`."""
+    return float(csch_k1_array([z])[0])
 
 
 def csch_k1_array(z: np.ndarray) -> np.ndarray:
@@ -546,7 +551,8 @@ def csch_k1_array(z: np.ndarray) -> np.ndarray:
     if np.any(z <= 0):
         raise ValueError("z must be positive")
     flat = z.reshape(-1)
-    return _csch_times(flat, _k1e(flat)).reshape(z.shape)
+    k1e = _k1e(flat)
+    return (2.0 * np.exp(-2.0 * flat) * k1e / -np.expm1(-2.0 * flat)).reshape(z.shape)
 
 
 def upper_incomplete_gamma_half(a: float) -> float:
