@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 domain errors (bad signature, malformed
 spectrum file, an area that breaks Gauss-Bonnet for the given cone
 orders, an ``energy`` run without a spectrum, ``energy --spectrum
 enumerate:N``, the built-in (2,3,7) spectrum given with other cone orders,
-a spectrum that cannot be certified), 1 internal numerical failure
+a spectrum file whose ``# group`` line names other cone orders than the
+ones given, a spectrum that cannot be certified), 1 internal numerical failure
 (non-convergent quadrature).
 """
 
@@ -235,7 +236,14 @@ def _cmd_energy(args) -> str:
     if args.spectrum == "table" and sorted(sig.cone_orders) != [2, 3, 7]:
         raise ValueError(f"--spectrum {args.spectrum} is a (2,3,7) spectrum; "
                          f"give cone orders 2,3,7 or a file:PATH spectrum")
-    b = co.casimir_energy(sig, _spectrum_from_args(args))
+    spectrum = _spectrum_from_args(args)
+    group = spectrum.group
+    if (group is not None and sig.cone_orders
+            and sorted(sig.cone_orders) != sorted(group)):
+        orders = ",".join(map(str, group))
+        raise ValueError(f"--spectrum {args.spectrum} is a ({orders}) spectrum "
+                         f"by its '# group' line; give cone orders {orders}")
+    b = co.casimir_energy(sig, spectrum)
     return emit_breakdown(b, args.output)
 
 

@@ -91,10 +91,16 @@ class OrbifoldSignature:
 
 @dataclass(frozen=True)
 class LengthSpectrum:
-    """Sorted primitive geodesic lengths with multiplicities."""
+    """Sorted primitive geodesic lengths with multiplicities.
+
+    ``group`` holds the cone orders of the triangle group whose geodesics
+    these are, when known (``(2, 3, 7)`` for the built-in spectra and for
+    files that name their group); None otherwise.
+    """
 
     entries: Tuple[Tuple[float, int], ...]
     provenance: str = "file"
+    group: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         prev = 0.0
@@ -109,9 +115,10 @@ class LengthSpectrum:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[float, int]],
-                   provenance: str = "file") -> "LengthSpectrum":
+                   provenance: str = "file",
+                   group: Optional[Tuple[int, ...]] = None) -> "LengthSpectrum":
         return cls(tuple(sorted((float(l), int(m)) for l, m in pairs)),
-                   provenance)
+                   provenance, group)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -135,7 +142,8 @@ class LengthSpectrum:
                 out[-1][1] += mult
             else:
                 out.append([ell, mult])
-        return LengthSpectrum(tuple((l, m) for l, m in out), self.provenance)
+        return LengthSpectrum(tuple((l, m) for l, m in out), self.provenance,
+                              self.group)
 
 
 @dataclass(frozen=True)
@@ -652,12 +660,35 @@ def casimir_energy(sig: OrbifoldSignature,
 # spectrum file format: "length,multiplicity" with '#' comments
 # ----------------------------------------------------------------------
 
+def _parse_group_line(path: str, lineno: int, text: str) -> Tuple[int, ...]:
+    try:
+        group = tuple(int(f) for f in text.split(","))
+    except ValueError as exc:
+        raise SpectrumFormatError(f"{path}:{lineno}: {exc}") from exc
+    if len(group) != 3 or min(group) < 2:
+        raise SpectrumFormatError(
+            f"{path}:{lineno}: expected '# group P,Q,R' with P, Q, R >= 2")
+    return group
+
+
 def read_spectrum_file(path: str) -> LengthSpectrum:
+    """Spectrum from a file of 'length,multiplicity' lines; '#' starts a comment.
+
+    A comment line '# group P,Q,R' names the triangle group the lengths
+    belong to; the spectrum keeps it.
+    """
     pairs = []
+    group = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line, _, comment = raw.partition("#")
+            line, comment = line.strip(), comment.split()
             if not line:
+                if comment[:1] == ["group"]:
+                    if group is not None:
+                        raise SpectrumFormatError(
+                            f"{path}:{lineno}: a second '# group' line")
+                    group = _parse_group_line(path, lineno, "".join(comment[1:]))
                 continue
             fields = [f.strip() for f in line.split(",")]
             if len(fields) != 2:
@@ -672,12 +703,16 @@ def read_spectrum_file(path: str) -> LengthSpectrum:
     if not pairs:
         raise SpectrumFormatError(f"{path}: no spectrum entries found")
     try:
-        return LengthSpectrum.from_pairs(pairs, provenance="file")
+        return LengthSpectrum.from_pairs(pairs, provenance="file", group=group)
     except ValueError as exc:
         raise SpectrumFormatError(f"{path}: {exc}") from exc
 
 
 def spectrum_file_lines(spectrum: LengthSpectrum) -> list[str]:
-    lines = ["# length,multiplicity"]
+    """Lines of the file format; a spectrum with a known group names it first."""
+    lines = []
+    if spectrum.group is not None:
+        lines.append("# group " + ",".join(map(str, spectrum.group)))
+    lines.append("# length,multiplicity")
     lines.extend(f"{ell!r},{mult}" for ell, mult in spectrum.entries)
     return lines

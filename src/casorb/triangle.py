@@ -13,8 +13,12 @@ conjugacy classes: group relations can identify words beyond the orbit
 moves (same-trace classes are flagged, never merged here), so the count
 is an upper bound on the number of distinct classes.
 
-:func:`enumerate_classes` tests orbit minimality and builds matrices
-inline; :func:`word_orbit`, :func:`canonical_rotation`,
+:func:`enumerate_classes` works on whole arrays, one word length at a
+time: a word of n letters is the n-bit integer with R = 0 and the first
+letter most significant, rotations are shifts, and the matrices of all
+orbit representatives of one length are multiplied in one batch with the
+arithmetic of :meth:`Mat2.__matmul__`, so its output is bit-identical to
+the per-word route.  :func:`word_orbit`, :func:`canonical_rotation`,
 :func:`word_to_matrix` and :func:`class_count` are the per-word oracles
 that the tests hold it to.
 """
@@ -27,7 +31,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
+
+import numpy as np
 
 from .contributions import LengthSpectrum, OrbifoldSignature, geodesic_contributions
 
@@ -110,7 +116,7 @@ class Mat2:
         return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeodesicClass:
     """One conjugacy-class orbit: canonical word, trace, length, count, energy term."""
 
@@ -194,46 +200,23 @@ def reverse_word(word: str) -> str:
     return _validate_word(word)[::-1]
 
 
-def _rotation_slices(n: int) -> list[slice]:
-    return [slice(i, i + n) for i in range(n)]
-
-
-def _least_rotation(w01: str, slices: list[slice]) -> str:
-    """Least rotation of a word over "01"; slices = _rotation_slices(len(w01))."""
+def _least_rotation(w01: str) -> str:
+    """Least rotation of a word over "01"."""
+    n = len(w01)
     doubled = w01 + w01
-    return min(map(doubled.__getitem__, slices))
+    return min(doubled[i:i + n] for i in range(n))
 
 
 def _involution_images(w01: str) -> tuple[str, str, str]:
-    """Star, reversal and reversed star of a word over "01".
-
-    Star comes first: for half the Lyndon words of up to 16 letters its
-    least rotation is the smaller one, and the orbit test stops there.
-    """
+    """Star, reversal and reversed star of a word over "01"."""
     s = w01.translate(_STAR01)
     return s, w01[::-1], s[::-1]
-
-
-def _orbit_size(w01: str, slices: list[slice]) -> int:
-    """Orbit size of the Lyndon word w01 over "01", or 0 if it is not least.
-
-    w01 is its own least rotation, so it represents its orbit exactly
-    when no involution image has a smaller least rotation.  Stops at the
-    first smaller one.
-    """
-    forms = {w01}
-    for v in _involution_images(w01):
-        f = _least_rotation(v, slices)
-        if f < w01:
-            return 0
-        forms.add(f)
-    return len(forms)
 
 
 def canonical_rotation(word: str) -> str:
     """Lexicographically minimal cyclic rotation, ordering R < L."""
     w01 = _validate_word(word).translate(_TRANS)
-    return _least_rotation(w01, _rotation_slices(len(w01))).translate(_UNTRANS)
+    return _least_rotation(w01).translate(_UNTRANS)
 
 
 def word_orbit(word: str) -> tuple[str, ...]:
@@ -243,9 +226,7 @@ def word_orbit(word: str) -> tuple[str, ...]:
     test suite), so these four cyclic words model {g, g^-1, g*, (g*)^-1}.
     """
     w01 = _validate_word(word).translate(_TRANS)
-    slices = _rotation_slices(len(w01))
-    forms = {_least_rotation(v, slices)
-             for v in (w01, *_involution_images(w01))}
+    forms = {_least_rotation(v) for v in (w01, *_involution_images(w01))}
     return tuple(f.translate(_UNTRANS) for f in sorted(forms))
 
 
@@ -328,16 +309,100 @@ def table_corpus() -> tuple[GeodesicClass, ...]:
     return tuple(GeodesicClass(*f, a) for f, a in zip(found, contributions))
 
 
-def _lyndon_words(max_len: int) -> Iterator[str]:
-    # Duval's generator: all Lyndon words of length <= max_len over "0" < "1",
-    # in lexicographic order.  The successor of w repeats w up to max_len,
-    # drops the trailing 1s and raises the last 0 to 1.
-    w = "0"
-    while w:
-        yield w
-        w = (w * (max_len // len(w) + 1))[:max_len].rstrip("1")
-        if w:
-            w = w[:-1] + "1"
+def _least_proper_rotation(v: np.ndarray, n: int) -> np.ndarray:
+    """Least rotation by 1..n-1 letters of each n-bit word in v (2**n if n = 1)."""
+    mask = (1 << n) - 1
+    least = np.full_like(v, mask + 1)
+    r = v.copy()
+    top = np.empty_like(v)
+    for _ in range(n - 1):
+        np.right_shift(r, n - 1, out=top)
+        np.left_shift(r, 1, out=r)
+        r &= mask
+        r |= top
+        np.minimum(least, r, out=least)
+    return least
+
+
+def _reverse_bits(v: np.ndarray, n: int) -> np.ndarray:
+    """Each n-bit word in v read backwards."""
+    out = np.zeros_like(v)
+    bit = np.empty_like(v)
+    for i in range(n):
+        np.right_shift(v, i, out=bit)
+        bit &= 1
+        bit <<= n - 1 - i
+        out |= bit
+    return out
+
+
+def _lyndon_bits(n: int) -> np.ndarray:
+    """Lyndon words of n letters as ascending n-bit integers.
+
+    A word is Lyndon when it is strictly less than each of its n - 1
+    nontrivial rotations.  From two letters on it starts with R (bit 0)
+    and ends with L (bit 1), so only those candidates are tested.
+    """
+    if n == 1:
+        return np.array([0, 1], dtype=np.int32)
+    x = np.arange(1, 1 << (n - 1), 2, dtype=np.int32)
+    return x[x < _least_proper_rotation(x, n)]
+
+
+def _orbit_representatives(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least words of the involution orbits of n-letter Lyndon words, and orbit sizes.
+
+    A Lyndon word is its own least rotation, so it represents its orbit
+    exactly when none of its star, reversal and reversed star has a
+    smaller least rotation.  Star is tested first: it drops about half of
+    the words, so the later images are built for fewer.  The involutions
+    form a group of four acting on rotation classes; a representative's
+    orbit size is 4 over the number of group elements that fix its class,
+    the identity and each image whose least rotation is the word itself.
+    """
+    mask = (1 << n) - 1
+    images = (lambda w: w ^ mask,
+              lambda w: _reverse_bits(w, n),
+              lambda w: _reverse_bits(w, n) ^ mask)
+    x = _lyndon_bits(n)
+    fixing = np.ones_like(x)
+    for image in images:
+        v = image(x)
+        least = np.minimum(v, _least_proper_rotation(v, n))
+        keep = least >= x
+        x, least, fixing = x[keep], least[keep], fixing[keep]
+        fixing += least == x
+    return x, 4 // fixing
+
+
+def _word_matrices(words: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Entries (a, b, c, d) of the matrices of the n-bit words, batched.
+
+    The products run left to right from the identity with the expressions
+    of :meth:`Mat2.__matmul__`, in the same order, and renormalise exactly
+    the elements whose determinant drifts by more than 1e-13.  Elementwise
+    binary64 products, sums, square roots and quotients round as Python's
+    do, so each element equals :func:`word_to_matrix` bit for bit.
+    """
+    _, _, R, L = generators_237()
+    gens = np.array([[R.a, R.b, R.c, R.d], [L.a, L.b, L.c, L.d]])
+    a = np.ones(words.size)
+    b = np.zeros(words.size)
+    c = np.zeros(words.size)
+    d = np.ones(words.size)
+    for k in range(n - 1, -1, -1):
+        g = gens[(words >> k) & 1]
+        ga, gb, gc, gd = g[:, 0], g[:, 1], g[:, 2], g[:, 3]
+        a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
+        det = a * d - b * c
+        drift = np.abs(det - 1.0) > 1e-13
+        if drift.any():
+            r = 1.0 / np.sqrt(det[drift])
+            a[drift] *= r
+            b[drift] *= r
+            c[drift] *= r
+            d[drift] *= r
+    return a, b, c, d
 
 
 def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
@@ -348,55 +413,45 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     share a trace are kept separate; use :func:`trace_coincidences` to
     inspect them.
 
-    Duval's generator yields each aperiodic rotation class once, as its
-    least rotation, in R < L lexicographic order.  A word is therefore its
-    orbit's representative exactly when none of its reversal, star and
-    reversed star has a smaller least rotation; the test stops at the
-    first that does, and otherwise the orbit size is the number of
-    distinct least forms.  The representative is the least word of its
-    orbit, so it is the first member the generator yields, and no set of
-    seen orbits is needed.
-
-    ``prefixes[k]`` holds the product of the first k letters of the
-    previous representative.  Consecutive representatives share most of
-    their prefix, so each new one keeps the stack up to the common prefix
-    and multiplies only the remaining letters on.  The products run left
-    to right from the identity through the same ``Mat2.__matmul__`` as
-    :func:`word_to_matrix`, so every matrix, trace and length is
-    bit-identical to the per-word oracle.
+    The work runs on whole arrays, one word length n at a time.  A word
+    of n letters is the n-bit integer with R = 0, L = 1 and the first
+    letter most significant, so integer order is R < L lexicographic
+    order and a rotation is a shift-and-or.  :func:`_orbit_representatives`
+    keeps the Lyndon words (aperiodic, least in their rotation class)
+    that are least in their involution orbit; each orbit is then counted
+    once, by its least word, as :func:`word_orbit` counts it.
+    :func:`_word_matrices` multiplies their matrices in one batch, bit
+    for bit as :func:`word_to_matrix` does.  The trace a + d, the
+    finite-order test |tr| <= 2 + 1e-12 and the length
+    2 ``math.acosh``(|tr| / 2) are then the same binary64 operations as
+    the per-word route, so every trace and length is bit-identical to it.
+    The classes reach the batched winding sums in R < L lexicographic
+    order over all lengths, the order that breaks length ties in the
+    result.
     """
     if not 1 <= max_letters <= 20:
         raise ValueError("max_letters must lie in 1..20")
-    _, _, R, L = generators_237()
-    slices = [_rotation_slices(n) for n in range(max_letters + 1)]
-    prefixes = [Mat2(1.0, 0.0, 0.0, 1.0)]
-    prev = ""
-    skipped = 0
-    found = []      # (representative, trace, length, count)
-    for w01 in _lyndon_words(max_letters):
-        count = _orbit_size(w01, slices[len(w01)])
-        if not count:
-            continue
-        rep = w01.translate(_UNTRANS)
-        k = 0
-        common = min(len(prev), len(w01))
-        while k < common and prev[k] == w01[k]:
-            k += 1
-        del prefixes[k + 1:]
-        for ch in w01[k:]:
-            prefixes.append(prefixes[-1] @ (R if ch == "0" else L))
-        prev = w01
-        m = prefixes[-1]
-        try:
-            length = _matrix_length(rep, m)
-        except EllipticWordError:
-            skipped += 1
-            continue
-        found.append((rep, m.trace, length, count))
-    contributions = geodesic_contributions([f[2] for f in found],
-                                           [f[3] for f in found])
-    classes = [GeodesicClass(*f, a) for f, a in zip(found, contributions)]
-    classes.sort(key=lambda c: (c.length, c.representative.translate(_TRANS)))
+    parts = []
+    for n in range(1, max_letters + 1):
+        words, sizes = _orbit_representatives(n)
+        a, _, _, d = _word_matrices(words, n)
+        parts.append((words, np.full_like(words, n), sizes, a + d))
+    words, letters, sizes, traces = (np.concatenate(p) for p in zip(*parts))
+    # R < L lexicographic order over all lengths: words padded with R to
+    # max_letters letters, and a word before its extensions
+    order = np.lexsort((letters, words << (max_letters - letters)))
+    hyperbolic = np.abs(traces[order]) > 2.0 + 1e-12
+    skipped = order.size - np.count_nonzero(hyperbolic)
+    order = order[hyperbolic]
+    lengths = [2.0 * math.acosh(t) for t in (np.abs(traces[order]) / 2.0).tolist()]
+    counts = sizes[order].tolist()
+    contributions = geodesic_contributions(lengths, counts)
+    words, letters, traces = (v[order].tolist() for v in (words, letters, traces))
+    classes = [
+        GeodesicClass(format(words[i], f"0{letters[i]}b").translate(_UNTRANS),
+                      traces[i], lengths[i], counts[i], contributions[i])
+        # by length, then in R < L order
+        for i in np.lexsort((np.arange(len(lengths)), lengths)).tolist()]
     if skipped:
         log.info("enumerate_classes(%d): skipped %d finite-order orbits",
                  max_letters, skipped)
@@ -426,13 +481,13 @@ def trace_coincidences(
 
 def to_spectrum(classes: Iterable[GeodesicClass],
                 provenance: str = "enumerated") -> LengthSpectrum:
-    """Expand class counts into a length spectrum.
+    """Expand class counts into a (2,3,7) length spectrum.
 
     Entries stay separate even at equal lengths; call ``.merged(tol)`` on
     the result (typically tol = 1e-9) to merge them.
     """
     return LengthSpectrum.from_pairs(
-        ((c.length, c.class_count) for c in classes), provenance)
+        ((c.length, c.class_count) for c in classes), provenance, (2, 3, 7))
 
 
 def classes_to_json(classes: Iterable[GeodesicClass]) -> str:

@@ -257,6 +257,23 @@ class TestExitCodes:
         assert out == ""
         assert "covers j=1..1 " in err
 
+    def test_refuses_file_spectrum_of_another_group(self, capsys, tmp_path):
+        # spectrum --table names its group, and energy holds a file to it
+        code, out, _ = _capture(capsys, ["spectrum", "--table"])
+        assert code == 0
+        path = tmp_path / "table.txt"
+        path.write_text(out)
+        code, out, err = _capture(capsys, [
+            "energy", "--triangle", "3,3,4", "--spectrum", f"file:{path}"])
+        assert code == 2
+        assert out == ""
+        assert "is a (2,3,7) spectrum" in err
+        code, out, err = _capture(capsys, [
+            "energy", "--triangle", "7,3,2", "--spectrum", f"file:{path}",
+            "--output", "json"])
+        assert code == 0, err
+        assert json.loads(out)["certified_lower_bound"] >= 0.0115
+
     def test_unknown_flag(self, capsys):
         code, _, _ = _capture(capsys, ["energy", "--frobnicate"])
         assert code == 2

@@ -508,6 +508,28 @@ class TestSpectrumTypesAndIO:
         back = read_spectrum_file(str(path))
         assert back.entries == spec.entries
 
+    def test_file_group_line(self, tmp_path):
+        spec = LengthSpectrum.from_pairs([(0.983987, 1), (1.736006, 1)], "file",
+                                         group=(2, 3, 7))
+        lines = spectrum_file_lines(spec)
+        assert lines[0] == "# group 2,3,7"
+        path = tmp_path / "spec.txt"
+        path.write_text("\n".join(lines) + "\n")
+        back = read_spectrum_file(str(path))
+        assert (back.entries, back.group) == (spec.entries, (2, 3, 7))
+        assert back.merged(1e-9).group == (2, 3, 7)
+        # without a group line the group is unknown
+        path.write_text("1.5,2\n")
+        assert read_spectrum_file(str(path)).group is None
+        assert spectrum_file_lines(read_spectrum_file(str(path)))[0] == (
+            "# length,multiplicity")
+        for bad in ("# group 2,3\n1.5,2\n", "# group 2,x,7\n1.5,2\n",
+                    "# group 1,3,7\n1.5,2\n",
+                    "# group 2,3,7\n# group 2,3,8\n1.5,2\n"):
+            path.write_text(bad)
+            with pytest.raises(SpectrumFormatError):
+                read_spectrum_file(str(path))
+
     def test_file_comments_and_errors(self, tmp_path):
         path = tmp_path / "ok.txt"
         path.write_text("# comment\n\n 1.5 , 2 # inline\n2.5,1\n")

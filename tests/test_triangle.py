@@ -6,6 +6,7 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
 
 from casorb import triangle
@@ -55,6 +56,11 @@ def _lyndon_words_by_rotation(max_len):
             if all(w < w[i:] + w[:i] for i in range(1, n)):
                 out.append(w)
     return [w.translate(TO_RL) for w in sorted(out)]
+
+
+def _bits_to_word(x, n):
+    """The n-letter word of the n-bit integer x, first letter most significant."""
+    return format(x, f"0{n}b").translate(TO_RL)
 
 
 def _enumerate_by_orbits(max_letters):
@@ -289,27 +295,32 @@ class TestEnumeration:
         assert {"RL", "RRL"} <= flagged
 
     def test_lyndon_generator_order(self):
-        got = [w.translate(TO_RL) for w in triangle._lyndon_words(14)]
-        assert got == _lyndon_words_by_rotation(14)
+        # the integer Lyndon test, length by length, in R < L order
+        want = _lyndon_words_by_rotation(14)
+        for n in range(1, 15):
+            got = [_bits_to_word(x, n) for x in triangle._lyndon_bits(n).tolist()]
+            assert got == [w for w in want if len(w) == n], n
 
     def test_orbit_size_matches_word_orbit(self):
-        # the least-form test is the representative test of word_orbit
-        slices = [triangle._rotation_slices(n) for n in range(15)]
-        for word in _lyndon_words_by_rotation(14):
-            w01 = word.translate(TO_01)
-            orbit = word_orbit(word)
-            size = triangle._orbit_size(w01, slices[len(word)])
-            if orbit[0] == word:
-                assert size == len(orbit), word
-            else:
-                assert size == 0, word
+        # a Lyndon word is kept exactly when it leads its word_orbit, with
+        # that orbit's size
+        lyndon = _lyndon_words_by_rotation(14)
+        for n in range(1, 15):
+            words, sizes = triangle._orbit_representatives(n)
+            kept = {_bits_to_word(x, n): size
+                    for x, size in zip(words.tolist(), sizes.tolist())}
+            for word in (w for w in lyndon if len(w) == n):
+                orbit = word_orbit(word)
+                if orbit[0] == word:
+                    assert kept.pop(word) == len(orbit), word
+            assert not kept, kept
 
     @pytest.mark.parametrize("max_letters", range(1, 13))
     def test_matches_per_word_oracles(self, max_letters):
-        # equal floats: prefix-shared products are bit-identical to word_to_matrix
+        # equal floats: batched products are bit-identical to word_to_matrix
         assert enumerate_classes(max_letters) == _enumerate_by_orbits(max_letters)
 
-    def test_prefix_shared_product_count(self, monkeypatch):
+    def test_one_batched_product_per_length(self, monkeypatch):
         generators_237()
         products = 0
         matmul = Mat2.__matmul__
@@ -319,10 +330,62 @@ class TestEnumeration:
             products += 1
             return matmul(self, other)
 
+        lengths = []
+        batched = triangle._word_matrices
+
+        def spy(words, n):
+            lengths.append(n)
+            return batched(words, n)
+
         monkeypatch.setattr(Mat2, "__matmul__", counting)
+        monkeypatch.setattr(triangle, "_word_matrices", spy)
         enumerate_classes(12)
-        # 2832 with one word_to_matrix per representative
-        assert products <= 600
+        assert products == 0
+        assert lengths == list(range(1, 13))
+
+    def test_batched_product_matches_word_to_matrix(self, monkeypatch):
+        rng = random.Random(20261018)
+        words = _random_words(600, rng, min_len=2, max_len=20)
+        drifted = 0
+        matmul = Mat2.__matmul__
+
+        def spy(self, other):
+            # the unnormalised product, as Mat2.__matmul__ forms it
+            nonlocal drifted
+            raw = Mat2(self.a * other.a + self.b * other.c,
+                       self.a * other.b + self.b * other.d,
+                       self.c * other.a + self.d * other.c,
+                       self.c * other.b + self.d * other.d)
+            drifted += abs(raw.det() - 1.0) > 1e-13
+            return matmul(self, other)
+
+        generators_237()
+        monkeypatch.setattr(Mat2, "__matmul__", spy)
+        for n in range(2, 21):
+            group = [w for w in words if len(w) == n]
+            codes = np.array([int(w.translate(TO_01), 2) for w in group],
+                             dtype=np.int32)
+            batched = zip(*(v.tolist() for v in triangle._word_matrices(codes, n)))
+            for word, entries in zip(group, batched):
+                m = word_to_matrix(word)
+                assert ([x.hex() for x in entries]
+                        == [x.hex() for x in (m.a, m.b, m.c, m.d)]), word
+        # the sample reaches the renormalisation branch
+        assert drifted >= 1
+
+    @pytest.mark.parametrize("max_letters, classes, multiplicity, skipped", [
+        (17, 3928, 14150, 688),
+        (18, 7351, 26972, 1150),
+        (19, 13713, 51568, 1942),
+        (20, 25945, 98691, 3312),
+    ])
+    def test_counts_past_the_benchmark(self, caplog, max_letters, classes,
+                                       multiplicity, skipped):
+        caplog.set_level(logging.INFO, logger="casorb.triangle")
+        got = enumerate_classes(max_letters)
+        assert len(got) == classes
+        assert sum(c.class_count for c in got) == multiplicity
+        assert f"skipped {skipped} finite-order orbits" in caplog.text
 
     def test_finite_order_orbits_logged(self, caplog):
         caplog.set_level(logging.INFO, logger="casorb.triangle")
