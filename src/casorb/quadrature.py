@@ -1,11 +1,18 @@
 """Adaptive Gauss-Kronrod quadrature and the two integrals it must own.
 
 This module is the independent oracle against which every series route in
-the package is validated, so it never imports from :mod:`casorb.specfun` or
-:mod:`casorb.contributions`.  The base rule is the classical 7/15-point
-Gauss-Kronrod pair with largest-error-first bisection.  Semi-infinite
-domains are mapped to (0, 1] by t = e^{-y}; endpoint values are never
-sampled because all Kronrod nodes are interior.
+the package is validated, so it imports nothing but the standard library
+and numpy.  The base rule is the classical 7/15-point Gauss-Kronrod pair
+with largest-error-first bisection.  Semi-infinite domains are mapped to
+(0, 1] by t = e^{-y}, and the elliptic kernel by u = e^{-Cy}; endpoint
+values are never sampled because all Kronrod nodes are interior.
+
+Integrands work on arrays: ``f`` takes a 1-d float64 array of nodes and
+returns an array of the same shape.  A run starts from a sequence of panel
+edges, evaluates every starting panel in one call of ``f``, and then both
+halves of each bisected panel in one call; the G7/K15 sums of a batch of
+panels are one matrix product.  Starting panels that already resolve the
+integrand (see :func:`casorb.specfun.struve_k`) make a run one call.
 
 The returned ``est_error`` is the usual Kronrod-minus-Gauss discrepancy
 estimate.  It is a heuristic, not a proven bound; rigorous truncation
@@ -19,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 __all__ = [
     "QuadResult",
     "QuadratureNonConvergence",
@@ -27,6 +36,8 @@ __all__ = [
     "elliptic_kernel_integral",
     "identity_integral",
 ]
+
+Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 class QuadratureNonConvergence(ArithmeticError):
@@ -41,6 +52,8 @@ class QuadResult:
     converged: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.est_error)):
+            raise ValueError("non-finite quadrature value or error estimate")
         if self.est_error < 0 or self.evaluations < 1:
             raise ValueError("QuadResult invariants violated")
 
@@ -75,60 +88,63 @@ _WG: Sequence[float] = (
     0.4179591836734693877551020,
 )
 
+# The rule on all 15 nodes, left to right: Kronrod weights, and the
+# Kronrod-minus-Gauss weights (Gauss uses every other node, centre included).
+_NODES = np.array([-x for x in _XGK[:7]] + list(_XGK[::-1]))
+_WK = np.array(list(_WGK) + list(_WGK[6::-1]))
+_WG15 = np.zeros(15)
+_WG15[1::2] = _WG + _WG[2::-1]
+_RULE = np.column_stack((_WK, _WK - _WG15))
 
-def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
-    """One G7/K15 application on [a, b]; returns (value, err_estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
 
-    fc = f(mid)
-    resg = _WG[3] * fc
-    resk = _WGK[7] * fc
-    resabs = _WGK[7] * abs(fc)
+def _kronrod_panels(f: Integrand, edges: np.ndarray):
+    """G7/K15 on each panel [edges[i], edges[i+1]] with one call of f.
 
-    flo = [0.0] * 7
-    fhi = [0.0] * 7
-    for i in range(7):
-        dx = half * _XGK[i]
-        f1 = f(mid - dx)
-        f2 = f(mid + dx)
-        flo[i], fhi[i] = f1, f2
-        resk += _WGK[i] * (f1 + f2)
-        resabs += _WGK[i] * (abs(f1) + abs(f2))
-    for i, j in enumerate((1, 3, 5)):
-        resg += _WG[i] * (flo[j] + fhi[j])
-
-    reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - reskh)
-    for i in range(7):
-        resasc += _WGK[i] * (abs(flo[i] - reskh) + abs(fhi[i] - reskh))
+    Returns arrays (value, err_estimate), one entry per panel.
+    """
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    fv = f((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(len(half), 15)
+    resk, kmg = (fv @ _RULE).T
+    resabs = np.abs(fv) @ _WK
+    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _WK
 
     value = resk * half
-    err = abs((resk - resg) * half)
-    resasc *= abs(half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    scale = 50.0 * math.ulp(1.0) * resabs * abs(half)
-    if scale > 0.0:
-        err = max(err, scale)
+    err = np.abs(kmg * half)
+    resasc *= half
+    shaped = (resasc != 0.0) & (err != 0.0)
+    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=shaped)
+    err = np.where(shaped, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    err = np.maximum(err, 50.0 * math.ulp(1.0) * resabs * half)
     return value, err
 
 
 def adaptive_quadrature(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
+    f: Integrand,
+    edges: Sequence[float],
     tol_abs: float = 1e-12,
     tol_rel: float = 1e-12,
     max_intervals: int = 4000,
 ) -> QuadResult:
-    """Adaptive bisection on [a, b], splitting the worst panel first."""
-    value, err = _kronrod_panel(f, a, b)
-    # heap entries: (-err, a, b, value, err); seq breaks comparison ties
-    heap = [(-err, 0, a, b, value, err)]
+    """Adaptive bisection from the panels between consecutive ``edges``.
+
+    ``edges`` is an increasing sequence of at least two finite floats;
+    ``(a, b)`` integrates over [a, b] from one panel.  The worst panel is
+    split first, and each split evaluates both halves in one call of ``f``.
+    """
+    edges = np.asarray(edges, dtype=np.float64)
+    # increasing with finite ends, so finite throughout
+    if not (edges.ndim == 1 and len(edges) >= 2 and (edges[1:] > edges[:-1]).all()
+            and math.isfinite(edges[0]) and math.isfinite(edges[-1])):
+        raise ValueError("edges must be an increasing sequence of two or more finite floats")
+    values, errs = _kronrod_panels(f, edges)
+    # heap entries: (-err, seq, a, b, value, err); seq breaks comparison ties
+    heap = [(-e, seq, a, b, v, e) for seq, (a, b, v, e) in enumerate(
+        zip(edges[:-1].tolist(), edges[1:].tolist(), values.tolist(), errs.tolist()))]
+    heapq.heapify(heap)
     done = []  # panels too narrow to split further
-    seq = 0
-    evaluations = 15
+    seq = len(heap) - 1
+    evaluations = 15 * len(heap)
 
     def totals():
         vals = [e[4] for e in heap] + [d[0] for d in done]
@@ -146,8 +162,8 @@ def adaptive_quadrature(
         if mid <= pa or mid >= pb:
             done.append((pval, perr))
             continue
-        v1, e1 = _kronrod_panel(f, pa, mid)
-        v2, e2 = _kronrod_panel(f, mid, pb)
+        values, errs = _kronrod_panels(f, np.array((pa, mid, pb)))
+        (v1, v2), (e1, e2) = values.tolist(), errs.tolist()
         evaluations += 30
         seq += 1
         heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))
@@ -159,22 +175,23 @@ def adaptive_quadrature(
     return QuadResult(total_val, total_err, evaluations, converged)
 
 
-def _halfline(f: Callable[[float], float]) -> Callable[[float], float]:
+def _halfline(f: Integrand) -> Integrand:
     """Map int_0^inf f(y) dy to (0, 1] via t = e^{-y}."""
 
-    def g(t: float) -> float:
-        return f(-math.log(t)) / t
+    def g(t: np.ndarray) -> np.ndarray:
+        return f(-np.log(t)) / t
 
     return g
 
 
-def integrate_decaying(f: Callable[[float], float], domain: str,
+def integrate_decaying(f: Integrand, domain: str,
                        tol: float = 1e-12) -> QuadResult:
     """Integrate a smooth decaying integrand over [0, inf) or (-inf, inf).
 
     ``domain`` is ``"halfline"`` or ``"realline"``.  Both use the
     exponential substitution t = e^{-y}; the real line folds to the half
-    line first, f(y) + f(-y).
+    line first, f(y) + f(-y).  ``f`` works on arrays, as for
+    :func:`adaptive_quadrature`.
     """
     if domain == "halfline":
         g = _halfline(f)
@@ -182,17 +199,19 @@ def integrate_decaying(f: Callable[[float], float], domain: str,
         g = _halfline(lambda y: f(y) + f(-y))
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    return adaptive_quadrature(g, 0.0, 1.0, tol_abs=tol, tol_rel=tol)
+    return adaptive_quadrature(g, (0.0, 1.0), tol_abs=tol, tol_rel=tol)
 
 
 def elliptic_kernel_integral(C: float, D: float = 0.0,
                              s: float = -0.5) -> QuadResult:
     """int_0^inf e^{-Cy} / (e^{-Dy} + 1) * (1+y^2)^{-s} dy.
 
-    Evaluated in the t = e^{-y} coordinates, where the integrand becomes
-    t^{C-1} (1 + log^2 t)^{-s} / (t^D + 1) on (0, 1].  For C < 1 the origin
-    carries an integrable algebraic-logarithmic singularity, which the
-    adaptive bisection resolves without special casing.
+    Evaluated in the coordinate u = e^{-Cy} on (0, 1], where the integrand
+    becomes (1/C) (1 + (log u / C)^2)^{-s} / (u^{D/C} + 1).  The factor
+    e^{-Cy} is absorbed by the map, so at u = 0 only a logarithmic
+    singularity is left, at every C > 0.  (In t = e^{-y} the integrand is
+    t^{C-1} (...), which for small C bisection cannot resolve: at C = 0.03
+    it overflowed to an infinite value.)
     """
     if C <= 0:
         raise ValueError("C must be positive")
@@ -201,21 +220,19 @@ def elliptic_kernel_integral(C: float, D: float = 0.0,
     if s >= 1:
         raise ValueError("s must be < 1 for integrability")
 
-    cm1 = C - 1.0
     ms = -s
 
-    def integrand(t: float) -> float:
-        lt = math.log(t)
-        return math.exp(cm1 * lt + ms * math.log1p(lt * lt)) / (math.exp(D * lt) + 1.0)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        ly = np.log(u) / C          # -y
+        return np.exp(ms * np.log1p(ly * ly)) / (C * (np.exp(D * ly) + 1.0))
 
-    return adaptive_quadrature(integrand, 0.0, 1.0, tol_abs=0.0,
+    return adaptive_quadrature(integrand, (0.0, 1.0), tol_abs=0.0,
                                tol_rel=1e-12, max_intervals=20000)
 
 
-def _sech(x: float) -> float:
-    # overflow-free; 2e^{-x}/(1+e^{-2x}) for x >= 0
-    ax = abs(x)
-    e = math.exp(-ax)
+def _sech(x: np.ndarray) -> np.ndarray:
+    # overflow-free; 2e^{-|x|}/(1+e^{-2|x|})
+    e = np.exp(-np.abs(x))
     return 2.0 * e / (1.0 + e * e)
 
 
@@ -225,8 +242,8 @@ def identity_integral() -> QuadResult:
     The integrand is even, so it is integrated on [0, inf) and doubled.
     """
 
-    def f(r: float) -> float:
-        s = _sech(math.pi * r)
+    def f(r: np.ndarray) -> np.ndarray:
+        s = _sech(np.pi * r)
         return (0.25 + r * r) ** 1.5 * s * s
 
     res = integrate_decaying(f, "halfline", tol=5e-13)

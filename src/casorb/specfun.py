@@ -9,9 +9,11 @@ estimate and are flagged through ``method == "integral_rep"``.
 Struve K of orders 1 and 2 takes the integral route at every z.  The
 Laplace integral is mapped to [0, 1] by s = zt = v/(1-v), which leaves an
 integrand that is smooth on the closed interval and flat to all orders at
-v = 1, so one adaptive Kronrod run reaches a relative 1e-13 in about 256
-integrand evaluations.  Where s > 745, e^{-s} underflows and the integrand
-is taken as 0.
+v = 1.  One adaptive Kronrod run starts from 11 fixed panels that narrow
+towards v = 1 (``_STRUVE_K_EDGES``) and, at every argument of a (2,3,7)
+run, reaches a relative 1e-13 on them at once: one array call of the
+integrand, 165 evaluations.  Where s > 745, e^{-s} underflows and the
+integrand is taken as 0.
 
 The power series run in 80-bit extended precision (numpy longdouble) so
 the z <= 12 accuracy contract of 1e-12 * max(1, |value|) holds with
@@ -209,6 +211,17 @@ def bessel_y(nu: int, z: float) -> FnEval:
 # Struve K = H - Y
 # ----------------------------------------------------------------------
 
+# Starting panels of the integral route, in v.  Started from [0, 1], the
+# bisection of each of the 600 integrals of a cold (2,3,7) run ended on a
+# coarsening of these edges (582 of them on 9 of the 11 panels), and these
+# edges are the union of where they ended.  Started from them, each of the
+# 600 converges on the first call of the integrand, at 165 evaluations
+# instead of about 256 (measured).  The panels narrow towards v = 1, where
+# s = v/(1-v) runs through the decay of e^{-s}.
+_STRUVE_K_EDGES = np.array((0.0, 1 / 4, 1 / 2, 5 / 8, 3 / 4, 13 / 16, 7 / 8,
+                            29 / 32, 15 / 16, 31 / 32, 63 / 64, 1.0))
+
+
 def _struve_k_integral(nu: int, z: float) -> FnEval:
     # K_nu(z) = c_nu * int_0^inf e^{-zt} (1+t^2)^{nu-1/2} dt  (DLMF 11.5.2)
     # with s = zt = v/(1-v) the integral becomes
@@ -225,15 +238,14 @@ def _struve_k_integral(nu: int, z: float) -> FnEval:
         power = 1.5
     inv_z = 1.0 / z
 
-    def integrand(v: float) -> float:
+    def integrand(v: np.ndarray) -> np.ndarray:
         w = 1.0 - v
         s = v / w
-        if s > 745.0:
-            return 0.0
         x = s * inv_z
-        return inv_z * math.exp(-s) * (1.0 + x * x) ** power / (w * w)
+        y = inv_z * np.exp(-s) * (1.0 + x * x) ** power / (w * w)
+        return np.where(s > 745.0, 0.0, y)
 
-    res = adaptive_quadrature(integrand, 0.0, 1.0, tol_abs=0.0,
+    res = adaptive_quadrature(integrand, _STRUVE_K_EDGES, tol_abs=0.0,
                               tol_rel=1e-13, max_intervals=1200)
     value = c * res.value
     bound = c * res.est_error + 8 * _EPS * abs(value)
@@ -287,10 +299,12 @@ def struve_k(nu: float, z: float) -> FnEval:
 
     Orders 1/2 and 3/2 are closed forms (the expansion terminates).  Orders
     1 and 2 take the Laplace-type integral representation on the smooth map
-    s = zt = v/(1-v), stable for every z > 0; its cost is about 256
-    integrand evaluations per new argument.  The power series (z <= 12) and
-    the asymptotic expansion (z >= 40) are kept as private check routes for
-    the tests.
+    s = zt = v/(1-v), stable for every z > 0.  A new argument costs one
+    array call of the integrand on 11 starting panels (165 evaluations)
+    where those panels resolve it: at every argument of a (2,3,7) run, and
+    measured for 2.1 < z < 1e4.  Below z = 0.26 (order 1) or 2.1 (order 2)
+    bisection refines them.  The power series (z <= 12) and the asymptotic
+    expansion (z >= 40) are kept as private check routes for the tests.
     """
     nu2 = int(round(2 * nu))
     if nu2 not in (1, 2, 3, 4) or abs(2 * nu - nu2) > 1e-12:

@@ -9,6 +9,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 import casorb
@@ -104,7 +105,7 @@ def test_criterion_2_identity_interval():
 
 def test_criterion_3_closed_form_moment():
     def integrand(r):
-        e = math.exp(-abs(math.pi * r))
+        e = np.exp(-np.abs(np.pi * r))
         s = 2.0 * e / (1.0 + e * e)
         return (1.0 + 4.0 * r * r) ** 2 * s * s
 

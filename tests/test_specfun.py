@@ -184,17 +184,26 @@ class TestStruveK:
                     assert err <= e.abs_error_bound, (nu, z, err)
 
     def test_cold_237_quadrature_cost(self, monkeypatch):
-        # one Kronrod run per cache miss, each converged, and on average at
-        # most 300 integrand evaluations (the u = e^{-zt} map needed ~1087)
+        # one Kronrod run per cache miss, each converged on its starting
+        # panels with a single call of the integrand, and on average at most
+        # 300 integrand evaluations (the u = e^{-zt} map needed ~1087)
         from casorb.contributions import elliptic_contribution, identity_series
         from casorb.triangle import triangle_signature
 
         real = specfun.adaptive_quadrature
         runs = []
+        calls = []
 
-        def counting(*args, **kwargs):
-            res = real(*args, **kwargs)
-            runs.append(res)
+        def counting(f, edges, *args, **kwargs):
+            n = len(calls)
+            calls.append(0)
+
+            def counted(x):
+                calls[n] += 1
+                return f(x)
+
+            res = real(counted, edges, *args, **kwargs)
+            runs.append((res, len(edges) - 1))
             return res
 
         monkeypatch.setattr(specfun, "adaptive_quadrature", counting)
@@ -205,8 +214,24 @@ class TestStruveK:
         misses = specfun._struve_k_dispatch.cache_info().misses
         assert misses > 0
         assert len(runs) == misses
-        assert all(r.converged for r in runs)
-        assert sum(r.evaluations for r in runs) <= 300 * misses
+        assert all(r.converged for r, _ in runs)
+        assert sum(r.evaluations for r, _ in runs) <= 300 * misses
+        assert calls == [1] * misses
+        assert all(r.evaluations == 15 * panels for r, panels in runs)
+        assert {panels for _, panels in runs} == {len(specfun._STRUVE_K_EDGES) - 1}
+
+    def test_starting_panels_match_single_panel_start(self, monkeypatch):
+        # over the tri-method sweep, the integral started from the fixed
+        # panels and from [0, 1] agree within the sum of their bounds
+        zs = [float(z) for z in np.geomspace(1e-3, 200.0, 200)]
+        fixed = {(nu, z): specfun._struve_k_integral(nu, z)
+                 for z in zs for nu in (1, 2)}
+        monkeypatch.setattr(specfun, "_STRUVE_K_EDGES", (0.0, 1.0))
+        for (nu, z), e in fixed.items():
+            one = specfun._struve_k_integral(nu, z)
+            gap = abs(e.value - one.value)
+            allow = e.abs_error_bound + one.abs_error_bound
+            assert gap <= allow, (nu, z, gap, allow)
 
     def test_small_angle_blowup(self):
         # pi K_1(theta)/(4 theta) grows like C/theta^2, bounded constant
@@ -273,7 +298,7 @@ class TestMoments:
 
         for a in (0.3, 1.0, math.log(50.0)):
             res = adaptive_quadrature(
-                lambda t: math.exp(-t) / math.sqrt(t), a, a + 60.0)
+                lambda t: np.exp(-t) / np.sqrt(t), (a, a + 60.0))
             assert upper_incomplete_gamma_half(a) == pytest.approx(
                 res.value, rel=1e-11)
 
