@@ -54,6 +54,7 @@ __all__ = [
     "tail_windings_integral",
     "tail_higher_windings_bound",
     "growth_inequality_check",
+    "check_gauss_bonnet",
     "casimir_energy",
     "read_spectrum_file",
     "spectrum_file_lines",
@@ -605,6 +606,17 @@ def growth_inequality_check(j: int, n: int) -> bool:
 _TAIL_J_LO = 51
 
 
+def check_gauss_bonnet(orders, area: float) -> None:
+    """Refuse an area that is not 2 pi (2g - 2 + sum(1 - 1/m)) for any genus g >= 0."""
+    chi = sum(1.0 - 1.0 / m for m in orders) - 2.0
+    g = round((area / (2 * math.pi) - chi) / 2)
+    if g < 0 or abs(area - 2 * math.pi * (2 * g + chi)) > 1e-6 * area:
+        raise ValueError(
+            f"area {area} breaks Gauss-Bonnet for cone orders "
+            f"{','.join(map(str, orders))}: the area must be "
+            f"2*pi*(2g - 2 + sum(1 - 1/m)) for an integer genus g >= 0")
+
+
 def casimir_energy(sig: OrbifoldSignature,
                    spectrum: LengthSpectrum,
                    tail_j_hi: int = 10_000_000) -> EnergyBreakdown:
@@ -616,11 +628,24 @@ def casimir_energy(sig: OrbifoldSignature,
     full tail magnitude (the b1 convexity bound plus far-index and
     higher-winding bounds).  The tail starts at geodesic index 51: it
     presumes the spectrum lists every geodesic below that index and that
-    the growth floor ell_j >= log j + log log j holds from there on.  A
-    spectrum of total multiplicity below 50 (an empty one included), or
-    one whose own lengths break the growth floor, is refused with
-    ValueError, since no certified bound follows.
+    the growth floor ell_j >= log j + log log j holds from there on.
+
+    This function alone decides certifiability, and refuses with
+    ValueError, in this order: an area that breaks Gauss-Bonnet for the
+    cone orders (:func:`check_gauss_bonnet`); a spectrum whose ``group``
+    is not the sorted cone orders; a spectrum of total multiplicity below
+    50 (an empty one included); lengths that break the growth floor.  The
+    first two need cone orders: a cone-free signature is an exploratory
+    run and takes any area and spectrum.
     """
+    if sig.cone_orders:
+        check_gauss_bonnet(sig.cone_orders, sig.volume)
+        group = spectrum.group
+        if group is not None and sorted(sig.cone_orders) != sorted(group):
+            orders = ",".join(map(str, group))
+            raise ValueError(
+                f"the spectrum is a ({orders}) spectrum, but the cone orders "
+                f"are {','.join(map(str, sig.cone_orders))}; no certified bound")
     covered = spectrum.total_multiplicity
     if covered < _TAIL_J_LO - 1:
         raise ValueError(

@@ -4,7 +4,7 @@ This module is the independent oracle against which every series route in
 the package is validated, so it imports nothing but the standard library
 and numpy.  The base rule is the classical 7/15-point Gauss-Kronrod pair
 with largest-error-first bisection.  Semi-infinite domains are mapped to
-(0, 1] by t = e^{-y}, and the elliptic kernel by u = e^{-Cy}; endpoint
+(0, 1] by t = e^{-y}, and the elliptic kernel by u = e^{-min(C,1) y}; endpoint
 values are never sampled because all Kronrod nodes are interior.
 
 Integrands work on arrays: ``f`` takes a 1-d float64 array of nodes and
@@ -206,12 +206,14 @@ def elliptic_kernel_integral(C: float, D: float = 0.0,
                              s: float = -0.5) -> QuadResult:
     """int_0^inf e^{-Cy} / (e^{-Dy} + 1) * (1+y^2)^{-s} dy.
 
-    Evaluated in the coordinate u = e^{-Cy} on (0, 1], where the integrand
-    becomes (1/C) (1 + (log u / C)^2)^{-s} / (u^{D/C} + 1).  The factor
-    e^{-Cy} is absorbed by the map, so at u = 0 only a logarithmic
-    singularity is left, at every C > 0.  (In t = e^{-y} the integrand is
-    t^{C-1} (...), which for small C bisection cannot resolve: at C = 0.03
-    it overflowed to an infinite value.)
+    Evaluated in the coordinate u = e^{-ay}, a = min(C, 1), on (0, 1],
+    where the integrand becomes
+    (1/a) u^{C/a - 1} (1 + (log u / a)^2)^{-s} / (u^{D/a} + 1).  For C < 1
+    the map absorbs e^{-Cy} and leaves only a logarithmic singularity at
+    u = 0; t = e^{-y} would leave t^{C-1}, which bisection cannot resolve
+    (at C = 0.03 it overflowed to an infinite value).  For C >= 1 the map
+    is t = e^{-y}, whose factor t^{C-1} is bounded and takes fewer
+    evaluations than u = e^{-Cy}.
     """
     if C <= 0:
         raise ValueError("C must be positive")
@@ -221,10 +223,14 @@ def elliptic_kernel_integral(C: float, D: float = 0.0,
         raise ValueError("s must be < 1 for integrability")
 
     ms = -s
+    a = min(C, 1.0)
+    power = C / a - 1.0             # 0 when a = C
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        ly = np.log(u) / C          # -y
-        return np.exp(ms * np.log1p(ly * ly)) / (C * (np.exp(D * ly) + 1.0))
+        lu = np.log(u)
+        ly = lu / a                 # -y
+        return (np.exp(power * lu + ms * np.log1p(ly * ly))
+                / (a * (np.exp(D * ly) + 1.0)))
 
     return adaptive_quadrature(integrand, (0.0, 1.0), tol_abs=0.0,
                                tol_rel=1e-12, max_intervals=20000)

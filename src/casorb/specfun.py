@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import adaptive_quadrature
+from .quadrature import QuadratureNonConvergence, adaptive_quadrature
 
 __all__ = [
     "FnEval",
@@ -60,7 +60,7 @@ _PI_LD = _LD("3.141592653589793238462643383279502884")
 _SQRTPI_LD = np.sqrt(_PI_LD)
 _EULER_LD = _LD("0.577215664901532860606512090082402431")
 
-_METHODS = ("series", "asymptotic", "integral_rep", "closed_form")
+_METHODS = ("series", "asymptotic", "integral_rep")
 
 
 class UnsupportedOrderError(ValueError):
@@ -80,17 +80,11 @@ class FnEval:
             raise ValueError("negative error bound")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "closed_form" and self.abs_error_bound > 4 * math.ulp(self.value):
-            raise ValueError("closed-form bound exceeds 4 ulp")
 
     @property
     def bound_is_rigorous(self) -> bool:
         """Integral-route bounds are Kronrod estimates, not proofs."""
         return self.method != "integral_rep"
-
-
-def _closed(value: float) -> FnEval:
-    return FnEval(value, 3 * math.ulp(value), "closed_form")
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +241,9 @@ def _struve_k_integral(nu: int, z: float) -> FnEval:
 
     res = adaptive_quadrature(integrand, _STRUVE_K_EDGES, tol_abs=0.0,
                               tol_rel=1e-13, max_intervals=1200)
+    if not res.converged:
+        raise QuadratureNonConvergence(
+            f"Struve K_{nu}({z!r}) missed its 1e-13 tolerance")
     value = c * res.value
     bound = c * res.est_error + 8 * _EPS * abs(value)
     return FnEval(value, bound, "integral_rep")
@@ -285,34 +282,28 @@ def _struve_k_series(nu: int, z: float) -> FnEval:
                   "series")
 
 
-@lru_cache(maxsize=100000)
-def _struve_k_dispatch(nu2: int, z: float) -> FnEval:
-    if nu2 == 1:   # nu = 1/2: H - Y telescopes to an elementary expression
-        return _closed(math.sqrt(2.0 / (math.pi * z)))
-    if nu2 == 3:   # nu = 3/2
-        return _closed(math.sqrt(z / (2.0 * math.pi)) * (1.0 + 2.0 / (z * z)))
-    return _struve_k_integral(nu2 // 2, z)
+# struve_k's memo of the integral route
+_struve_k_dispatch = lru_cache(maxsize=100000)(_struve_k_integral)
 
 
-def struve_k(nu: float, z: float) -> FnEval:
-    """Struve function of the second kind, K_nu = H_nu - Y_nu.
+def struve_k(nu: int, z: float) -> FnEval:
+    """Struve function of the second kind, K_nu = H_nu - Y_nu, for nu in {1, 2}.
 
-    Orders 1/2 and 3/2 are closed forms (the expansion terminates).  Orders
-    1 and 2 take the Laplace-type integral representation on the smooth map
-    s = zt = v/(1-v), stable for every z > 0.  A new argument costs one
+    Both orders take the Laplace-type integral representation on the smooth
+    map s = zt = v/(1-v), stable for every z > 0.  A new argument costs one
     array call of the integrand on 11 starting panels (165 evaluations)
     where those panels resolve it: at every argument of a (2,3,7) run, and
     measured for 2.1 < z < 1e4.  Below z = 0.26 (order 1) or 2.1 (order 2)
     bisection refines them.  The power series (z <= 12) and the asymptotic
     expansion (z >= 40) are kept as private check routes for the tests.
+    An integral that misses its tolerance raises QuadratureNonConvergence,
+    and nothing is cached for it.
     """
-    nu2 = int(round(2 * nu))
-    if nu2 not in (1, 2, 3, 4) or abs(2 * nu - nu2) > 1e-12:
-        raise UnsupportedOrderError(
-            f"struve_k supports orders 1/2, 1, 3/2, 2, got {nu}")
+    if nu not in (1, 2):
+        raise UnsupportedOrderError(f"struve_k supports orders 1 and 2, got {nu}")
     if z <= 0:
         raise ValueError("z must be positive")
-    return _struve_k_dispatch(nu2, float(z))
+    return _struve_k_dispatch(int(nu), float(z))
 
 
 # ----------------------------------------------------------------------

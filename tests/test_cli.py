@@ -208,11 +208,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["energy", "identity"])
     def test_cone_orders_without_volume(self, capsys, command):
+        # energy gets its required --spectrum, so the refusal is the area's
+        extra = ["--spectrum", "table"] if command == "energy" else []
         code, out, err = _capture(capsys, [
-            command, "--cone-orders", "2,3,7", "--output", "json"])
+            command, "--cone-orders", "2,3,7", *extra, "--output", "json"])
         assert code == 2
         assert out == ""
-        assert "--volume" in err
+        assert "--cone-orders needs --volume" in err
 
     def test_elliptic_cone_orders_without_volume(self, capsys):
         code, out, _ = _capture(capsys, [
@@ -247,6 +249,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "fails at j=3" in err
+
+    def test_reports_group_before_growth(self, capsys):
+        # casimir_energy checks the group before the growth assumption
+        code, out, err = _capture(capsys, [
+            "energy", "--triangle", "2,3,8", "--spectrum", "enumerate:12"])
+        assert code == 2
+        assert out == ""
+        assert "is a (2,3,7) spectrum" in err
+        assert "fails at j=3" not in err
 
     def test_refuses_short_spectrum_file(self, capsys, tmp_path):
         path = tmp_path / "one.txt"
@@ -318,3 +329,22 @@ class TestExitCodes:
         code, _, err = _capture(capsys, ["elliptic", "--triangle", "2,3,7"])
         assert code == 1
         assert "numerical failure" in err
+
+    def test_unconverged_struve_exit_code(self, capsys, monkeypatch):
+        from casorb import specfun
+        from casorb.quadrature import QuadResult
+
+        def unconverged(f, edges, **kwargs):
+            return QuadResult(1.0, 1.0, 15, converged=False)
+
+        specfun.clear_caches()
+        monkeypatch.setattr(specfun, "adaptive_quadrature", unconverged)
+        try:
+            code, out, err = _capture(capsys, ["elliptic", "--triangle", "2,3,7"])
+            cached = specfun._struve_k_dispatch.cache_info().currsize
+        finally:
+            specfun.clear_caches()   # no other test may see what it cached
+        assert code == 1
+        assert out == ""
+        assert "numerical failure" in err
+        assert cached == 0

@@ -162,6 +162,11 @@ class TestEllipticContribution:
         quad = elliptic_contribution_via_integral(SIG_237)
         assert abs(ser.value - quad.value) <= 1e-9
 
+    def test_integral_route_cost(self):
+        # u = e^{-min(C,1) y}: in u = e^{-Cy} at every C the (2,3,7) cone
+        # integrals took 10 755 evaluations
+        assert elliptic_contribution_via_integral(SIG_237).evaluations < 8000
+
     def test_positivity(self):
         for orders in ((2,), (3, 5), (2, 3, 7)):
             ser = elliptic_contribution(OrbifoldSignature(orders, 1.0), 40)
@@ -461,6 +466,34 @@ class TestAssembly:
                            tail_j_hi=10**5)
         fifty = LengthSpectrum(entries + ((5.46, 1),), "file")
         assert casimir_energy(SIG_237, fifty, tail_j_hi=10**5).assumption.holds
+
+    def test_refuses_spectrum_of_another_group(self):
+        from casorb.triangle import triangle_signature
+
+        table = _corpus_spectrum()
+        with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum"):
+            casimir_energy(triangle_signature(2, 3, 8), table)
+        # genus 1 with cone orders (2,3): Gauss-Bonnet holds, the group not
+        with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum"):
+            casimir_energy(OrbifoldSignature((2, 3), 7 * math.pi / 3), table)
+        # the cone orders are compared sorted
+        b = casimir_energy(triangle_signature(7, 3, 2), table)
+        assert b.certified_lower_bound == pytest.approx(
+            casimir_energy(SIG_237, table).certified_lower_bound, rel=1e-12)
+
+    def test_refuses_area_breaking_gauss_bonnet(self):
+        with pytest.raises(ValueError, match="breaks Gauss-Bonnet"):
+            casimir_energy(OrbifoldSignature((2, 3, 7), 0.01), _corpus_spectrum())
+
+    def test_refusal_order(self):
+        # Gauss-Bonnet, then the group, then coverage
+        one = LengthSpectrum.from_pairs([(0.98, 1)], group=(2, 3, 7))
+        with pytest.raises(ValueError, match="breaks Gauss-Bonnet"):
+            casimir_energy(OrbifoldSignature((2, 3, 8), 0.01), one)
+        with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum"):
+            casimir_energy(OrbifoldSignature((2, 3, 8), math.pi / 12), one)
+        with pytest.raises(ValueError, match=r"covers j=1\.\.1 "):
+            casimir_energy(SIG_237, one)
 
     def test_refuses_growth_violation(self):
         from casorb.triangle import enumerate_classes, to_spectrum
