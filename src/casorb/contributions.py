@@ -36,7 +36,6 @@ __all__ = [
     "elliptic_kernel_series_noise",
     "elliptic_contribution",
     "elliptic_contribution_via_integral",
-    "elliptic_small_angle_lower_bound",
     "identity_series",
     "identity_interval",
     "hyperbolic_term",
@@ -81,7 +80,6 @@ class OrbifoldSignature:
 
     cone_orders: Tuple[int, ...]
     volume: float
-    label: str = ""
 
     def __post_init__(self):
         if any((not isinstance(m, int)) or m < 2 for m in self.cone_orders):
@@ -94,9 +92,10 @@ class OrbifoldSignature:
 class LengthSpectrum:
     """Sorted primitive geodesic lengths with multiplicities.
 
-    ``group`` holds the cone orders of the triangle group whose geodesics
-    these are, when known (``(2, 3, 7)`` for the built-in spectra and for
-    files that name their group); None otherwise.
+    ``group`` holds the cone orders of the group whose geodesics these
+    are, when known (``(2, 3, 7)`` for the built-in spectra, and whatever
+    a file's '# group' line names); None otherwise, and then
+    :func:`casimir_energy` certifies nothing for a signature with cones.
     """
 
     entries: Tuple[Tuple[float, int], ...]
@@ -135,17 +134,6 @@ class LengthSpectrum:
             out.extend([ell] * mult)
         return out
 
-    def merged(self, tol: float = 1e-9) -> "LengthSpectrum":
-        """Opt-in merge of entries whose lengths agree within tol."""
-        out: list[list] = []
-        for ell, mult in self.entries:
-            if out and ell - out[-1][0] <= tol:
-                out[-1][1] += mult
-            else:
-                out.append([ell, mult])
-        return LengthSpectrum(tuple((l, m) for l, m in out), self.provenance,
-                              self.group)
-
 
 @dataclass(frozen=True)
 class SeriesEvaluation:
@@ -169,7 +157,6 @@ class AssumptionReport:
     holds: bool
     first_violation: Optional[int]
     checked_through: int
-    skipped_below: int
 
 
 @dataclass(frozen=True)
@@ -183,10 +170,6 @@ class EnergyBreakdown:
     tail_components: Tuple[float, float, float]
     certified_lower_bound: float
     assumption: AssumptionReport
-
-    @property
-    def assumption_verified_through(self) -> int:
-        return self.assumption.checked_through
 
 
 # ----------------------------------------------------------------------
@@ -304,17 +287,6 @@ def elliptic_contribution_via_integral(sig: OrbifoldSignature) -> QuadResult:
     return QuadResult(math.fsum(vals), math.fsum(errs), max(evals, 1), conv)
 
 
-def elliptic_small_angle_lower_bound(theta: float) -> float:
-    """pi K_1(theta) / (4 theta), a lower bound for the cone kernel integral.
-
-    Grows like 1/theta^2 as the cone angle closes, which is what makes
-    sharp cones dominate the energy.
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    return math.pi * struve_k(1, theta).value / (4.0 * theta)
-
-
 # ----------------------------------------------------------------------
 # area (identity) term
 # ----------------------------------------------------------------------
@@ -357,23 +329,18 @@ def hyperbolic_term(ell: float, n: int) -> float:
     return csch_k1(0.5 * n * ell) / n
 
 
-def _n_tail_bounds(ell, n_done):
-    """:func:`hyperbolic_n_tail_bound` elementwise over arrays."""
+def hyperbolic_n_tail_bound(ell, n_done):
+    """Bound on sum_{n > n_done} (1/n) csch(n ell/2) K_1(n ell/2), elementwise.
+
+    K_1 <= K_{3/2} gives a closed-form majorant whose successive terms
+    shrink at least by e^{-ell}; the tail is the usual geometric sum.
+    """
     n = n_done + 1.0
     z = 0.5 * n * ell
     # csch(z) K_{3/2}(z) = sqrt(2 pi / z) (1+z) e^{-2z} / (z (1 - e^{-2z}))
     csch_k32 = (np.sqrt(2.0 * np.pi / z) * (1.0 + z) * np.exp(-2.0 * z)
                 / (z * -np.expm1(-2.0 * z)))
     return csch_k32 / n / -np.expm1(-ell)
-
-
-def hyperbolic_n_tail_bound(ell: float, n_done: int) -> float:
-    """Bound on sum_{n > n_done} (1/n) csch(n ell/2) K_1(n ell/2).
-
-    K_1 <= K_{3/2} gives a closed-form majorant whose successive terms
-    shrink at least by e^{-ell}; the tail is the usual geometric sum.
-    """
-    return float(_n_tail_bounds(float(ell), n_done))
 
 
 # Windings tested per pass when searching for each length's stopping point.
@@ -399,7 +366,7 @@ def _winding_sums(lengths, tol: float):
         if start > _MAX_WINDINGS:
             raise ArithmeticError("winding sum did not reach tolerance")
         k = np.arange(start, start + _WINDING_BLOCK)
-        t = _n_tail_bounds(ell[todo, None], k)
+        t = hyperbolic_n_tail_bound(ell[todo, None], k)
         ok = t <= tol
         hit = ok.any(axis=1)
         first = ok.argmax(axis=1)[hit]
@@ -453,11 +420,10 @@ def _growth_threshold(j: int) -> float:
 def assumption_check(spectrum: LengthSpectrum) -> AssumptionReport:
     """Check ell_j >= log j + log log j for represented indices j.
 
-    Indices 1 and 2 are skipped (and counted): log log j only makes sense
-    once log j clears 1.
+    Indices 1 and 2 are skipped: log log j only makes sense once log j
+    clears 1.
     """
     lengths = spectrum.expand()
-    skipped = min(len(lengths), 2)
     first_violation = None
     checked_through = 0
     for j in range(3, len(lengths) + 1):
@@ -466,7 +432,7 @@ def assumption_check(spectrum: LengthSpectrum) -> AssumptionReport:
             first_violation = j
             break
     return AssumptionReport(first_violation is None, first_violation,
-                            checked_through, skipped)
+                            checked_through)
 
 
 def _tail_terms(j: np.ndarray) -> np.ndarray:
@@ -632,16 +598,21 @@ def casimir_energy(sig: OrbifoldSignature,
 
     This function alone decides certifiability, and refuses with
     ValueError, in this order: an area that breaks Gauss-Bonnet for the
-    cone orders (:func:`check_gauss_bonnet`); a spectrum whose ``group``
-    is not the sorted cone orders; a spectrum of total multiplicity below
-    50 (an empty one included); lengths that break the growth floor.  The
-    first two need cone orders: a cone-free signature is an exploratory
-    run and takes any area and spectrum.
+    cone orders (:func:`check_gauss_bonnet`); a spectrum that names no
+    ``group``, or whose group is not the sorted cone orders; a spectrum
+    of total multiplicity below 50 (an empty one included); lengths that
+    break the growth floor.  The first two need cone orders: a cone-free
+    signature is an exploratory run and takes any area and spectrum.
     """
     if sig.cone_orders:
         check_gauss_bonnet(sig.cone_orders, sig.volume)
         group = spectrum.group
-        if group is not None and sorted(sig.cone_orders) != sorted(group):
+        if group is None:
+            raise ValueError(
+                "the spectrum names no group, so it cannot be held to the "
+                f"cone orders {','.join(map(str, sig.cone_orders))}; "
+                "no certified bound")
+        if sorted(sig.cone_orders) != sorted(group):
             orders = ",".join(map(str, group))
             raise ValueError(
                 f"the spectrum is a ({orders}) spectrum, but the cone orders "
@@ -690,17 +661,18 @@ def _parse_group_line(path: str, lineno: int, text: str) -> Tuple[int, ...]:
         group = tuple(int(f) for f in text.split(","))
     except ValueError as exc:
         raise SpectrumFormatError(f"{path}:{lineno}: {exc}") from exc
-    if len(group) != 3 or min(group) < 2:
+    if min(group) < 2:
         raise SpectrumFormatError(
-            f"{path}:{lineno}: expected '# group P,Q,R' with P, Q, R >= 2")
+            f"{path}:{lineno}: expected '# group M1,M2,...' with all orders >= 2")
     return group
 
 
 def read_spectrum_file(path: str) -> LengthSpectrum:
     """Spectrum from a file of 'length,multiplicity' lines; '#' starts a comment.
 
-    A comment line '# group P,Q,R' names the triangle group the lengths
-    belong to; the spectrum keeps it.
+    A comment line '# group M1,M2,...' names the cone orders of the group
+    the lengths belong to (2,3,7 for the (2,3,7) triangle group); the
+    spectrum keeps it.
     """
     pairs = []
     group = None

@@ -10,8 +10,8 @@ reversal and the R<->L swap, which models the four-element family
 
 Cyclic-word distinctness is a combinatorial proxy for distinctness of
 conjugacy classes: group relations can identify words beyond the orbit
-moves (same-trace classes are flagged, never merged here), so the count
-is an upper bound on the number of distinct classes.
+moves (classes that share a trace are kept separate, never merged), so
+the count is an upper bound on the number of distinct classes.
 
 :func:`enumerate_classes` works on whole arrays, one word length at a
 time: a word of n letters is the n-bit integer with R = 0 and the first
@@ -50,13 +50,11 @@ __all__ = [
     "word_length",
     "canonical_rotation",
     "star_word",
-    "reverse_word",
     "word_orbit",
     "class_count",
     "table_corpus",
     "enumerate_classes",
     "to_spectrum",
-    "trace_coincidences",
     "classes_to_json",
 ]
 
@@ -142,8 +140,7 @@ def triangle_area(p: int, q: int, r: int) -> float:
 
 
 def triangle_signature(p: int, q: int, r: int) -> OrbifoldSignature:
-    return OrbifoldSignature((p, q, r), triangle_area(p, q, r),
-                             label=f"({p},{q},{r})")
+    return OrbifoldSignature((p, q, r), triangle_area(p, q, r))
 
 
 @lru_cache(maxsize=1)
@@ -194,10 +191,6 @@ def word_length(word: str) -> float:
 def star_word(word: str) -> str:
     """Swap R and L."""
     return _validate_word(word).translate(str.maketrans("RL", "LR"))
-
-
-def reverse_word(word: str) -> str:
-    return _validate_word(word)[::-1]
 
 
 def _least_rotation(w01: str) -> str:
@@ -410,8 +403,7 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
 
     One :class:`GeodesicClass` per orbit, sorted by length then canonical
     word.  Finite-order words are skipped (count logged).  Orbits that
-    share a trace are kept separate; use :func:`trace_coincidences` to
-    inspect them.
+    share a trace, such as RL and RRL, are kept separate.
 
     The work runs on whole arrays, one word length n at a time.  A word
     of n letters is the n-bit integer with R = 0, L = 1 and the first
@@ -458,33 +450,11 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     return classes
 
 
-def trace_coincidences(
-        classes: Iterable[GeodesicClass]) -> list[list[GeodesicClass]]:
-    """Groups of distinct orbits whose |traces| agree within 1e-9.
-
-    A shared trace is necessary for conjugacy, not sufficient.
-    """
-    out = []
-    ordered = sorted(classes, key=lambda c: abs(c.trace))
-    group: list[GeodesicClass] = []
-    for c in ordered:
-        if group and abs(abs(c.trace) - abs(group[-1].trace)) <= 1e-9:
-            group.append(c)
-        else:
-            if len(group) > 1:
-                out.append(group)
-            group = [c]
-    if len(group) > 1:
-        out.append(group)
-    return out
-
-
 def to_spectrum(classes: Iterable[GeodesicClass],
                 provenance: str = "enumerated") -> LengthSpectrum:
     """Expand class counts into a (2,3,7) length spectrum.
 
-    Entries stay separate even at equal lengths; call ``.merged(tol)`` on
-    the result (typically tol = 1e-9) to merge them.
+    Entries stay separate even at equal lengths: one per class.
     """
     return LengthSpectrum.from_pairs(
         ((c.length, c.class_count) for c in classes), provenance, (2, 3, 7))

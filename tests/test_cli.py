@@ -261,7 +261,7 @@ class TestExitCodes:
 
     def test_refuses_short_spectrum_file(self, capsys, tmp_path):
         path = tmp_path / "one.txt"
-        path.write_text("0.98,1\n")
+        path.write_text("# group 2,3,7\n0.98,1\n")
         code, out, err = _capture(capsys, [
             "energy", "--triangle", "2,3,7", "--spectrum", f"file:{path}"])
         assert code == 2
@@ -284,6 +284,22 @@ class TestExitCodes:
             "--output", "json"])
         assert code == 0, err
         assert json.loads(out)["certified_lower_bound"] >= 0.0115
+
+    def test_refuses_file_spectrum_naming_no_group(self, capsys, tmp_path):
+        # the table's lines without '# group 2,3,7' fit no cone orders
+        code, out, _ = _capture(capsys, ["spectrum", "--table"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "# group 2,3,7"
+        path = tmp_path / "table.txt"
+        path.write_text("\n".join(lines[1:]) + "\n")
+        for triangle in ("3,3,4", "2,3,7"):
+            code, out, err = _capture(capsys, [
+                "energy", "--triangle", triangle, "--spectrum", f"file:{path}",
+                "--output", "csv"])
+            assert code == 2
+            assert out == ""
+            assert "names no group" in err
 
     def test_unknown_flag(self, capsys):
         code, _, _ = _capture(capsys, ["energy", "--frobnicate"])

@@ -23,7 +23,6 @@ from casorb.contributions import (
     elliptic_kernel_series_noise,
     elliptic_kernel_truncation_bound,
     elliptic_kernel_truncation_bound_log10,
-    elliptic_small_angle_lower_bound,
     geodesic_contribution,
     growth_inequality_check,
     hyperbolic_contribution,
@@ -46,7 +45,7 @@ from casorb.quadrature import elliptic_kernel_integral, identity_integral
 from casorb.specfun import csch_k1, csch_k1_array, struve_k
 
 VOL_237 = 2.0 * math.pi * (1.0 - (1.0 / 2 + 1.0 / 3 + 1.0 / 7))
-SIG_237 = OrbifoldSignature((2, 3, 7), VOL_237, "(2,3,7)")
+SIG_237 = OrbifoldSignature((2, 3, 7), VOL_237)
 
 # frozen against the high-precision series run (80 outer terms, 50 digits)
 ELLIPTIC_237 = 0.87567611517881749
@@ -171,30 +170,6 @@ class TestEllipticContribution:
         for orders in ((2,), (3, 5), (2, 3, 7)):
             ser = elliptic_contribution(OrbifoldSignature(orders, 1.0), 40)
             assert ser.value > 0.0
-
-
-class TestSmallAngle:
-    def test_lower_bound_against_integral(self):
-        for theta in (0.3, 0.1, 0.03):
-            quad = elliptic_kernel_integral(theta, math.pi, -0.5)
-            assert quad.value >= elliptic_small_angle_lower_bound(theta)
-
-    def test_growth_scale(self):
-        theta = 0.01
-        v = elliptic_small_angle_lower_bound(theta)
-        assert v >= 1.0 / (16.0 * theta * theta)
-        assert v >= 100.0
-
-    def test_bounded_ratio(self):
-        import numpy as np
-
-        for theta in np.geomspace(1e-3, 1e-1, 25):
-            r = elliptic_small_angle_lower_bound(float(theta)) * 8.0 * theta**2
-            assert 3.5 <= r <= 4.5
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            elliptic_small_angle_lower_bound(1.5)
 
 
 class TestIdentity:
@@ -333,7 +308,6 @@ class TestAssumption:
         rep = assumption_check(_corpus_spectrum())
         assert rep.holds and rep.first_violation is None
         assert rep.checked_through == 51
-        assert rep.skipped_below == 2
 
     def test_constructed_violation(self):
         # entries hug the growth floor through j = 50, then fall below it:
@@ -449,7 +423,7 @@ class TestAssembly:
                          - b.hyperbolic_head_bound
                          - b.hyperbolic_tail_magnitude_bound)
         assert b.certified_lower_bound == pytest.approx(reconstructed, abs=1e-15)
-        assert b.assumption_verified_through == 51
+        assert b.assumption.checked_through == 51
 
     def test_refuses_spectrum_short_of_tail_start(self):
         # the tail starts at j = 51, so the head must list geodesics 1..50
@@ -457,14 +431,15 @@ class TestAssembly:
         assert table.total_multiplicity == 51
         assert casimir_energy(SIG_237, table, tail_j_hi=10**5).certified_lower_bound > 0
         entries = table.entries[:-1]
-        short = LengthSpectrum(entries, "file")
+        short = LengthSpectrum(entries, "file", group=(2, 3, 7))
         assert short.total_multiplicity == 49
         with pytest.raises(ValueError, match=r"covers j=1\.\.49 "):
             casimir_energy(SIG_237, short, tail_j_hi=10**5)
         with pytest.raises(ValueError, match=r"covers j=1\.\.1 "):
-            casimir_energy(SIG_237, LengthSpectrum.from_pairs([(0.98, 1)]),
+            casimir_energy(SIG_237,
+                           LengthSpectrum.from_pairs([(0.98, 1)], group=(2, 3, 7)),
                            tail_j_hi=10**5)
-        fifty = LengthSpectrum(entries + ((5.46, 1),), "file")
+        fifty = LengthSpectrum(entries + ((5.46, 1),), "file", group=(2, 3, 7))
         assert casimir_energy(SIG_237, fifty, tail_j_hi=10**5).assumption.holds
 
     def test_refuses_spectrum_of_another_group(self):
@@ -480,6 +455,16 @@ class TestAssembly:
         b = casimir_energy(triangle_signature(7, 3, 2), table)
         assert b.certified_lower_bound == pytest.approx(
             casimir_energy(SIG_237, table).certified_lower_bound, rel=1e-12)
+
+    def test_refuses_spectrum_naming_no_group(self):
+        # the table's lengths without its group: nothing ties them to (2,3,7)
+        unnamed = LengthSpectrum.from_pairs(_corpus_spectrum().entries)
+        assert unnamed.group is None
+        with pytest.raises(ValueError, match="names no group"):
+            casimir_energy(SIG_237, unnamed)
+        # a cone-free run is exploratory and takes it
+        casimir_energy(OrbifoldSignature((), 4.0 * math.pi), unnamed,
+                       tail_j_hi=10**5)
 
     def test_refuses_area_breaking_gauss_bonnet(self):
         with pytest.raises(ValueError, match="breaks Gauss-Bonnet"):
@@ -528,9 +513,8 @@ class TestSpectrumTypesAndIO:
             [(1.0, 2), (1.0 + 1e-12, 3), (2.0, 1)], "file")
         assert spec.total_multiplicity == 6
         assert sum(m for ell, m in spec.entries if abs(ell - 1.0) <= 1e-9) == 5
-        merged = spec.merged(1e-9)
-        assert merged.entries == ((1.0, 5), (2.0, 1))
-        # merge is opt-in: the raw spectrum keeps both entries
+        # nearly equal lengths are never merged: the spectrum keeps both
+        assert spec.entries == ((1.0, 2), (1.0 + 1e-12, 3), (2.0, 1))
         assert len(spec) == 3
 
     def test_file_roundtrip(self, tmp_path):
@@ -550,18 +534,32 @@ class TestSpectrumTypesAndIO:
         path.write_text("\n".join(lines) + "\n")
         back = read_spectrum_file(str(path))
         assert (back.entries, back.group) == (spec.entries, (2, 3, 7))
-        assert back.merged(1e-9).group == (2, 3, 7)
         # without a group line the group is unknown
         path.write_text("1.5,2\n")
         assert read_spectrum_file(str(path)).group is None
         assert spectrum_file_lines(read_spectrum_file(str(path)))[0] == (
             "# length,multiplicity")
-        for bad in ("# group 2,3\n1.5,2\n", "# group 2,x,7\n1.5,2\n",
-                    "# group 1,3,7\n1.5,2\n",
+        # any number of orders >= 2, for orbifolds that are not triangles
+        for text, group in (("# group 2,3\n1.5,2\n", (2, 3)),
+                            ("# group 5\n1.5,2\n", (5,)),
+                            ("# group 2, 3, 7\n1.5,2\n", (2, 3, 7))):
+            path.write_text(text)
+            assert read_spectrum_file(str(path)).group == group
+        for bad in ("# group 2,x,7\n1.5,2\n", "# group 1,3,7\n1.5,2\n",
+                    "# group 2,3,\n1.5,2\n", "# group\n1.5,2\n",
                     "# group 2,3,7\n# group 2,3,8\n1.5,2\n"):
             path.write_text(bad)
             with pytest.raises(SpectrumFormatError):
                 read_spectrum_file(str(path))
+
+    def test_file_group_of_a_non_triangle_orbifold(self, tmp_path):
+        # genus 1 with cone orders (2,3): the '# group 2,3' file passes the
+        # group check and is refused only because it is short
+        path = tmp_path / "spec.txt"
+        path.write_text("# group 2,3\n1.5,2\n")
+        with pytest.raises(ValueError, match=r"covers j=1\.\.2 "):
+            casimir_energy(OrbifoldSignature((2, 3), 7 * math.pi / 3),
+                           read_spectrum_file(str(path)))
 
     def test_file_comments_and_errors(self, tmp_path):
         path = tmp_path / "ok.txt"

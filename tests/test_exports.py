@@ -30,6 +30,33 @@ def test_top_level_surface_is_pinned():
         "enumerate_classes", "read_spectrum_file", "__version__"])
 
 
+def test_submodule_surfaces_are_pinned():
+    # a name joins these only with a caller outside its own unit test
+    from casorb import contributions, triangle
+
+    assert sorted(contributions.__all__) == sorted([
+        "OrbifoldSignature", "LengthSpectrum", "SeriesEvaluation",
+        "AssumptionReport", "EnergyBreakdown", "SpectrumFormatError",
+        "REFERENCE_TAIL_237", "elliptic_kernel_series",
+        "elliptic_kernel_truncation_bound",
+        "elliptic_kernel_truncation_bound_log10", "elliptic_kernel_series_noise",
+        "elliptic_contribution", "elliptic_contribution_via_integral",
+        "identity_series", "identity_interval", "hyperbolic_term",
+        "hyperbolic_n_tail_bound", "hyperbolic_contribution",
+        "geodesic_contribution", "geodesic_contributions", "assumption_check",
+        "tail_direct_sum", "tail_b1_bound", "tail_far_prefactor",
+        "tail_far_integral", "tail_far_bound", "tail_windings_prefactor",
+        "tail_windings_integral", "tail_higher_windings_bound",
+        "growth_inequality_check", "check_gauss_bonnet", "casimir_energy",
+        "read_spectrum_file", "spectrum_file_lines"])
+    assert sorted(triangle.__all__) == sorted([
+        "Mat2", "GeodesicClass", "WordError", "EllipticWordError",
+        "NonHyperbolicSignatureError", "triangle_area", "triangle_signature",
+        "generators_237", "word_to_matrix", "word_length", "canonical_rotation",
+        "star_word", "word_orbit", "class_count", "table_corpus",
+        "enumerate_classes", "to_spectrum", "classes_to_json"])
+
+
 @pytest.mark.parametrize("code", [
     "import casorb",
     "from casorb import cli; assert cli.run(['verify-237', '--output', 'json']) == 0",
