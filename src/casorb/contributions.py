@@ -144,6 +144,8 @@ class SeriesEvaluation:
     terms_used: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.truncation_bound)):
+            raise ValueError("non-finite series value or truncation bound")
         if self.truncation_bound < 0:
             raise ValueError("truncation bound must be nonnegative")
         if self.terms_used < 0:

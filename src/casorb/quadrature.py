@@ -12,7 +12,10 @@ returns an array of the same shape.  A run starts from a sequence of panel
 edges, evaluates every starting panel in one call of ``f``, and then both
 halves of each bisected panel in one call; the G7/K15 sums of a batch of
 panels are one matrix product.  Starting panels that already resolve the
-integrand (see :func:`casorb.specfun.struve_k`) make a run one call.
+integrand (see :func:`casorb.specfun.struve_k`) make a run one call, with
+no bisection heap.  The nodes of starting edges registered through
+``_starting_nodes`` are computed once and handed to ``f`` as the same
+read-only array on every first pass, so ``f`` may tabulate on them.
 
 The returned ``est_error`` is the usual Kronrod-minus-Gauss discrepancy
 estimate.  It is a heuristic, not a proven bound; rigorous truncation
@@ -97,14 +100,43 @@ _WG15[1::2] = _WG + _WG[2::-1]
 _RULE = np.column_stack((_WK, _WK - _WG15))
 
 
+# Kronrod nodes and half-widths of the starting edges registered through
+# _starting_nodes, keyed by the edges' bytes.  Both arrays are read-only.
+_GRIDS: dict = {}
+
+
+def _grid(edges: np.ndarray):
+    """Kronrod nodes of the panels between ``edges``, and their half-widths."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * _NODES).ravel(), half
+
+
+def _starting_nodes(edges: np.ndarray) -> np.ndarray:
+    """The read-only node array that adaptive_quadrature hands to ``f``
+    whenever it evaluates the panels between exactly these ``edges``, as
+    on its first pass from them.
+
+    An integrand may tabulate whatever does not depend on its parameters
+    at these nodes and use the tables when it is called with this very
+    array (``x is nodes``); other panels get a fresh array.
+    """
+    key = edges.tobytes()
+    if key not in _GRIDS:
+        nodes, half = _grid(edges)
+        nodes.flags.writeable = half.flags.writeable = False
+        _GRIDS[key] = nodes, half
+    return _GRIDS[key][0]
+
+
 def _kronrod_panels(f: Integrand, edges: np.ndarray):
     """G7/K15 on each panel [edges[i], edges[i+1]] with one call of f.
 
     Returns arrays (value, err_estimate), one entry per panel.
     """
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    fv = f((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(len(half), 15)
+    grid = _GRIDS.get(edges.tobytes())
+    nodes, half = grid if grid is not None else _grid(edges)
+    fv = f(nodes).reshape(len(half), 15)
     resk, kmg = (fv @ _RULE).T
     resabs = np.abs(fv) @ _WK
     resasc = np.abs(fv - 0.5 * resk[:, None]) @ _WK
@@ -112,9 +144,14 @@ def _kronrod_panels(f: Integrand, edges: np.ndarray):
     value = resk * half
     err = np.abs(kmg * half)
     resasc *= half
-    shaped = (resasc != 0.0) & (err != 0.0)
-    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=shaped)
-    err = np.where(shaped, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    # QUADPACK's shaping of the estimate, on the panels where both factors
+    # are nonzero; where that is every panel, without the masks
+    if np.count_nonzero(resasc) == np.count_nonzero(err) == len(err):
+        err = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    else:
+        shaped = (resasc != 0.0) & (err != 0.0)
+        ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=shaped)
+        err = np.where(shaped, resasc * np.minimum(1.0, ratio ** 1.5), err)
     err = np.maximum(err, 50.0 * math.ulp(1.0) * resabs * half)
     return value, err
 
@@ -129,34 +166,39 @@ def adaptive_quadrature(
     """Adaptive bisection from the panels between consecutive ``edges``.
 
     ``edges`` is an increasing sequence of at least two finite floats;
-    ``(a, b)`` integrates over [a, b] from one panel.  The worst panel is
-    split first, and each split evaluates both halves in one call of ``f``.
+    ``(a, b)`` integrates over [a, b] from one panel.  Starting panels that
+    meet the tolerance end the run.  Otherwise the worst panel is split
+    first, and each split evaluates both halves in one call of ``f``.
     """
     edges = np.asarray(edges, dtype=np.float64)
     # increasing with finite ends, so finite throughout
-    if not (edges.ndim == 1 and len(edges) >= 2 and (edges[1:] > edges[:-1]).all()
+    if not (edges.ndim == 1 and len(edges) >= 2
+            and np.count_nonzero(edges[1:] > edges[:-1]) == len(edges) - 1
             and math.isfinite(edges[0]) and math.isfinite(edges[-1])):
         raise ValueError("edges must be an increasing sequence of two or more finite floats")
     values, errs = _kronrod_panels(f, edges)
+    values, errs = values.tolist(), errs.tolist()
+    evaluations = 15 * len(values)
+
+    def met(total_val, total_err):
+        return total_err <= max(tol_abs, tol_rel * abs(total_val))
+
+    total_val, total_err = math.fsum(values), math.fsum(errs)
+    if met(total_val, total_err):
+        return QuadResult(total_val, total_err, evaluations, True)
     # heap entries: (-err, seq, a, b, value, err); seq breaks comparison ties
     heap = [(-e, seq, a, b, v, e) for seq, (a, b, v, e) in enumerate(
-        zip(edges[:-1].tolist(), edges[1:].tolist(), values.tolist(), errs.tolist()))]
+        zip(edges[:-1].tolist(), edges[1:].tolist(), values, errs))]
     heapq.heapify(heap)
     done = []  # panels too narrow to split further
     seq = len(heap) - 1
-    evaluations = 15 * len(heap)
 
     def totals():
         vals = [e[4] for e in heap] + [d[0] for d in done]
         errs = [e[5] for e in heap] + [d[1] for d in done]
         return math.fsum(vals), math.fsum(errs)
 
-    while heap:
-        total_val, total_err = totals()
-        if total_err <= max(tol_abs, tol_rel * abs(total_val)):
-            return QuadResult(total_val, total_err, evaluations, True)
-        if len(heap) + len(done) >= max_intervals:
-            break
+    while heap and len(heap) + len(done) < max_intervals:
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if mid <= pa or mid >= pb:
@@ -169,10 +211,12 @@ def adaptive_quadrature(
         heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))
         seq += 1
         heapq.heappush(heap, (-e2, seq, mid, pb, v2, e2))
+        total_val, total_err = totals()
+        if met(total_val, total_err):
+            return QuadResult(total_val, total_err, evaluations, True)
 
     total_val, total_err = totals()
-    converged = total_err <= max(tol_abs, tol_rel * abs(total_val))
-    return QuadResult(total_val, total_err, evaluations, converged)
+    return QuadResult(total_val, total_err, evaluations, met(total_val, total_err))
 
 
 def _halfline(f: Integrand) -> Integrand:

@@ -12,7 +12,11 @@ integrand that is smooth on the closed interval and flat to all orders at
 v = 1.  One adaptive Kronrod run starts from 11 fixed panels that narrow
 towards v = 1 (``_STRUVE_K_EDGES``) and, at every argument of a (2,3,7)
 run, reaches a relative 1e-13 on them at once: one array call of the
-integrand, 165 evaluations.  Where s > 745, e^{-s} underflows and the
+integrand, 165 evaluations, and no bisection heap.  The factors of that
+call that do not depend on z (s, e^{-s}, (1-v)^2 and where s > 745) are
+tables built at import on those 165 nodes, so a new argument computes
+only the z-dependent part, with the bits of the generic integrand that
+bisected panels take.  Where s > 745, e^{-s} underflows and the
 integrand is taken as 0.
 
 The power series run in 80-bit extended precision (numpy longdouble) so
@@ -38,7 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureNonConvergence, adaptive_quadrature
+from .quadrature import (QuadratureNonConvergence, _starting_nodes,
+                         adaptive_quadrature)
 
 __all__ = [
     "FnEval",
@@ -74,8 +79,8 @@ class FnEval:
     method: str
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("non-finite function value")
+        if not (math.isfinite(self.value) and math.isfinite(self.abs_error_bound)):
+            raise ValueError("non-finite function value or error bound")
         if self.abs_error_bound < 0:
             raise ValueError("negative error bound")
         if self.method not in _METHODS:
@@ -216,6 +221,24 @@ _STRUVE_K_EDGES = np.array((0.0, 1 / 4, 1 / 2, 5 / 8, 3 / 4, 13 / 16, 7 / 8,
                             29 / 32, 15 / 16, 31 / 32, 63 / 64, 1.0))
 
 
+def _struve_k_tables():
+    """The integrand's factors that do not depend on z, at the first-pass
+    nodes v of _STRUVE_K_EDGES, each computed as the integrand computes it:
+    the node array itself, s, e^{-s} and (1-v)^2, all read-only, and the
+    number of nodes with s <= 745 (the nodes increase, so s > 745 on a
+    suffix)."""
+    v = _starting_nodes(_STRUVE_K_EDGES)
+    w = 1.0 - v
+    s = v / w
+    tables = (v, s, np.exp(-s), w * w)
+    for t in tables:
+        t.flags.writeable = False
+    return (*tables, int(np.count_nonzero(s <= 745.0)))
+
+
+_SK_V, _SK_S, _SK_EXP, _SK_W2, _SK_LIVE = _struve_k_tables()
+
+
 def _struve_k_integral(nu: int, z: float) -> FnEval:
     # K_nu(z) = c_nu * int_0^inf e^{-zt} (1+t^2)^{nu-1/2} dt  (DLMF 11.5.2)
     # with s = zt = v/(1-v) the integral becomes
@@ -224,6 +247,9 @@ def _struve_k_integral(nu: int, z: float) -> FnEval:
     # |log u|^{2nu-1} singularity at u = 0 that costs ~4x the evaluations.)
     # Past s = 745, e^{-s} underflows to 0 while s itself can reach inf as
     # v -> 1, so the integrand is 0 there rather than 0 * inf = NaN.
+    # On the first pass, at the nodes of _STRUVE_K_EDGES, s, e^{-s}, (1-v)^2
+    # and where s > 745 come from the tables above, and the remaining
+    # operations run in the same order, so both branches give the same bits.
     if nu == 1:
         c = 2.0 * z / math.pi
         power = 0.5
@@ -233,6 +259,11 @@ def _struve_k_integral(nu: int, z: float) -> FnEval:
     inv_z = 1.0 / z
 
     def integrand(v: np.ndarray) -> np.ndarray:
+        if v is _SK_V:
+            x = _SK_S * inv_z
+            y = inv_z * _SK_EXP * (1.0 + x * x) ** power / _SK_W2
+            y[_SK_LIVE:] = 0.0
+            return y
         w = 1.0 - v
         s = v / w
         x = s * inv_z
@@ -291,10 +322,11 @@ def struve_k(nu: int, z: float) -> FnEval:
 
     Both orders take the Laplace-type integral representation on the smooth
     map s = zt = v/(1-v), stable for every z > 0.  A new argument costs one
-    array call of the integrand on 11 starting panels (165 evaluations)
-    where those panels resolve it: at every argument of a (2,3,7) run, and
-    measured for 2.1 < z < 1e4.  Below z = 0.26 (order 1) or 2.1 (order 2)
-    bisection refines them.  The power series (z <= 12) and the asymptotic
+    array call of the integrand on 11 starting panels (165 evaluations,
+    with its z-free factors read from tables) where those panels resolve
+    it: at every argument of a (2,3,7) run, and measured for
+    2.1 < z < 1e4.  Below z = 0.26 (order 1) or 2.1 (order 2) bisection
+    refines them, on the generic integrand, with the same bits.  The power series (z <= 12) and the asymptotic
     expansion (z >= 40) are kept as private check routes for the tests.
     An integral that misses its tolerance raises QuadratureNonConvergence,
     and nothing is cached for it.

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casorb.contributions import (
@@ -401,6 +401,18 @@ class TestTails:
         with pytest.raises(ValueError):
             growth_inequality_check(1, 1)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(log_j=st.floats(math.log(16.0), 150.0 * math.log(10.0)),
+           n=st.integers(1, 60))
+    @example(log_j=math.log(16.0), n=60)
+    @example(log_j=150.0 * math.log(10.0), n=60)
+    def test_growth_inequality_holds_from_16(self, log_j, n):
+        # the guaranteed range, far past the acceptance grid (j <= 1e4,
+        # n <= 10): j log-uniform in [16, 1e150], as far as a tail split
+        # J = 1e150 would need
+        j = min(max(16, int(math.exp(log_j))), 10**150)
+        assert growth_inequality_check(j, n)
+
 
 class TestAssembly:
     def test_cone_free_is_negative(self):
@@ -493,6 +505,10 @@ class TestAssembly:
             SeriesEvaluation(1.0, -1.0, 10)
         with pytest.raises(ValueError):
             SeriesEvaluation(1.0, 0.0, -1)
+        for value, bound in ((math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                             (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                SeriesEvaluation(value, bound, 3)
 
 
 class TestSpectrumTypesAndIO:

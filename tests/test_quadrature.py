@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from casorb.quadrature import (
+    _NODES,
+    _RULE,
+    _WK,
     QuadResult,
     _kronrod_panels,
     adaptive_quadrature,
@@ -186,6 +189,52 @@ def test_integrand_called_once_per_pass():
         assert all(n == 30 for n in sizes[1:])
         assert res.evaluations == sum(sizes) == 15 * panels + 30 * (len(sizes) - 1)
     assert len(sizes) > 1 and not res.converged
+
+
+def test_first_pass_return_is_the_exact_sum_of_the_panels(monkeypatch):
+    # a run whose starting panels meet the tolerance returns the correctly
+    # rounded sums of their values and estimates, from one pass
+    from casorb import specfun
+
+    runs = []
+
+    def recording(f, edges, **kwargs):
+        runs.append((f, edges, kwargs))
+        return adaptive_quadrature(f, edges, **kwargs)
+
+    monkeypatch.setattr(specfun, "adaptive_quadrature", recording)
+    specfun._struve_k_integral(1, math.pi)
+    for f, edges, kwargs in [(np.exp, (0.0, 1.0), {})] + runs:
+        res = adaptive_quadrature(f, edges, **kwargs)
+        values, errs = _kronrod_panels(f, np.asarray(edges, dtype=np.float64))
+        assert res.converged
+        assert res.value == math.fsum(values.tolist())
+        assert res.est_error == math.fsum(errs.tolist())
+        assert res.evaluations == 15 * (len(edges) - 1)
+
+
+def test_error_shaping_matches_masked_form():
+    # the unmasked shaping, taken when every panel has nonzero resasc and
+    # error, gives the bits of QUADPACK's masked form; a panel where f
+    # vanishes takes the masked form itself
+    def masked(f, edges):
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        fv = f((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(len(half), 15)
+        resk, kmg = (fv @ _RULE).T
+        resabs = np.abs(fv) @ _WK
+        resasc = np.abs(fv - 0.5 * resk[:, None]) @ _WK * half
+        err = np.abs(kmg * half)
+        shaped = (resasc != 0.0) & (err != 0.0)
+        ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=shaped)
+        err = np.where(shaped, resasc * np.minimum(1.0, ratio ** 1.5), err)
+        return resk * half, np.maximum(err, 50.0 * math.ulp(1.0) * resabs * half)
+
+    edges = np.array((0.0, 0.25, 0.5, 0.75, 1.0))
+    for f in (np.exp, lambda x: np.sqrt(np.abs(x - 0.3)),
+              lambda x: np.where(x < 0.5, 0.0, x * x), lambda x: np.ones_like(x)):
+        for got, want in zip(_kronrod_panels(f, edges), masked(f, edges)):
+            assert np.array_equal(got, want)
 
 
 def test_non_convergence_flag():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casorb import specfun
 from casorb.specfun import (
@@ -30,8 +32,11 @@ GAMMA_HALF_1 = 0.27880558528066198   # sqrt(pi) erfc(1)
 
 class TestFnEval:
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            FnEval(float("nan"), 0.0, "series")
+        # a NaN bound would pass the sign check and reach the certificate
+        for value, bound in ((math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                             (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                FnEval(value, bound, "series")
         with pytest.raises(ValueError):
             FnEval(1.0, -1e-30, "series")
         with pytest.raises(ValueError):
@@ -226,6 +231,86 @@ class TestStruveK:
             gap = abs(e.value - one.value)
             allow = e.abs_error_bound + one.abs_error_bound
             assert gap <= allow, (nu, z, gap, allow)
+
+    def test_tables_are_read_only_and_take_the_first_pass(self, monkeypatch):
+        tables = (specfun._SK_V, specfun._SK_S, specfun._SK_EXP, specfun._SK_W2)
+        assert all(not t.flags.writeable for t in tables)
+        assert all(t.shape == (15 * (len(specfun._STRUVE_K_EDGES) - 1),)
+                   for t in tables)
+        assert specfun._starting_nodes(specfun._STRUVE_K_EDGES) is specfun._SK_V
+        # s increases with the nodes, so s > 745 exactly past _SK_LIVE
+        live = specfun._SK_LIVE
+        assert np.all(specfun._SK_S[:live] <= 745.0) and np.all(specfun._SK_S[live:] > 745.0)
+        with pytest.raises(ValueError):
+            specfun._SK_EXP[0] = 0.0
+        # a production argument: one call of the integrand, on the table
+        # nodes; at every node the tables give the generic branch's values
+        # (a copy of the nodes is not the table array)
+        real = specfun.adaptive_quadrature
+        seen, integrands = [], []
+
+        def recording(f, edges, *args, **kwargs):
+            integrands.append(f)
+            return real(lambda v: seen.append(v) or f(v), edges, *args, **kwargs)
+
+        monkeypatch.setattr(specfun, "adaptive_quadrature", recording)
+        specfun._struve_k_integral(2, math.pi)
+        assert len(seen) == 1 and seen[0] is specfun._SK_V
+        for z in (1e-3, 0.3, 40.0, 1e4):
+            for nu in (1, 2):
+                specfun._struve_k_integral(nu, z)
+        for f in integrands:
+            assert np.array_equal(f(specfun._SK_V), f(specfun._SK_V.copy()))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(nu=st.sampled_from((1, 2)),
+           log_z=st.floats(math.log(1e-3), math.log(1e4)))
+    def test_table_path_is_bit_identical(self, nu, log_z):
+        # the production integral against the same run on a local copy of
+        # the generic integrand, which computes s, e^{-s}, (1-v)^2 and the
+        # underflow mask at every call; small z bisects, so both paths run
+        z = math.exp(log_z)
+        c = 2.0 * z / math.pi if nu == 1 else 2.0 * z * z / (3.0 * math.pi)
+        power = nu - 0.5
+        inv_z = 1.0 / z
+
+        def generic(v):
+            w = 1.0 - v
+            s = v / w
+            x = s * inv_z
+            y = inv_z * np.exp(-s) * (1.0 + x * x) ** power / (w * w)
+            return np.where(s > 745.0, 0.0, y)
+
+        res = specfun.adaptive_quadrature(generic, specfun._STRUVE_K_EDGES,
+                                          tol_abs=0.0, tol_rel=1e-13,
+                                          max_intervals=1200)
+        e = specfun._struve_k_integral(nu, z)
+        value = c * res.value
+        assert e.value == value
+        assert e.abs_error_bound == c * res.est_error + 8 * math.ulp(1.0) * abs(value)
+
+    def test_moved_edges_take_the_generic_path(self, monkeypatch):
+        # with other starting edges no call sees the table nodes, and the
+        # values still match mpmath (H - Y at 30 digits)
+        mp = pytest.importorskip("mpmath")
+        real = specfun.adaptive_quadrature
+        calls = []
+
+        def recording(f, edges, *args, **kwargs):
+            return real(lambda v: calls.append(v is specfun._SK_V) or f(v),
+                        edges, *args, **kwargs)
+
+        monkeypatch.setattr(specfun, "adaptive_quadrature", recording)
+        monkeypatch.setattr(specfun, "_STRUVE_K_EDGES",
+                            np.array((0.0, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 1.0)))
+        with mp.workdps(30):
+            for z in (0.05, 1.0, math.pi, 20.0, 300.0):
+                for nu in (1, 2):
+                    e = specfun._struve_k_integral(nu, z)
+                    want = mp.struveh(nu, z) - mp.bessely(nu, z)
+                    err = abs(float(mp.mpf(e.value) - want))
+                    assert err <= 1e-12 * abs(float(want)), (nu, z, err)
+        assert calls and not any(calls)
 
     def test_small_angle_blowup(self):
         # pi K_1(theta)/(4 theta) grows like C/theta^2, bounded constant
