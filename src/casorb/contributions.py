@@ -466,10 +466,14 @@ def tail_direct_sum(j_lo: int = 51, j_hi: int = 10_000_000) -> float:
 _TAIL_HEAD_TERMS = 10_000
 # Panels of the geometric trapezoid beyond the head.
 _TAIL_PANELS = 16_384
-# Relative inflation covering every rounding in the bound, about 2e-14 in
-# all: csch_k1's error (specfun.CSCH_K1_REL_ERROR, 1.9e-15), the
-# error of z_j (a few units of 2^-53, times |z g'/g| <= 2z + 2 <= 21 for
-# j <= 10^7), the panel widths and both sums.
+# Largest z_j the bound accepts: the end of the range where
+# specfun.CSCH_K1_REL_ERROR is proved (j_hi up to about 10^301.2).
+_TAIL_Z_MAX = 350.0
+# Relative inflation covering every rounding in the bound, at most about
+# 4e-13 in all: csch_k1's error (specfun.CSCH_K1_REL_ERROR, 1.9e-15), the
+# error of z_j (a few units of 2^-53, times |z g'/g| <= 2z + 2, which is
+# 21 for j <= 10^7 and 702 at z_j = _TAIL_Z_MAX), the panel widths and
+# both sums.
 _TAIL_REL_MARGIN = 1e-12
 
 
@@ -492,10 +496,15 @@ def tail_b1_bound(j_lo: int = 51, j_hi: int = 10_000_000) -> float:
     (``specfun.CSCH_K1_REL_ERROR``, proved in the comment block that opens
     the e^z K_1 section of ``specfun``) and the rounding of z_j.
     When ``j_hi <= 10^4`` the result is the direct sum itself, with no
-    integral part and no margin.
+    integral part and no margin.  A j_hi whose z_J passes 350, the end of
+    the proved kernel range (j_hi above about 10^301.2), is refused.
     """
     if not 3 <= j_lo <= j_hi:
         raise ValueError("need 3 <= j_lo <= j_hi")
+    z_hi = 0.5 * _growth_threshold(j_hi)
+    if z_hi > _TAIL_Z_MAX:
+        raise ValueError(f"j_hi puts z_J = {z_hi:.1f} past {_TAIL_Z_MAX:g}, where "
+                         "csch_k1's error bound ends (j_hi <= about 10^301)")
     head_hi = min(j_hi, _TAIL_HEAD_TERMS)
     total = tail_direct_sum(j_lo, head_hi) if j_lo <= head_hi else 0.0
     if j_hi > head_hi:

@@ -321,20 +321,24 @@ def struve_k(nu: int, z: float) -> FnEval:
     """Struve function of the second kind, K_nu = H_nu - Y_nu, for nu in {1, 2}.
 
     Both orders take the Laplace-type integral representation on the smooth
-    map s = zt = v/(1-v), stable for every z > 0.  A new argument costs one
-    array call of the integrand on 11 starting panels (165 evaluations,
-    with its z-free factors read from tables) where those panels resolve
-    it: at every argument of a (2,3,7) run, and measured for
+    map s = zt = v/(1-v).  It accepts 1e-60 <= z <= 1e100, where both
+    orders were swept without a floating-point warning; production
+    arguments run from pi/7 to about 190.  Any other z, NaN included,
+    raises ValueError; at NaN, inf, 1e308 or 1e-160 the route fails.  A new
+    argument costs one array call of the integrand on 11 starting panels
+    (165 evaluations, with its z-free factors read from tables) where those
+    panels resolve it: at every argument of a (2,3,7) run, and measured for
     2.1 < z < 1e4.  Below z = 0.26 (order 1) or 2.1 (order 2) bisection
-    refines them, on the generic integrand, with the same bits.  The power series (z <= 12) and the asymptotic
-    expansion (z >= 40) are kept as private check routes for the tests.
+    refines them, on the generic integrand, with the same bits.  The power
+    series (z <= 12) and the asymptotic expansion (z >= 40) are kept as
+    private check routes for the tests.
     An integral that misses its tolerance raises QuadratureNonConvergence,
     and nothing is cached for it.
     """
     if nu not in (1, 2):
         raise UnsupportedOrderError(f"struve_k supports orders 1 and 2, got {nu}")
-    if z <= 0:
-        raise ValueError("z must be positive")
+    if not 1e-60 <= z <= 1e100:
+        raise ValueError(f"struve_k needs 1e-60 <= z <= 1e100, got {z!r}")
     return _struve_k_dispatch(int(nu), float(z))
 
 
@@ -585,7 +589,7 @@ def csch_k1_array(z: np.ndarray) -> np.ndarray:
     1e-150 <= z <= 350; 0.0 once e^{-2z} underflows (z > 372).
     """
     z = np.asarray(z, dtype=np.float64)
-    if np.any(z <= 0):
+    if not np.all(z > 0):   # NaN included
         raise ValueError("z must be positive")
     flat = z.reshape(-1)
     k1e = _k1e(flat)

@@ -20,7 +20,8 @@ orbit representatives of one length are multiplied in one batch with the
 arithmetic of :meth:`Mat2.__matmul__`, so its output is bit-identical to
 the per-word route.  :func:`word_orbit`, :func:`canonical_rotation`,
 :func:`word_to_matrix` and :func:`class_count` are the per-word oracles
-that the tests hold it to.
+that the tests hold it to.  A :class:`GeodesicClass` is geometry only;
+:func:`classes_to_json` takes the winding sums of the terms it prints.
 """
 
 from __future__ import annotations
@@ -116,13 +117,12 @@ class Mat2:
 
 @dataclass(frozen=True, slots=True)
 class GeodesicClass:
-    """One conjugacy-class orbit: canonical word, trace, length, count, energy term."""
+    """One conjugacy-class orbit: canonical word, trace, length and count."""
 
     representative: str
     trace: float
     length: float
     class_count: int
-    contribution: float
 
 
 def triangle_area(p: int, q: int, r: int) -> float:
@@ -283,23 +283,23 @@ def table_corpus() -> tuple[GeodesicClass, ...]:
 
     Words and class counts are stored; lengths and contributions are
     recomputed from the generator matrices and winding sums, then checked
-    against the stored reference values before anything is returned.
+    against the stored reference values before the classes are returned.
     """
-    found = []      # (word, trace, length, count)
+    found = []
     for word, count, ref_len, _ in _CORPUS_ROWS:
         m = word_to_matrix(word)
         length = _matrix_length(word, m)
         if abs(length - ref_len) > _LENGTH_TOL:
             raise CorpusIntegrityError(
                 f"{word}: recomputed length {length} vs reference {ref_len}")
-        found.append((word, m.trace, length, count))
-    contributions = geodesic_contributions([f[2] for f in found],
-                                           [f[3] for f in found])
+        found.append(GeodesicClass(word, m.trace, length, count))
+    contributions = geodesic_contributions([c.length for c in found],
+                                           [c.class_count for c in found])
     for (word, _, _, ref_a), a in zip(_CORPUS_ROWS, contributions):
         if abs(a - ref_a) > _CONTRIBUTION_TOL:
             raise CorpusIntegrityError(
                 f"{word}: recomputed contribution {a} vs reference {ref_a}")
-    return tuple(GeodesicClass(*f, a) for f, a in zip(found, contributions))
+    return tuple(found)
 
 
 def _least_proper_rotation(v: np.ndarray, n: int) -> np.ndarray:
@@ -417,9 +417,8 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     finite-order test |tr| <= 2 + 1e-12 and the length
     2 ``math.acosh``(|tr| / 2) are then the same binary64 operations as
     the per-word route, so every trace and length is bit-identical to it.
-    The classes reach the batched winding sums in R < L lexicographic
-    order over all lengths, the order that breaks length ties in the
-    result.
+    No winding sum is taken here.  Length ties keep R < L lexicographic
+    order over all lengths.
     """
     if not 1 <= max_letters <= 20:
         raise ValueError("max_letters must lie in 1..20")
@@ -436,12 +435,11 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     skipped = order.size - np.count_nonzero(hyperbolic)
     order = order[hyperbolic]
     lengths = [2.0 * math.acosh(t) for t in (np.abs(traces[order]) / 2.0).tolist()]
-    counts = sizes[order].tolist()
-    contributions = geodesic_contributions(lengths, counts)
-    words, letters, traces = (v[order].tolist() for v in (words, letters, traces))
+    words, letters, sizes, traces = (v[order].tolist()
+                                     for v in (words, letters, sizes, traces))
     classes = [
         GeodesicClass(format(words[i], f"0{letters[i]}b").translate(_UNTRANS),
-                      traces[i], lengths[i], counts[i], contributions[i])
+                      traces[i], lengths[i], sizes[i])
         # by length, then in R < L order
         for i in np.lexsort((np.arange(len(lengths)), lengths)).tolist()]
     if skipped:
@@ -461,14 +459,15 @@ def to_spectrum(classes: Iterable[GeodesicClass],
 
 
 def classes_to_json(classes: Iterable[GeodesicClass]) -> str:
-    rows = [
-        {
-            "word": c.representative,
-            "trace": c.trace,
-            "length": c.length,
-            "class_count": c.class_count,
-            "contribution": c.contribution,
-        }
-        for c in classes
-    ]
+    """JSON rows of the classes with their energy terms, from one winding-sum pass.
+
+    Each winding sum depends only on its own length, so a class's term
+    does not depend on the classes printed with it.
+    """
+    classes = list(classes)
+    contributions = geodesic_contributions([c.length for c in classes],
+                                           [c.class_count for c in classes])
+    rows = [{"word": c.representative, "trace": c.trace, "length": c.length,
+             "class_count": c.class_count, "contribution": a}
+            for c, a in zip(classes, contributions)]
     return json.dumps(rows, indent=2)

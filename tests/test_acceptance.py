@@ -5,6 +5,7 @@ failure).  The expected numbers are the published six-to-seven digit
 values; tolerances are the contract, not a calibration knob.
 """
 
+import json
 import math
 import random
 import time
@@ -35,6 +36,7 @@ from casorb.contributions import (
 from casorb.quadrature import elliptic_kernel_integral, integrate_decaying
 from casorb.specfun import clear_caches
 from casorb.triangle import (
+    classes_to_json,
     star_word,
     table_corpus,
     to_spectrum,
@@ -117,14 +119,15 @@ def test_criterion_3_closed_form_moment():
 
 
 def test_criterion_4_corpus_regression():
-    corpus = {c.representative: c for c in table_corpus()}
+    # the contributions are the ones `casorb spectrum --table --output json` prints
+    corpus = {row["word"]: row for row in json.loads(classes_to_json(table_corpus()))}
     worst_len = worst_a = 0.0
     for word, count, ref_len, ref_a in GOLDEN_ROWS:
-        c = corpus[word]
-        assert c.class_count == count
+        row = corpus[word]
+        assert row["class_count"] == count
         worst_len = max(worst_len, abs(word_length(word) - ref_len))
-        worst_a = max(worst_a, abs(c.contribution - ref_a))
-    total = math.fsum(c.contribution for c in corpus.values())
+        worst_a = max(worst_a, abs(row["contribution"] - ref_a))
+    total = math.fsum(row["contribution"] for row in corpus.values())
     ok = (worst_len <= 1e-5 and worst_a <= 5e-6
           and abs(total - (-0.5680851)) <= 1e-6)
     report("4 corpus regression", ok,

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import shlex
 
 import pytest
 
@@ -39,6 +40,26 @@ def test_golden_output(capsys, name, argv):
     code, out, err = _capture(capsys, argv)
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def _readme_commands():
+    """Each `casorb ...` line of README's "Command line" block, as argv."""
+    text = (GOLDEN.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("casorb ")]
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _capture(capsys, ["spectrum", "--table"])
+    assert code == 0, err
+    (tmp_path / "my_spectrum.txt").write_text(out, encoding="utf-8")
+    commands = _readme_commands()
+    assert len(commands) == 10
+    for argv in commands:
+        code, _, err = _capture(capsys, argv)
+        assert code == 0, (argv, err)
 
 
 class TestFormatting:
@@ -300,6 +321,14 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert "names no group" in err
+
+    @pytest.mark.parametrize("j_hi", [10**305, 10**400], ids=["1e305", "1e400"])
+    def test_tail_past_proved_kernel_range(self, capsys, j_hi):
+        # z_J = 354.4 and 463.9: past z = 350, where csch_k1's bound ends
+        code, out, err = _capture(capsys, ["tail", "--j-hi", str(j_hi)])
+        assert code == 2
+        assert out == ""
+        assert "past 350" in err
 
     def test_unknown_flag(self, capsys):
         code, _, _ = _capture(capsys, ["energy", "--frobnicate"])

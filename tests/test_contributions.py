@@ -1,6 +1,8 @@
 """Series routes, tail bounds, and the certified assembly."""
 
+import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,7 @@ from casorb.contributions import (
     elliptic_kernel_truncation_bound,
     elliptic_kernel_truncation_bound_log10,
     geodesic_contribution,
+    geodesic_contributions,
     growth_inequality_check,
     hyperbolic_contribution,
     hyperbolic_n_tail_bound,
@@ -282,7 +285,8 @@ class TestBatchedWindingSums:
             assert abs(s - want) <= 4 * math.ulp(want)
 
     def test_one_call_per_batch(self, monkeypatch):
-        # enumerate_classes and table_corpus evaluate all lengths at once
+        # enumeration takes no winding sum; table_corpus's check and each
+        # printed batch evaluate all their lengths at once
         from casorb import contributions, triangle
 
         calls = []
@@ -294,13 +298,31 @@ class TestBatchedWindingSums:
 
         monkeypatch.setattr(contributions, "csch_k1_array", counting)
         classes = triangle.enumerate_classes(12)
-        assert len(calls) == 1
+        assert len(calls) == 0
         triangle.table_corpus.cache_clear()
         corpus = triangle.table_corpus()
         hyperbolic_contribution(_corpus_spectrum())
-        assert len(calls) == 3
-        for c in list(classes) + list(corpus):
-            assert c.contribution == geodesic_contribution(c.length, c.class_count)
+        assert len(calls) == 2
+        rows = [json.loads(triangle.classes_to_json(batch))
+                for batch in (classes, corpus)]
+        assert len(calls) == 4
+        for row in rows[0] + rows[1]:
+            assert row["contribution"] == geodesic_contribution(
+                row["length"], row["class_count"])
+
+    def test_contributions_independent_of_order(self):
+        # each winding sum depends only on its own length, bit for bit
+        from casorb.triangle import enumerate_classes
+
+        classes = enumerate_classes(12)
+        lengths = [c.length for c in classes]
+        counts = [c.class_count for c in classes]
+        perm = list(range(len(classes)))
+        random.Random(0).shuffle(perm)
+        shuffled = geodesic_contributions([lengths[i] for i in perm],
+                                          [counts[i] for i in perm])
+        got = geodesic_contributions(lengths, counts)
+        assert shuffled == [got[i] for i in perm]
 
 
 class TestAssumption:
@@ -362,6 +384,12 @@ class TestTails:
         for j_lo, j_hi in ((2, 100), (0, 100), (100, 99)):
             with pytest.raises(ValueError):
                 tail_b1_bound(j_lo, j_hi)
+
+    def test_b1_bound_stays_in_proved_kernel_range(self):
+        # z_J is 349.8 at 10^301 and 351.0 at 10^302; csch_k1's bound ends at 350
+        assert 0.0 < tail_b1_bound(51, 10**300) < tail_b1_bound(51, 10**301) < 1.0
+        with pytest.raises(ValueError, match="past 350"):
+            tail_b1_bound(51, 10**302)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(j=st.floats(4.0, 1e7))

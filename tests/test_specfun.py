@@ -156,6 +156,19 @@ class TestStruveK:
         with pytest.raises(TypeError):   # the route is not the caller's choice
             struve_k(1, 1.0, "series")
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, 1e308, 1e-160, 0.0, -1.0])
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_refuses_arguments_outside_its_range(self, nu, z):
+        with pytest.raises(ValueError, match="1e-60 <= z <= 1e100"):
+            struve_k(nu, z)
+
+    def test_range_ends_evaluate(self):
+        # pytest turns RuntimeWarning into an error, so no step overflows
+        for nu in (1, 2):
+            for z in (1e-60, 1e100):
+                e = struve_k(nu, z)
+                assert math.isfinite(e.value) and math.isfinite(e.abs_error_bound)
+
     def test_production_arguments_match_mpmath(self):
         # every z a cold (2,3,7) casimir_energy hands to struve_k: the
         # elliptic series at C + D k = pi l/m + pi k, the identity at pi(1+k)
@@ -363,6 +376,12 @@ class TestCschK1:
             csch_k1(0.0)
         with pytest.raises(ValueError):
             csch_k1_array(np.array([1.0, -1.0]))
+
+    def test_refuses_nan(self):
+        with pytest.raises(ValueError):
+            csch_k1(math.nan)
+        with pytest.raises(ValueError):
+            csch_k1_array(np.array([1.0, np.nan]))
 
 
 class TestMoments:
