@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands compute the energy pieces separately or run the full
-certified (2,3,7) pipeline.  All float output goes through a fixed
-10-significant-digit formatter (scientific below 1e-4) so identical
-configurations produce byte-identical reports.
+certified (2,3,7) pipeline.  Reports print floats with 10 significant
+digits (scientific below 1e-4); ``spectrum`` text and class JSON print
+lengths and terms with ``repr``, so spectrum files round-trip.  Identical
+configurations produce byte-identical output.
 
 Exit codes: 0 success, 2 for any input the parser or ``casimir_energy``
 refuses, 1 internal numerical failure (non-convergent quadrature).
@@ -119,6 +120,11 @@ def _parse_triangle(text: str):
 
 def _signature_from_args(args, needs_area: bool = True) -> co.OrbifoldSignature:
     if args.triangle:
+        for flag, value in (("--cone-orders", args.cone_orders),
+                            ("--volume", args.volume)):
+            if value is not None:
+                raise ValueError(f"--triangle and {flag} conflict: --triangle "
+                                 "sets both the cone orders and the area")
         return tri.triangle_signature(*_parse_triangle(args.triangle))
     if args.cone_orders:
         orders = tuple(int(x) for x in args.cone_orders.split(","))
@@ -134,15 +140,16 @@ def _signature_from_args(args, needs_area: bool = True) -> co.OrbifoldSignature:
     raise ValueError("need --triangle P,Q,R, or --cone-orders (with --volume), or --volume")
 
 
-def _spectrum_from_args(args) -> co.LengthSpectrum:
-    src = args.spectrum
+def _load_spectrum(src: str):
+    """(classes or None for a file, spectrum) of 'table', 'enumerate:N' or 'file:PATH'."""
     if src == "table":
-        return tri.to_spectrum(tri.table_corpus(), provenance="table_corpus")
+        classes = tri.table_corpus()
+        return classes, tri.to_spectrum(classes, provenance="table_corpus")
     if src.startswith("enumerate:"):
-        n = int(src.split(":", 1)[1])
-        return tri.to_spectrum(tri.enumerate_classes(n))
+        classes = tri.enumerate_classes(int(src.split(":", 1)[1]))
+        return classes, tri.to_spectrum(classes)
     if src.startswith("file:"):
-        return co.read_spectrum_file(src.split(":", 1)[1])
+        return None, co.read_spectrum_file(src.split(":", 1)[1])
     raise ValueError(
         f"--spectrum must be 'table', 'enumerate:N' or 'file:PATH', got {src!r}")
 
@@ -210,7 +217,7 @@ def _cmd_energy(args) -> str:
     if args.spectrum == "table" and not sig.cone_orders:
         raise ValueError(f"--spectrum {args.spectrum} is a (2,3,7) spectrum; "
                          f"give cone orders 2,3,7 or a file:PATH spectrum")
-    b = co.casimir_energy(sig, _spectrum_from_args(args))
+    b = co.casimir_energy(sig, _load_spectrum(args.spectrum)[1])
     return emit_breakdown(b, args.output)
 
 
@@ -240,7 +247,7 @@ def _cmd_identity(args) -> str:
 
 
 def _cmd_hyperbolic(args) -> str:
-    spectrum = _spectrum_from_args(args)
+    spectrum = _load_spectrum(args.spectrum)[1]
     ser = co.hyperbolic_contribution(spectrum)
     if args.output == "json":
         return json.dumps({"head": _jsonable(ser.value),
@@ -253,19 +260,13 @@ def _cmd_hyperbolic(args) -> str:
 
 
 def _cmd_spectrum(args) -> str:
-    chosen = [bool(args.table), args.enumerate is not None, args.file is not None]
-    if sum(chosen) != 1:
+    sources = [src for src, given in (
+        ("table", args.table),
+        (f"enumerate:{args.enumerate}", args.enumerate is not None),
+        (f"file:{args.file}", args.file is not None)) if given]
+    if len(sources) != 1:
         raise ValueError("pick exactly one of --table, --enumerate N, --file PATH")
-    classes = None
-    if args.table:
-        classes = tri.table_corpus()
-        spectrum = tri.to_spectrum(classes, provenance="table_corpus")
-    elif args.enumerate is not None:
-        classes = tri.enumerate_classes(args.enumerate)
-        spectrum = tri.to_spectrum(classes)
-    else:
-        spectrum = co.read_spectrum_file(args.file)
-
+    classes, spectrum = _load_spectrum(sources[0])
     if args.output == "json" and classes is not None:
         return tri.classes_to_json(classes)
     if args.output == "json":
@@ -292,9 +293,8 @@ def _cmd_tail(args) -> str:
 
 
 def _cmd_verify_237(args) -> str:
-    sig = tri.triangle_signature(2, 3, 7)
-    spectrum = tri.to_spectrum(tri.table_corpus(), provenance="table_corpus")
-    b = co.casimir_energy(sig, spectrum)
+    b = co.casimir_energy(tri.triangle_signature(2, 3, 7),
+                          _load_spectrum("table")[1])
     reference = (b.elliptic.value - b.elliptic.truncation_bound
                  + b.identity_interval[0] + b.hyperbolic_head
                  - b.hyperbolic_head_bound - co.REFERENCE_TAIL_237)

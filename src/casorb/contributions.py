@@ -127,13 +127,6 @@ class LengthSpectrum:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def expand(self) -> list[float]:
-        """Lengths repeated by multiplicity, ascending."""
-        out: list[float] = []
-        for ell, mult in self.entries:
-            out.extend([ell] * mult)
-        return out
-
 
 @dataclass(frozen=True)
 class SeriesEvaluation:
@@ -348,16 +341,18 @@ def hyperbolic_n_tail_bound(ell, n_done):
 # Windings tested per pass when searching for each length's stopping point.
 _WINDING_BLOCK = 32
 _MAX_WINDINGS = 100_000
+# Majorant tail at which every winding sum stops, head and class terms alike.
+_WINDING_TOL = 1e-13
 
 
-def _winding_sums(lengths, tol: float):
+def _winding_sums(lengths):
     """Winding sums of many lengths in one kernel call.
 
     For each length ell, sum_{n <= N} (1/n) csch(n ell/2) K_1(n ell/2),
     where N is the first winding count whose majorant tail
-    (:func:`hyperbolic_n_tail_bound`) is at most tol.  Returns the sums,
-    those tails and the N, as arrays.  Each sum adds its terms smallest
-    first.
+    (:func:`hyperbolic_n_tail_bound`) is at most ``_WINDING_TOL``.
+    Returns the sums, those tails and the N, as arrays.  Each sum adds its
+    terms smallest first.
     """
     ell = np.asarray(lengths, dtype=np.float64)
     n = np.zeros(ell.size, dtype=np.int64)
@@ -369,7 +364,7 @@ def _winding_sums(lengths, tol: float):
             raise ArithmeticError("winding sum did not reach tolerance")
         k = np.arange(start, start + _WINDING_BLOCK)
         t = hyperbolic_n_tail_bound(ell[todo, None], k)
-        ok = t <= tol
+        ok = t <= _WINDING_TOL
         hit = ok.any(axis=1)
         first = ok.argmax(axis=1)[hit]
         n[todo[hit]] = k[first]
@@ -386,12 +381,13 @@ def _winding_sums(lengths, tol: float):
 def hyperbolic_contribution(spectrum: LengthSpectrum) -> SeriesEvaluation:
     """-(1/4pi) sum over the spectrum of the winding sums.
 
-    Each winding sum stops once its majorant tail is at most 1e-13.
+    Each winding sum stops once its majorant tail is at most 1e-13, as in
+    :func:`geodesic_contributions`, so the class terms add up to this head.
     """
     if len(spectrum) == 0:
         raise ValueError("empty length spectrum")
     ell, mult = (np.array(col) for col in zip(*spectrum.entries))
-    sums, tails, n = _winding_sums(ell, 1e-13)
+    sums, tails, n = _winding_sums(ell)
     return SeriesEvaluation(-math.fsum(mult * sums) / FOUR_PI,
                             math.fsum(mult * tails) / FOUR_PI, int(n.max()))
 
@@ -400,9 +396,9 @@ def geodesic_contributions(lengths, weights) -> list[float]:
     """Contributions of geodesic classes, each counted ``weight`` times.
 
     One batched winding sum; each stops once its majorant tail is at most
-    1e-14.
+    1e-13, as in :func:`hyperbolic_contribution`, the sum of these terms.
     """
-    sums, _, _ = _winding_sums(lengths, 1e-14)
+    sums, _, _ = _winding_sums(lengths)
     return (-np.asarray(weights, dtype=np.int64) * sums / FOUR_PI).tolist()
 
 
@@ -423,18 +419,22 @@ def assumption_check(spectrum: LengthSpectrum) -> AssumptionReport:
     """Check ell_j >= log j + log log j for represented indices j.
 
     Indices 1 and 2 are skipped: log log j only makes sense once log j
-    clears 1.
+    clears 1.  An entry stands for its multiplicity of consecutive indices
+    and is not expanded: the threshold increases with j, so an entry breaks
+    the floor iff it does at its last index, found first by bisection.
     """
-    lengths = spectrum.expand()
-    first_violation = None
-    checked_through = 0
-    for j in range(3, len(lengths) + 1):
-        checked_through = j
-        if lengths[j - 1] < _growth_threshold(j):
-            first_violation = j
-            break
-    return AssumptionReport(first_violation is None, first_violation,
-                            checked_through)
+    hi = 0
+    for ell, mult in spectrum.entries:
+        lo, hi = max(hi + 1, 3), hi + mult
+        if lo <= hi and ell < _growth_threshold(hi):
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if ell < _growth_threshold(mid):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return AssumptionReport(False, lo, lo)
+    return AssumptionReport(True, None, hi if hi >= 3 else 0)
 
 
 def _tail_terms(j: np.ndarray) -> np.ndarray:

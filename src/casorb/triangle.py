@@ -30,7 +30,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
@@ -130,13 +129,13 @@ def triangle_area(p: int, q: int, r: int) -> float:
     for m in (p, q, r):
         if not isinstance(m, int) or m < 2:
             raise ValueError("cone orders must be integers >= 2")
-    # exact rational test: (2,3,6)-style Euclidean signatures sit right on
-    # the boundary and float rounding must not let them through
-    defect = 1 - (Fraction(1, p) + Fraction(1, q) + Fraction(1, r))
-    if defect <= 0:
+    # exact integer test: (2,3,6)-style Euclidean signatures sit right on the
+    # boundary; int / int rounds the defect num / den once, correctly
+    num, den = p * q * r - q * r - p * r - p * q, p * q * r
+    if num <= 0:
         raise NonHyperbolicSignatureError(
             f"({p},{q},{r}) is not hyperbolic: 1/p + 1/q + 1/r >= 1")
-    return 2.0 * math.pi * float(defect)
+    return 2.0 * math.pi * (num / den)
 
 
 def triangle_signature(p: int, q: int, r: int) -> OrbifoldSignature:
@@ -462,7 +461,8 @@ def classes_to_json(classes: Iterable[GeodesicClass]) -> str:
     """JSON rows of the classes with their energy terms, from one winding-sum pass.
 
     Each winding sum depends only on its own length, so a class's term
-    does not depend on the classes printed with it.
+    does not depend on the classes printed with it.  The terms add up to the
+    head of ``to_spectrum(classes)`` within rounding.
     """
     classes = list(classes)
     contributions = geodesic_contributions([c.length for c in classes],

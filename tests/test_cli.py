@@ -21,7 +21,7 @@ def _capture(capsys, argv):
 ENERGY_237 = ["energy", "--triangle", "2,3,7", "--spectrum", "table"]
 
 
-@pytest.mark.parametrize("name, argv", [
+GOLDEN_CASES = [
     ("energy_text", ENERGY_237),
     ("energy_json", ENERGY_237 + ["--output", "json"]),
     ("energy_csv", ENERGY_237 + ["--output", "csv"]),
@@ -34,12 +34,20 @@ ENERGY_237 = ["energy", "--triangle", "2,3,7", "--spectrum", "table"]
     ("spectrum_enumerate12", ["spectrum", "--enumerate", "12", "--output", "json"]),
     ("hyperbolic_enumerate16",
      ["hyperbolic", "--spectrum", "enumerate:16", "--output", "json"]),
-])
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_CASES)
 def test_golden_output(capsys, name, argv):
     # default outputs are byte-stable; a deliberate change rewrites the file
     code, out, err = _capture(capsys, argv)
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_every_golden_file_is_checked():
+    assert ({p.stem for p in GOLDEN.glob("*.txt")}
+            == {name for name, _ in GOLDEN_CASES})
 
 
 def _readme_commands():
@@ -222,6 +230,28 @@ class TestExitCodes:
         code, _, _ = _capture(capsys, [
             "hyperbolic", "--spectrum", "guess"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["energy", "elliptic", "identity"])
+    @pytest.mark.parametrize("flag", [["--cone-orders", "2,3"],
+                                      ["--volume", "0.5"]],
+                             ids=["cone-orders", "volume"])
+    def test_triangle_conflicts_with_other_signature_flags(self, capsys,
+                                                           command, flag):
+        extra = ["--spectrum", "table"] if command == "energy" else []
+        code, out, err = _capture(capsys, [
+            command, "--triangle", "2,3,7", *flag, *extra])
+        assert code == 2
+        assert out == ""
+        assert "--triangle" in err and flag[0] in err
+
+    @pytest.mark.parametrize("sources", [
+        [], ["--table", "--enumerate", "4"], ["--table", "--file", "x.txt"]],
+        ids=["none", "table+enumerate", "table+file"])
+    def test_spectrum_needs_exactly_one_source(self, capsys, sources):
+        code, out, err = _capture(capsys, ["spectrum", *sources])
+        assert code == 2
+        assert out == ""
+        assert "pick exactly one of --table, --enumerate N, --file PATH" in err
 
     def test_missing_signature(self, capsys):
         code, _, _ = _capture(capsys, ["elliptic"])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from casorb.contributions import (
     _euler_sum,
     _euler_weights,
+    AssumptionReport,
     LengthSpectrum,
     OrbifoldSignature,
     SeriesEvaluation,
@@ -270,17 +271,16 @@ class TestBatchedWindingSums:
             if tail <= tol:
                 return acc.total, tail, n
 
-    @pytest.mark.parametrize("tol", [1e-13, 1e-14])
-    def test_matches_scalar_loop(self, tol):
-        from casorb.contributions import _winding_sums
+    def test_matches_scalar_loop(self):
+        from casorb.contributions import _WINDING_TOL, _winding_sums
         from casorb.triangle import enumerate_classes, table_corpus
 
         lengths = [c.length for c in enumerate_classes(16)]
         assert len(lengths) == 2147
         lengths += [c.length for c in table_corpus()]
-        sums, tails, ns = _winding_sums(lengths, tol)
+        sums, tails, ns = _winding_sums(lengths)
         for ell, s, tail, n in zip(lengths, sums, tails, ns):
-            want, want_tail, want_n = self._scalar_winding_sum(ell, tol)
+            want, want_tail, want_n = self._scalar_winding_sum(ell, _WINDING_TOL)
             assert n == want_n and tail == want_tail
             assert abs(s - want) <= 4 * math.ulp(want)
 
@@ -309,6 +309,18 @@ class TestBatchedWindingSums:
         for row in rows[0] + rows[1]:
             assert row["contribution"] == geodesic_contribution(
                 row["length"], row["class_count"])
+
+    @pytest.mark.parametrize("source", ["table", "enumerate12"])
+    def test_printed_terms_add_up_to_head(self, source):
+        # the head and the printed class terms stop at the same winding
+        from casorb import triangle
+
+        classes = (triangle.table_corpus() if source == "table"
+                   else triangle.enumerate_classes(12))
+        head = hyperbolic_contribution(triangle.to_spectrum(classes)).value
+        rows = json.loads(triangle.classes_to_json(classes))
+        total = math.fsum(row["contribution"] for row in rows)
+        assert abs(total - head) <= 2 * math.ulp(head)
 
     def test_contributions_independent_of_order(self):
         # each winding sum depends only on its own length, bit for bit
@@ -343,6 +355,39 @@ class TestAssumption:
         rep = assumption_check(spec)
         assert not rep.holds
         assert rep.first_violation == 51
+
+    @staticmethod
+    def _per_index_check(spectrum):
+        # the loop over the expanded spectrum that the entry walk replaced
+        lengths = [ell for ell, mult in spectrum.entries for _ in range(mult)]
+        checked_through = 0
+        for j in range(3, len(lengths) + 1):
+            checked_through = j
+            if lengths[j - 1] < math.log(j) + math.log(math.log(j)):
+                return AssumptionReport(False, j, j)
+        return AssumptionReport(True, None, checked_through)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(3, 80), st.floats(-0.05, 0.05),
+                              st.integers(1, 12)), min_size=1, max_size=8))
+    def test_entry_walk_matches_per_index_loop(self, rows):
+        # lengths near the floor at some index, multiplicities that can
+        # carry an entry across the index where it falls below it
+        spec = LengthSpectrum.from_pairs(
+            [(math.log(j) + math.log(math.log(j)) + d, m) for j, d, m in rows])
+        assert assumption_check(spec) == self._per_index_check(spec)
+
+    def test_huge_multiplicity_is_not_expanded(self):
+        def thr(j):
+            return math.log(j) + math.log(math.log(j))
+
+        rep = assumption_check(LengthSpectrum.from_pairs(
+            [(1.0, 1), (2.0, 2), (30.0, 10**12)]))
+        j = rep.first_violation
+        assert not rep.holds and rep.checked_through == j
+        assert thr(j - 1) <= 30.0 < thr(j)
+        rep = assumption_check(LengthSpectrum.from_pairs([(31.0, 10**12)]))
+        assert rep == AssumptionReport(True, None, 10**12)
 
     def test_threshold_value(self):
         assert (math.log(3) + math.log(math.log(3))) == pytest.approx(

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +101,16 @@ class TestGeometry:
             triangle_area(2, 3, 6)
         with pytest.raises(NonHyperbolicSignatureError):
             triangle_area(2, 2, 2)
+
+    def test_area_matches_exact_fraction(self):
+        # the integer numerator and denominator round once, as Fraction does
+        for p, q, r in itertools.product(range(2, 25), repeat=3):
+            defect = 1 - Fraction(1, p) - Fraction(1, q) - Fraction(1, r)
+            if defect <= 0:
+                with pytest.raises(NonHyperbolicSignatureError):
+                    triangle_area(p, q, r)
+            else:
+                assert triangle_area(p, q, r) == 2.0 * math.pi * float(defect)
 
     def test_signature_constructor(self):
         sig = triangle_signature(2, 3, 7)
