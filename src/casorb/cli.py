@@ -119,15 +119,19 @@ def _parse_triangle(text: str):
 
 
 def _signature_from_args(args, needs_area: bool = True) -> co.OrbifoldSignature:
-    if args.triangle:
+    if args.triangle is not None:
         for flag, value in (("--cone-orders", args.cone_orders),
                             ("--volume", args.volume)):
             if value is not None:
                 raise ValueError(f"--triangle and {flag} conflict: --triangle "
                                  "sets both the cone orders and the area")
         return tri.triangle_signature(*_parse_triangle(args.triangle))
-    if args.cone_orders:
-        orders = tuple(int(x) for x in args.cone_orders.split(","))
+    if args.cone_orders is not None:
+        try:
+            orders = tuple(int(x) for x in args.cone_orders.split(","))
+        except ValueError:
+            raise ValueError("--cone-orders expects comma-separated integers, "
+                             f"got {args.cone_orders!r}") from None
         if args.volume is None:
             if needs_area:
                 raise ValueError("--cone-orders needs --volume (the hyperbolic area)")
@@ -270,7 +274,8 @@ def _cmd_spectrum(args) -> str:
     if args.output == "json" and classes is not None:
         return tri.classes_to_json(classes)
     if args.output == "json":
-        return json.dumps([{"length": _jsonable(l), "multiplicity": m}
+        # repr of each length, so the JSON rebuilds the spectrum exactly
+        return json.dumps([{"length": l, "multiplicity": m}
                            for l, m in spectrum.entries], indent=2)
     if args.output == "csv":
         lines = ["length,multiplicity"]

@@ -513,7 +513,8 @@ def tail_b1_bound(j_lo: int = 51, j_hi: int = 10_000_000) -> float:
         x = a * np.exp(np.linspace(0.0, math.log(b / a), _TAIL_PANELS + 1))
         x[0], x[-1] = a, b
         f = _tail_terms(x)
-        trapezoid = 0.5 * math.fsum(np.diff(x) * (f[:-1] + f[1:]))
+        # a memoryview yields Python floats: no numpy scalars and no list
+        trapezoid = 0.5 * math.fsum(memoryview(np.diff(x) * (f[:-1] + f[1:])))
         total = (total + trapezoid / FOUR_PI) * (1.0 + _TAIL_REL_MARGIN)
     return total
 

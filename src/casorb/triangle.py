@@ -13,12 +13,12 @@ conjugacy classes: group relations can identify words beyond the orbit
 moves (classes that share a trace are kept separate, never merged), so
 the count is an upper bound on the number of distinct classes.
 
-:func:`enumerate_classes` works on whole arrays, one word length at a
-time: a word of n letters is the n-bit integer with R = 0 and the first
-letter most significant, rotations are shifts, and the matrices of all
-orbit representatives of one length are multiplied in one batch with the
-arithmetic of :meth:`Mat2.__matmul__`, so its output is bit-identical to
-the per-word route.  :func:`word_orbit`, :func:`canonical_rotation`,
+:func:`enumerate_classes` works on whole arrays holding the words of
+every length at once: a word of n letters is the n-bit integer with R = 0
+and the first letter most significant, rotations are shifts, and the
+matrices of all orbit representatives are multiplied in one batch with
+the arithmetic of :meth:`Mat2.__matmul__`, so its output is bit-identical
+to the per-word route.  :func:`word_orbit`, :func:`canonical_rotation`,
 :func:`word_to_matrix` and :func:`class_count` are the per-word oracles
 that the tests hold it to.  A :class:`GeodesicClass` is geometry only;
 :func:`classes_to_json` takes the winding sums of the terms it prints.
@@ -316,18 +316,6 @@ def _least_proper_rotation(v: np.ndarray, n: int) -> np.ndarray:
     return least
 
 
-def _reverse_bits(v: np.ndarray, n: int) -> np.ndarray:
-    """Each n-bit word in v read backwards."""
-    out = np.zeros_like(v)
-    bit = np.empty_like(v)
-    for i in range(n):
-        np.right_shift(v, i, out=bit)
-        bit &= 1
-        bit <<= n - 1 - i
-        out |= bit
-    return out
-
-
 def _lyndon_bits(n: int) -> np.ndarray:
     """Lyndon words of n letters as ascending n-bit integers.
 
@@ -341,59 +329,110 @@ def _lyndon_bits(n: int) -> np.ndarray:
     return x[x < _least_proper_rotation(x, n)]
 
 
-def _orbit_representatives(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Least words of the involution orbits of n-letter Lyndon words, and orbit sizes.
+def _least_proper_rotations(v: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """Least rotation by 1..n-1 letters of each word in v of n = letters letters.
 
+    letters is ascending, so the words of more than k letters form a
+    suffix: step k rotates that suffix in place, with per-word shifts and
+    masks, and a word of n letters takes n - 1 steps.  A one-letter word
+    gets 2, above both one-letter words.
+    """
+    mask = (1 << letters) - 1
+    top = letters - 1
+    least = mask + 1
+    r = v.copy()
+    high = np.empty_like(v)
+    for k in range(1, int(letters[-1])):
+        s = np.searchsorted(letters, k + 1)
+        rs, hs = r[s:], high[s:]
+        np.right_shift(rs, top[s:], out=hs)
+        rs <<= 1
+        rs &= mask[s:]
+        rs |= hs
+        np.minimum(least[s:], rs, out=least[s:])
+    return least
+
+
+def _reverse_words(v: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """Each word in v read backwards; letters is ascending, as above."""
+    out = np.zeros_like(v)
+    bit = np.empty_like(v)
+    for i in range(int(letters[-1])):
+        s = np.searchsorted(letters, i + 1)
+        bs = bit[s:]
+        np.right_shift(v[s:], i, out=bs)
+        bs &= 1
+        bs <<= letters[s:] - 1 - i
+        out[s:] |= bs
+    return out
+
+
+def _orbit_representatives(max_letters: int) -> tuple[np.ndarray, ...]:
+    """Least words of the involution orbits of Lyndon words, with letters and orbit sizes.
+
+    The Lyndon words of 1..max_letters letters are tested together, in
+    increasing length, so each test below runs once over all lengths.
     A Lyndon word is its own least rotation, so it represents its orbit
     exactly when none of its star, reversal and reversed star has a
-    smaller least rotation.  Star is tested first: it drops about half of
-    the words, so the later images are built for fewer.  The involutions
-    form a group of four acting on rotation classes; a representative's
-    orbit size is 4 over the number of group elements that fix its class,
-    the identity and each image whose least rotation is the word itself.
+    smaller least rotation.  Star is tested first: it drops about half
+    of the words, so the later images are built for fewer.  The
+    involutions form a group of four acting on rotation classes; a
+    representative's orbit size is 4 over the number of group elements
+    that fix its class, the identity and each image whose least rotation
+    is the word itself.
     """
-    mask = (1 << n) - 1
-    images = (lambda w: w ^ mask,
-              lambda w: _reverse_bits(w, n),
-              lambda w: _reverse_bits(w, n) ^ mask)
-    x = _lyndon_bits(n)
+    parts = [_lyndon_bits(n) for n in range(1, max_letters + 1)]
+    x = np.concatenate(parts)
+    letters = np.repeat(np.arange(1, max_letters + 1, dtype=x.dtype),
+                        [p.size for p in parts])
+    images = (lambda w, n: w ^ ((1 << n) - 1),
+              _reverse_words,
+              lambda w, n: _reverse_words(w, n) ^ ((1 << n) - 1))
     fixing = np.ones_like(x)
     for image in images:
-        v = image(x)
-        least = np.minimum(v, _least_proper_rotation(v, n))
+        v = image(x, letters)
+        least = np.minimum(v, _least_proper_rotations(v, letters))
         keep = least >= x
-        x, least, fixing = x[keep], least[keep], fixing[keep]
+        x, letters, least, fixing = x[keep], letters[keep], least[keep], fixing[keep]
         fixing += least == x
-    return x, 4 // fixing
+    return x, letters, 4 // fixing
 
 
-def _word_matrices(words: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Entries (a, b, c, d) of the matrices of the n-bit words, batched.
+def _word_matrices(words: np.ndarray, letters: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entries (a, b, c, d) of the matrices of the words, batched over all lengths.
 
-    The products run left to right from the identity with the expressions
+    letters is ascending, so the words of more than j letters form a
+    suffix, and step j multiplies in letter j of each of them.  The
+    products run left to right from the identity with the expressions
     of :meth:`Mat2.__matmul__`, in the same order, and renormalise exactly
     the elements whose determinant drifts by more than 1e-13.  Elementwise
     binary64 products, sums, square roots and quotients round as Python's
     do, so each element equals :func:`word_to_matrix` bit for bit.
     """
     _, _, R, L = generators_237()
-    gens = np.array([[R.a, R.b, R.c, R.d], [L.a, L.b, L.c, L.d]])
+    # (R, L) pairs of each entry, gathered into contiguous arrays
+    gens = [np.array(pair)
+            for pair in ((R.a, L.a), (R.b, L.b), (R.c, L.c), (R.d, L.d))]
     a = np.ones(words.size)
     b = np.zeros(words.size)
     c = np.zeros(words.size)
     d = np.ones(words.size)
-    for k in range(n - 1, -1, -1):
-        g = gens[(words >> k) & 1]
-        ga, gb, gc, gd = g[:, 0], g[:, 1], g[:, 2], g[:, 3]
-        a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
-        det = a * d - b * c
+    top = letters - 1
+    for j in range(int(letters[-1])):
+        s = np.searchsorted(letters, j + 1)
+        letter = (words[s:] >> (top[s:] - j)) & 1
+        ga, gb, gc, gd = (g[letter] for g in gens)
+        sa, sb, sc, sd = a[s:], b[s:], c[s:], d[s:]
+        sa[:], sb[:], sc[:], sd[:] = (sa * ga + sb * gc, sa * gb + sb * gd,
+                                      sc * ga + sd * gc, sc * gb + sd * gd)
+        det = sa * sd - sb * sc
         drift = np.abs(det - 1.0) > 1e-13
         if drift.any():
             r = 1.0 / np.sqrt(det[drift])
-            a[drift] *= r
-            b[drift] *= r
-            c[drift] *= r
-            d[drift] *= r
+            sa[drift] *= r
+            sb[drift] *= r
+            sc[drift] *= r
+            sd[drift] *= r
     return a, b, c, d
 
 
@@ -404,43 +443,43 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     word.  Finite-order words are skipped (count logged).  Orbits that
     share a trace, such as RL and RRL, are kept separate.
 
-    The work runs on whole arrays, one word length n at a time.  A word
-    of n letters is the n-bit integer with R = 0, L = 1 and the first
-    letter most significant, so integer order is R < L lexicographic
-    order and a rotation is a shift-and-or.  :func:`_orbit_representatives`
-    keeps the Lyndon words (aperiodic, least in their rotation class)
-    that are least in their involution orbit; each orbit is then counted
-    once, by its least word, as :func:`word_orbit` counts it.
-    :func:`_word_matrices` multiplies their matrices in one batch, bit
-    for bit as :func:`word_to_matrix` does.  The trace a + d, the
-    finite-order test |tr| <= 2 + 1e-12 and the length
-    2 ``math.acosh``(|tr| / 2) are then the same binary64 operations as
-    the per-word route, so every trace and length is bit-identical to it.
-    No winding sum is taken here.  Length ties keep R < L lexicographic
-    order over all lengths.
+    The work runs on whole arrays that hold the words of every length,
+    in increasing length, so each stage below is one pass of about
+    max_letters array steps over all of them.  A word of n letters is the
+    n-bit integer with R = 0, L = 1 and the first letter most significant,
+    so integer order is R < L lexicographic order and a rotation is a
+    shift-and-or.  :func:`_orbit_representatives` keeps the Lyndon words
+    (aperiodic, least in their rotation class) that are least in their
+    involution orbit; each orbit is then counted once, by its least word,
+    as :func:`word_orbit` counts it.  :func:`_word_matrices` multiplies
+    their matrices in one batch, bit for bit as :func:`word_to_matrix`
+    does.  The trace a + d, the finite-order test |tr| <= 2 + 1e-12 and
+    the length 2 ``math.acosh``(|tr| / 2) are then the same binary64
+    operations as the per-word route, so every trace and length is
+    bit-identical to it.  No winding sum is taken here.  Length ties keep
+    R < L lexicographic order over all lengths.
     """
     if not 1 <= max_letters <= 20:
         raise ValueError("max_letters must lie in 1..20")
-    parts = []
-    for n in range(1, max_letters + 1):
-        words, sizes = _orbit_representatives(n)
-        a, _, _, d = _word_matrices(words, n)
-        parts.append((words, np.full_like(words, n), sizes, a + d))
-    words, letters, sizes, traces = (np.concatenate(p) for p in zip(*parts))
+    words, letters, sizes = _orbit_representatives(max_letters)
+    a, _, _, d = _word_matrices(words, letters)
+    traces = a + d
     # R < L lexicographic order over all lengths: words padded with R to
     # max_letters letters, and a word before its extensions
     order = np.lexsort((letters, words << (max_letters - letters)))
     hyperbolic = np.abs(traces[order]) > 2.0 + 1e-12
     skipped = order.size - np.count_nonzero(hyperbolic)
     order = order[hyperbolic]
-    lengths = [2.0 * math.acosh(t) for t in (np.abs(traces[order]) / 2.0).tolist()]
-    words, letters, sizes, traces = (v[order].tolist()
-                                     for v in (words, letters, sizes, traces))
-    classes = [
-        GeodesicClass(format(words[i], f"0{letters[i]}b").translate(_UNTRANS),
-                      traces[i], lengths[i], sizes[i])
-        # by length, then in R < L order
-        for i in np.lexsort((np.arange(len(lengths)), lengths)).tolist()]
+    lengths = np.array([2.0 * math.acosh(t)
+                        for t in (np.abs(traces[order]) / 2.0).tolist()])
+    # by length, then in R < L order
+    by_length = np.argsort(lengths, kind="stable")
+    order = order[by_length]
+    # a leading 1 bit keeps the word's leading Rs (0 bits) in bin()
+    names = [bin(w)[3:].translate(_UNTRANS)
+             for w in (words[order] | (1 << letters[order])).tolist()]
+    classes = list(map(GeodesicClass, names, traces[order].tolist(),
+                       lengths[by_length].tolist(), sizes[order].tolist()))
     if skipped:
         log.info("enumerate_classes(%d): skipped %d finite-order orbits",
                  max_letters, skipped)

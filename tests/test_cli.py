@@ -8,6 +8,7 @@ import pytest
 
 from casorb import cli
 from casorb.cli import fmt10, run
+from casorb.contributions import LengthSpectrum, read_spectrum_file
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -186,6 +187,25 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out2)["head"] == pytest.approx(-0.5680851, abs=1e-6)
 
+    def test_spectrum_file_json_rebuilds_the_spectrum(self, capsys, tmp_path):
+        # the file's JSON prints every length in full, as the table's JSON does
+        code, out, _ = _capture(capsys, ["spectrum", "--table"])
+        assert code == 0
+        path = tmp_path / "spec.txt"
+        path.write_text(out)
+        spectrum = read_spectrum_file(path)
+        code, out, _ = _capture(capsys, [
+            "spectrum", "--file", str(path), "--output", "json"])
+        assert code == 0
+        rows = json.loads(out)
+        rebuilt = LengthSpectrum.from_pairs(
+            ((r["length"], r["multiplicity"]) for r in rows),
+            provenance=spectrum.provenance, group=spectrum.group)
+        assert rebuilt == spectrum
+        code, out, _ = _capture(capsys, ["spectrum", "--table", "--output", "json"])
+        assert code == 0
+        assert [r["length"] for r in rows] == [r["length"] for r in json.loads(out)]
+
     def test_tail_command(self, capsys):
         code, out, _ = _capture(capsys, [
             "tail", "--j-hi", "100000", "--output", "json"])
@@ -243,6 +263,20 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "--triangle" in err and flag[0] in err
+
+    @pytest.mark.parametrize("command", ["energy", "elliptic", "identity"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--triangle", ""], "--triangle expects P,Q,R"),
+        (["--triangle", "", "--volume", "0.5"], "--triangle and --volume conflict"),
+        (["--cone-orders", "", "--volume", "0.5"], "--cone-orders expects"),
+    ], ids=["triangle", "triangle+volume", "cone-orders"])
+    def test_empty_signature_flag_is_refused(self, capsys, command, flags, message):
+        # an empty value is malformed, not absent
+        extra = ["--spectrum", "table"] if command == "energy" else []
+        code, out, err = _capture(capsys, [command, *flags, *extra])
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize("sources", [
         [], ["--table", "--enumerate", "4"], ["--table", "--file", "x.txt"]],

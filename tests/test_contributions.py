@@ -234,6 +234,12 @@ class TestHyperbolic:
         head = hyperbolic_contribution(_corpus_spectrum())
         assert head.value == pytest.approx(-0.5680851, abs=1e-6)
 
+    def test_corpus_head_bits(self):
+        # the exact sums of the head and its bound, as recorded before
+        head = hyperbolic_contribution(_corpus_spectrum())
+        assert head.value.hex() == "-0x1.22dc0e055d29fp-1"
+        assert head.truncation_bound.hex() == "0x1.67c8738619fb5p-44"
+
     def test_single_class(self):
         spec = LengthSpectrum.from_pairs([(1.736006, 1)], "file")
         head = hyperbolic_contribution(spec)
@@ -420,6 +426,10 @@ class TestTails:
         bound = tail_b1_bound(j_lo, j_hi)
         direct = tail_direct_sum(j_lo, j_hi)
         assert direct <= bound <= direct + 1e-8
+
+    def test_b1_bound_bits(self):
+        # the trapezoid's exact sum, as recorded before
+        assert tail_b1_bound(51, 10**7).hex() == "0x1.1b798a13cf4bep-3"
 
     def test_b1_bound_is_direct_sum_below_head(self):
         for j_lo, j_hi in ((3, 3), (51, 2000), (51, 10**4), (9000, 10**4)):

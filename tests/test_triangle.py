@@ -1,5 +1,6 @@
 """Triangle-group geometry, word calculus, and the reference corpus."""
 
+import hashlib
 import itertools
 import json
 import logging
@@ -310,12 +311,14 @@ class TestEnumeration:
 
     def test_orbit_size_matches_word_orbit(self):
         # a Lyndon word is kept exactly when it leads its word_orbit, with
-        # that orbit's size
+        # that orbit's size; each length's slice of the one batched result
         lyndon = _lyndon_words_by_rotation(14)
+        words, letters, sizes = triangle._orbit_representatives(14)
+        assert np.all(np.diff(letters) >= 0)
         for n in range(1, 15):
-            words, sizes = triangle._orbit_representatives(n)
+            at_n = letters == n
             kept = {_bits_to_word(x, n): size
-                    for x, size in zip(words.tolist(), sizes.tolist())}
+                    for x, size in zip(words[at_n].tolist(), sizes[at_n].tolist())}
             for word in (w for w in lyndon if len(w) == n):
                 orbit = word_orbit(word)
                 if orbit[0] == word:
@@ -327,7 +330,7 @@ class TestEnumeration:
         # equal floats: batched products are bit-identical to word_to_matrix
         assert enumerate_classes(max_letters) == _enumerate_by_orbits(max_letters)
 
-    def test_one_batched_product_per_length(self, monkeypatch):
+    def test_one_batched_product_for_all_lengths(self, monkeypatch):
         generators_237()
         products = 0
         matmul = Mat2.__matmul__
@@ -337,18 +340,18 @@ class TestEnumeration:
             products += 1
             return matmul(self, other)
 
-        lengths = []
+        calls = []
         batched = triangle._word_matrices
 
-        def spy(words, n):
-            lengths.append(n)
-            return batched(words, n)
+        def spy(words, letters):
+            calls.append(sorted(set(letters.tolist())))
+            return batched(words, letters)
 
         monkeypatch.setattr(Mat2, "__matmul__", counting)
         monkeypatch.setattr(triangle, "_word_matrices", spy)
         enumerate_classes(12)
         assert products == 0
-        assert lengths == list(range(1, 13))
+        assert calls == [list(range(1, 13))]
 
     def test_batched_product_matches_word_to_matrix(self, monkeypatch):
         rng = random.Random(20261018)
@@ -368,17 +371,33 @@ class TestEnumeration:
 
         generators_237()
         monkeypatch.setattr(Mat2, "__matmul__", spy)
-        for n in range(2, 21):
-            group = [w for w in words if len(w) == n]
-            codes = np.array([int(w.translate(TO_01), 2) for w in group],
-                             dtype=np.int32)
-            batched = zip(*(v.tolist() for v in triangle._word_matrices(codes, n)))
-            for word, entries in zip(group, batched):
-                m = word_to_matrix(word)
-                assert ([x.hex() for x in entries]
-                        == [x.hex() for x in (m.a, m.b, m.c, m.d)]), word
+        # every length 2..20 in one call, in increasing length
+        words.sort(key=len)
+        assert {len(w) for w in words} == set(range(2, 21))
+        codes = np.array([int(w.translate(TO_01), 2) for w in words],
+                         dtype=np.int32)
+        letters = np.array([len(w) for w in words], dtype=np.int32)
+        batched = zip(*(v.tolist() for v in triangle._word_matrices(codes, letters)))
+        for word, entries in zip(words, batched, strict=True):
+            m = word_to_matrix(word)
+            assert ([x.hex() for x in entries]
+                    == [x.hex() for x in (m.a, m.b, m.c, m.d)]), word
         # the sample reaches the renormalisation branch
         assert drifted >= 1
+
+    @pytest.mark.parametrize("max_letters, digest", [
+        (16, "ba22a9bd894ed5f5e91172b6de442e5ad1d4d9d549c7e9b73b3bdc8958ea5a8b"),
+        (20, "c83a590adb528d10fe71e34c2aa1b76a00c881bdf1e510effaf0fd043757ab8a"),
+    ])
+    def test_output_digest(self, max_letters, digest):
+        # every word, class count, and the exact bits of each trace and
+        # length; recorded from the per-length enumeration, which the
+        # batched one matches bit for bit
+        h = hashlib.sha256()
+        for c in enumerate_classes(max_letters):
+            h.update(f"{c.representative} {c.class_count} {c.trace.hex()} "
+                     f"{c.length.hex()}\n".encode())
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("max_letters, classes, multiplicity, skipped", [
         (17, 3928, 14150, 688),
