@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,7 +107,9 @@ class LengthSpectrum:
         for ell, mult in self.entries:
             if ell <= 0 or not math.isfinite(ell):
                 raise ValueError("lengths must be positive and finite")
-            if mult < 1 or not isinstance(mult, int):
+            # exactly int: True passes isinstance(True, int), but the file
+            # format would write it as "True", which read_spectrum_file refuses
+            if type(mult) is not int or mult < 1:
                 raise ValueError("multiplicities must be positive integers")
             if ell < prev:
                 raise ValueError("lengths must be non-decreasing")
@@ -117,7 +119,27 @@ class LengthSpectrum:
     def from_pairs(cls, pairs: Iterable[Tuple[float, int]],
                    provenance: str = "file",
                    group: Optional[Tuple[int, ...]] = None) -> "LengthSpectrum":
-        return cls(tuple(sorted((float(l), int(m)) for l, m in pairs)),
+        """Spectrum of (length, multiplicity) pairs; see :meth:`from_columns`."""
+        pairs = list(pairs)
+        return cls.from_columns([ell for ell, _ in pairs], [m for _, m in pairs],
+                                provenance, group)
+
+    @classmethod
+    def from_columns(cls, lengths: Sequence[float], multiplicities: Sequence[int],
+                     provenance: str = "file",
+                     group: Optional[Tuple[int, ...]] = None) -> "LengthSpectrum":
+        """Spectrum of lengths[i] with multiplicities[i], by length, then multiplicity.
+
+        Each length goes through float() and each multiplicity through
+        int(); one ``np.lexsort`` orders both columns together.
+        """
+        ell = np.array(lengths, dtype=np.float64)
+        mult = np.array(multiplicities)
+        if mult.dtype.kind not in "iu":
+            # int() of each; past int64 they stay Python ints, as objects
+            mult = np.array(list(map(int, multiplicities)))
+        order = np.lexsort((mult, ell))
+        return cls(tuple(zip(ell[order].tolist(), mult[order].tolist())),
                    provenance, group)
 
     def __len__(self) -> int:
@@ -340,6 +362,13 @@ def hyperbolic_n_tail_bound(ell, n_done):
 
 # Windings tested per pass when searching for each length's stopping point.
 _WINDING_BLOCK = 32
+# From _NARROW_FROM lengths on, the first pass tests only the first
+# _FIRST_WINDING_BLOCK windings: most enumerated lengths stop by then, and
+# the rest go on in full blocks.  Fewer lengths (the 27-row table, one
+# class) take full blocks from the start, since there a second pass costs
+# more than the narrower probe saves.
+_FIRST_WINDING_BLOCK = 8
+_NARROW_FROM = 512
 _MAX_WINDINGS = 100_000
 # Majorant tail at which every winding sum stops, head and class terms alike.
 _WINDING_TOL = 1e-13
@@ -359,10 +388,11 @@ def _winding_sums(lengths):
     tails = np.zeros(ell.size)
     todo = np.arange(ell.size)
     start = 1
+    width = _FIRST_WINDING_BLOCK if ell.size >= _NARROW_FROM else _WINDING_BLOCK
     while todo.size:
         if start > _MAX_WINDINGS:
             raise ArithmeticError("winding sum did not reach tolerance")
-        k = np.arange(start, start + _WINDING_BLOCK)
+        k = np.arange(start, start + width)
         t = hyperbolic_n_tail_bound(ell[todo, None], k)
         ok = t <= _WINDING_TOL
         hit = ok.any(axis=1)
@@ -370,7 +400,7 @@ def _winding_sums(lengths):
         n[todo[hit]] = k[first]
         tails[todo[hit]] = t[hit, first]
         todo = todo[~hit]
-        start += _WINDING_BLOCK
+        start, width = start + width, _WINDING_BLOCK
     offsets = np.cumsum(n) - n
     # windings n, n-1, ..., 1 within each length's run
     k = (np.repeat(offsets + n, n) - np.arange(n.sum())).astype(np.float64)

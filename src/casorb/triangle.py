@@ -29,8 +29,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -122,6 +124,22 @@ class GeodesicClass:
     trace: float
     length: float
     class_count: int
+
+
+def _new_classes(*columns: list) -> list[GeodesicClass]:
+    """GeodesicClass objects from one list per field, in field order.
+
+    The generated frozen ``__init__`` costs a call and one
+    ``object.__setattr__`` per field for each object; here the objects are
+    allocated in one pass and each field's slot descriptor fills its whole
+    column, so the objects are the ones ``__init__`` would build (the
+    class has no defaults and no ``__post_init__`` to skip).
+    """
+    classes = list(map(object.__new__, repeat(GeodesicClass, len(columns[0]))))
+    for field, column in zip(fields(GeodesicClass), columns):
+        slot = getattr(GeodesicClass, field.name)
+        deque(map(slot.__set__, classes, column), maxlen=0)
+    return classes
 
 
 def triangle_area(p: int, q: int, r: int) -> float:
@@ -457,7 +475,9 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     the length 2 ``math.acosh``(|tr| / 2) are then the same binary64
     operations as the per-word route, so every trace and length is
     bit-identical to it.  No winding sum is taken here.  Length ties keep
-    R < L lexicographic order over all lengths.
+    R < L lexicographic order over all lengths.  The classes are filled
+    one field column at a time by :func:`_new_classes`, with no
+    ``__init__`` call per class.
     """
     if not 1 <= max_letters <= 20:
         raise ValueError("max_letters must lie in 1..20")
@@ -470,16 +490,16 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     hyperbolic = np.abs(traces[order]) > 2.0 + 1e-12
     skipped = order.size - np.count_nonzero(hyperbolic)
     order = order[hyperbolic]
-    lengths = np.array([2.0 * math.acosh(t)
-                        for t in (np.abs(traces[order]) / 2.0).tolist()])
+    lengths = 2.0 * np.array(list(map(math.acosh,
+                                      (np.abs(traces[order]) / 2.0).tolist())))
     # by length, then in R < L order
     by_length = np.argsort(lengths, kind="stable")
     order = order[by_length]
     # a leading 1 bit keeps the word's leading Rs (0 bits) in bin()
     names = [bin(w)[3:].translate(_UNTRANS)
              for w in (words[order] | (1 << letters[order])).tolist()]
-    classes = list(map(GeodesicClass, names, traces[order].tolist(),
-                       lengths[by_length].tolist(), sizes[order].tolist()))
+    classes = _new_classes(names, traces[order].tolist(),
+                           lengths[by_length].tolist(), sizes[order].tolist())
     if skipped:
         log.info("enumerate_classes(%d): skipped %d finite-order orbits",
                  max_letters, skipped)
@@ -490,10 +510,15 @@ def to_spectrum(classes: Iterable[GeodesicClass],
                 provenance: str = "enumerated") -> LengthSpectrum:
     """Expand class counts into a (2,3,7) length spectrum.
 
-    Entries stay separate even at equal lengths: one per class.
+    Entries stay separate even at equal lengths: one per class.  The
+    classes are taken once, and their lengths and counts are handed to
+    :meth:`LengthSpectrum.from_columns` as two columns, so the result is
+    ``LengthSpectrum.from_pairs`` of the (length, count) pairs.
     """
-    return LengthSpectrum.from_pairs(
-        ((c.length, c.class_count) for c in classes), provenance, (2, 3, 7))
+    classes = list(classes)
+    return LengthSpectrum.from_columns([c.length for c in classes],
+                                       [c.class_count for c in classes],
+                                       provenance, (2, 3, 7))
 
 
 def classes_to_json(classes: Iterable[GeodesicClass]) -> str:

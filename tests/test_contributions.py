@@ -240,6 +240,14 @@ class TestHyperbolic:
         assert head.value.hex() == "-0x1.22dc0e055d29fp-1"
         assert head.truncation_bound.hex() == "0x1.67c8738619fb5p-44"
 
+    def test_enumerate16_head_bits(self):
+        # the exact sums of the benchmark's enumerated head and its bound
+        from casorb.triangle import enumerate_classes, to_spectrum
+
+        head = hyperbolic_contribution(to_spectrum(enumerate_classes(16)))
+        assert head.value.hex() == "-0x1.57db5555314edp+7"
+        assert head.truncation_bound.hex() == "0x1.e76a8c3d8c7bap-37"
+
     def test_single_class(self):
         spec = LengthSpectrum.from_pairs([(1.736006, 1)], "file")
         head = hyperbolic_contribution(spec)
@@ -289,6 +297,28 @@ class TestBatchedWindingSums:
             want, want_tail, want_n = self._scalar_winding_sum(ell, _WINDING_TOL)
             assert n == want_n and tail == want_tail
             assert abs(s - want) <= 4 * math.ulp(want)
+
+    def test_first_block_width_keeps_bits(self):
+        # a batch below _NARROW_FROM lengths probes full blocks from winding
+        # 1, a larger one 8 windings first; each length stops alike
+        from casorb.contributions import _NARROW_FROM, _winding_sums
+        from casorb.triangle import enumerate_classes
+
+        lengths = np.array([c.length for c in enumerate_classes(16)])
+        few = lengths[::8]
+        assert few.size < _NARROW_FROM <= lengths.size
+        wide = _winding_sums(few)
+        narrow = _winding_sums(lengths)
+        for got, want in zip(wide, narrow):
+            assert got.tobytes() == want[::8].tobytes()
+
+    def test_refuses_length_past_max_windings(self):
+        # 1e-6 needs millions of windings; the search gives up at the cap
+        from casorb.contributions import _MAX_WINDINGS, _winding_sums
+
+        assert hyperbolic_n_tail_bound(1e-6, _MAX_WINDINGS) > 1e-13
+        with pytest.raises(ArithmeticError, match="did not reach tolerance"):
+            _winding_sums([2.0, 1e-6])
 
     def test_one_call_per_batch(self, monkeypatch):
         # enumeration takes no winding sum; table_corpus's check and each
@@ -606,6 +636,25 @@ class TestSpectrumTypesAndIO:
             OrbifoldSignature((1,), 1.0)
         with pytest.raises(ValueError):
             OrbifoldSignature((2, 3), 0.0)
+
+    def test_bool_multiplicity_refused(self):
+        # True is an int to isinstance, but would be written as "True"
+        with pytest.raises(ValueError, match="multiplicities must be positive integers"):
+            LengthSpectrum(((1.0, True),), "file")
+        with pytest.raises(ValueError, match="multiplicities must be positive integers"):
+            LengthSpectrum(((1.0, 2), (2.0, True)), "file")
+        # from_pairs converts each multiplicity with int(), as before
+        spec = LengthSpectrum.from_pairs([(1.0, True)], "file")
+        assert spec.entries == ((1.0, 1),) and type(spec.entries[0][1]) is int
+        assert spectrum_file_lines(spec)[-1] == "1.0,1"
+
+    def test_from_pairs_sorts_like_sorted_tuples(self):
+        # one lexsort over both columns orders pairs as sorted() orders
+        # (length, multiplicity) tuples; the pairs are taken once
+        pairs = [(2.0, 1), (1.0, 3), (2.0, 10**30), (1.0, 2), (0.5, 7), (2.0, 4)]
+        spec = LengthSpectrum.from_pairs(iter(pairs), "file")
+        assert spec.entries == tuple(sorted(pairs))
+        assert LengthSpectrum.from_pairs(iter(()), "file").entries == ()
 
     def test_multiplicity_and_merge(self):
         spec = LengthSpectrum.from_pairs(

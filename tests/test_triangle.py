@@ -1,5 +1,6 @@
 """Triangle-group geometry, word calculus, and the reference corpus."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -10,9 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casorb import triangle
 from casorb.contributions import (
+    LengthSpectrum,
     read_spectrum_file,
     spectrum_file_lines,
 )
@@ -291,6 +295,21 @@ class TestEnumeration:
             else:
                 assert got.class_count == row.class_count
 
+    def test_classes_are_constructor_built(self):
+        # classes filled slot by slot equal GeodesicClass(...) in every way
+        # the dataclass defines, and stay frozen
+        classes = enumerate_classes(12)
+        for c in classes:
+            built = GeodesicClass(c.representative, c.trace, c.length, c.class_count)
+            assert type(c) is GeodesicClass
+            assert c == built and hash(c) == hash(built) and repr(c) == repr(built)
+            assert dataclasses.astuple(c) == dataclasses.astuple(built)
+        assert ([f.name for f in dataclasses.fields(classes[0])]
+                == ["representative", "trace", "length", "class_count"])
+        assert [type(v) for v in dataclasses.astuple(classes[0])] == [str, float, float, int]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            classes[0].length = 1.0
+
     def test_sorted_output(self):
         classes = enumerate_classes(8)
         lengths = [c.length for c in classes]
@@ -431,6 +450,41 @@ class TestSpectrumExport:
         spec = to_spectrum(classes)
         assert spec.total_multiplicity == sum(c.class_count for c in classes)
         assert to_spectrum([]).total_multiplicity == 0
+
+    @staticmethod
+    def _classes(rows):
+        return [GeodesicClass("RL", 0.0, length, count) for length, count in rows]
+
+    @staticmethod
+    def _check_to_spectrum(classes, rng):
+        # to_spectrum equals from_pairs of the (length, count) pairs and the
+        # sorted() of those pairs, for any order and a one-shot iterator
+        shuffled = list(classes)
+        rng.shuffle(shuffled)
+        want = LengthSpectrum(tuple(sorted((c.length, c.class_count) for c in classes)),
+                              "enumerated", (2, 3, 7))
+        assert LengthSpectrum.from_pairs(
+            ((c.length, c.class_count) for c in shuffled), "enumerated", (2, 3, 7)) == want
+        assert to_spectrum(shuffled) == want
+        assert to_spectrum(c for c in shuffled) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.0 + 2**-52, 2.0])
+                              | st.floats(0.1, 10.0),
+                              st.integers(1, 4)), max_size=30),
+           st.randoms(use_true_random=False))
+    def test_to_spectrum_matches_from_pairs(self, rows, rng):
+        self._check_to_spectrum(self._classes(rows), rng)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(1.5, 2)],
+        [(1.0, 4), (1.0, 1), (1.0, 2), (0.5, 1), (1.0, 1)],
+        "enumerate12",
+    ])
+    def test_to_spectrum_matches_from_pairs_cases(self, rows):
+        classes = enumerate_classes(12) if rows == "enumerate12" else self._classes(rows)
+        self._check_to_spectrum(classes, random.Random(12))
 
     def test_merge_opt_in(self):
         # the two 5.288901 rows stay two entries of the spectrum
