@@ -130,14 +130,13 @@ class LengthSpectrum:
                      group: Optional[Tuple[int, ...]] = None) -> "LengthSpectrum":
         """Spectrum of lengths[i] with multiplicities[i], by length, then multiplicity.
 
-        Each length goes through float() and each multiplicity through
-        int(); one ``np.lexsort`` orders both columns together.
+        Each length goes through float(); one ``np.lexsort`` orders both
+        columns together.  A multiplicity is never coerced: an integer
+        column comes back as Python ints of the same values (a bool among
+        ints as 0 or 1), and any other reaches the constructor unconverted.
         """
         ell = np.array(lengths, dtype=np.float64)
         mult = np.array(multiplicities)
-        if mult.dtype.kind not in "iu":
-            # int() of each; past int64 they stay Python ints, as objects
-            mult = np.array(list(map(int, multiplicities)))
         order = np.lexsort((mult, ell))
         return cls(tuple(zip(ell[order].tolist(), mult[order].tolist())),
                    provenance, group)

@@ -18,10 +18,10 @@ every length at once: a word of n letters is the n-bit integer with R = 0
 and the first letter most significant, rotations are shifts, and the
 matrices of all orbit representatives are multiplied in one batch with
 the arithmetic of :meth:`Mat2.__matmul__`, so its output is bit-identical
-to the per-word route.  :func:`word_orbit`, :func:`canonical_rotation`,
-:func:`word_to_matrix` and :func:`class_count` are the per-word oracles
-that the tests hold it to.  A :class:`GeodesicClass` is geometry only;
-:func:`classes_to_json` takes the winding sums of the terms it prints.
+to the per-word route.  :func:`word_orbit`, :func:`canonical_rotation`
+and :func:`word_to_matrix` are the per-word oracles that the tests hold
+it to.  A :class:`GeodesicClass` is geometry only; :func:`classes_to_json`
+takes the winding sums of the terms it prints.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -53,7 +51,6 @@ __all__ = [
     "canonical_rotation",
     "star_word",
     "word_orbit",
-    "class_count",
     "table_corpus",
     "enumerate_classes",
     "to_spectrum",
@@ -116,30 +113,13 @@ class Mat2:
         return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
 
-@dataclass(frozen=True, slots=True)
-class GeodesicClass:
+class GeodesicClass(NamedTuple):
     """One conjugacy-class orbit: canonical word, trace, length and count."""
 
     representative: str
     trace: float
     length: float
     class_count: int
-
-
-def _new_classes(*columns: list) -> list[GeodesicClass]:
-    """GeodesicClass objects from one list per field, in field order.
-
-    The generated frozen ``__init__`` costs a call and one
-    ``object.__setattr__`` per field for each object; here the objects are
-    allocated in one pass and each field's slot descriptor fills its whole
-    column, so the objects are the ones ``__init__`` would build (the
-    class has no defaults and no ``__post_init__`` to skip).
-    """
-    classes = list(map(object.__new__, repeat(GeodesicClass, len(columns[0]))))
-    for field, column in zip(fields(GeodesicClass), columns):
-        slot = getattr(GeodesicClass, field.name)
-        deque(map(slot.__set__, classes, column), maxlen=0)
-    return classes
 
 
 def triangle_area(p: int, q: int, r: int) -> float:
@@ -240,18 +220,6 @@ def word_orbit(word: str) -> tuple[str, ...]:
     return tuple(f.translate(_UNTRANS) for f in sorted(forms))
 
 
-def class_count(word: str) -> int:
-    """Number of distinct cyclic-canonical forms in the involution orbit.
-
-    An upper bound for the number of distinct conjugacy classes among the
-    four associated elements; group relations occasionally identify
-    distinct cyclic words (the corpus stores the published counts).
-    """
-    n = len(word_orbit(word))
-    assert n in (1, 2, 4)
-    return n
-
-
 # ----------------------------------------------------------------------
 # the 27-row reference corpus: (word, class count, length, contribution)
 # ----------------------------------------------------------------------
@@ -290,7 +258,7 @@ _LENGTH_TOL = 1e-5
 _CONTRIBUTION_TOL = 5e-6
 
 
-class CorpusIntegrityError(AssertionError):
+class CorpusIntegrityError(ArithmeticError):
     """Recomputed corpus values drifted from the stored reference data."""
 
 
@@ -475,9 +443,8 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     the length 2 ``math.acosh``(|tr| / 2) are then the same binary64
     operations as the per-word route, so every trace and length is
     bit-identical to it.  No winding sum is taken here.  Length ties keep
-    R < L lexicographic order over all lengths.  The classes are filled
-    one field column at a time by :func:`_new_classes`, with no
-    ``__init__`` call per class.
+    R < L lexicographic order over all lengths.  The classes are built by
+    ``GeodesicClass._make`` from the zipped columns.
     """
     if not 1 <= max_letters <= 20:
         raise ValueError("max_letters must lie in 1..20")
@@ -498,8 +465,9 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     # a leading 1 bit keeps the word's leading Rs (0 bits) in bin()
     names = [bin(w)[3:].translate(_UNTRANS)
              for w in (words[order] | (1 << letters[order])).tolist()]
-    classes = _new_classes(names, traces[order].tolist(),
-                           lengths[by_length].tolist(), sizes[order].tolist())
+    classes = list(map(GeodesicClass._make,
+                       zip(names, traces[order].tolist(),
+                           lengths[by_length].tolist(), sizes[order].tolist())))
     if skipped:
         log.info("enumerate_classes(%d): skipped %d finite-order orbits",
                  max_letters, skipped)
@@ -511,7 +479,7 @@ def to_spectrum(classes: Iterable[GeodesicClass],
     """Expand class counts into a (2,3,7) length spectrum.
 
     Entries stay separate even at equal lengths: one per class.  The
-    classes are taken once, and their lengths and counts are handed to
+    classes are taken once, and their lengths and counts go, uncoerced, to
     :meth:`LengthSpectrum.from_columns` as two columns, so the result is
     ``LengthSpectrum.from_pairs`` of the (length, count) pairs.
     """

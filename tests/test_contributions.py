@@ -643,10 +643,23 @@ class TestSpectrumTypesAndIO:
             LengthSpectrum(((1.0, True),), "file")
         with pytest.raises(ValueError, match="multiplicities must be positive integers"):
             LengthSpectrum(((1.0, 2), (2.0, True)), "file")
-        # from_pairs converts each multiplicity with int(), as before
-        spec = LengthSpectrum.from_pairs([(1.0, True)], "file")
-        assert spec.entries == ((1.0, 1),) and type(spec.entries[0][1]) is int
-        assert spectrum_file_lines(spec)[-1] == "1.0,1"
+
+    def test_builders_never_coerce_a_multiplicity(self):
+        # int(2.7) = 2 would undercount the class and raise the bound
+        for mult in (2.7, True, "3", 2.0):
+            with pytest.raises(ValueError, match="multiplicities must be positive integers"):
+                LengthSpectrum.from_pairs([(1.0, mult)], "file")
+            if type(mult) is not bool:   # numpy holds a bool among ints as 0 or 1
+                with pytest.raises(ValueError,
+                                   match="multiplicities must be positive integers"):
+                    LengthSpectrum.from_columns([2.0, 1.0], [3, mult], "file")
+        # exact integers still pass, as Python ints of the same value
+        spec = LengthSpectrum.from_columns([2.0, 1.0], np.array([3, 4]))
+        assert spec.entries == ((1.0, 4), (2.0, 3))
+        assert [type(m) for _, m in spec.entries] == [int, int]
+        big = LengthSpectrum.from_pairs([(2.0, 10**30), (1.0, 2**64), (1.5, 3)])
+        assert big.entries == ((1.0, 2**64), (1.5, 3), (2.0, 10**30))
+        assert [type(m) for _, m in big.entries] == [int, int, int]
 
     def test_from_pairs_sorts_like_sorted_tuples(self):
         # one lexsort over both columns orders pairs as sorted() orders

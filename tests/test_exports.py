@@ -53,7 +53,7 @@ def test_submodule_surfaces_are_pinned():
         "Mat2", "GeodesicClass", "WordError", "EllipticWordError",
         "NonHyperbolicSignatureError", "triangle_area", "triangle_signature",
         "generators_237", "word_to_matrix", "word_length", "canonical_rotation",
-        "star_word", "word_orbit", "class_count", "table_corpus",
+        "star_word", "word_orbit", "table_corpus",
         "enumerate_classes", "to_spectrum", "classes_to_json"])
 
 

@@ -1,6 +1,5 @@
 """Triangle-group geometry, word calculus, and the reference corpus."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -27,7 +26,6 @@ from casorb.triangle import (
     NonHyperbolicSignatureError,
     WordError,
     canonical_rotation,
-    class_count,
     classes_to_json,
     enumerate_classes,
     generators_237,
@@ -228,9 +226,9 @@ class TestWords:
 
 class TestClassCount:
     def test_examples(self):
-        assert class_count("RL") == 1
-        assert class_count("RLRLL") == 2
-        assert class_count("RLRLLRLRRLL") == 4
+        assert len(word_orbit("RL")) == 1
+        assert len(word_orbit("RLRLL")) == 2
+        assert len(word_orbit("RLRLLRLRRLL")) == 4
 
     def test_orbit_closure(self):
         orbit = word_orbit("RLRLL")
@@ -264,10 +262,35 @@ class TestCorpus:
 
     def test_relation_merged_words_documented(self):
         offenders = {c.representative for c in table_corpus()
-                     if class_count(c.representative) != c.class_count}
+                     if len(word_orbit(c.representative)) != c.class_count}
         assert offenders == RELATION_MERGED_WORDS
         for w in RELATION_MERGED_WORDS:
-            assert class_count(w) == 4   # combinatorial orbit is a 4-set
+            assert len(word_orbit(w)) == 4   # combinatorial orbit is a 4-set
+
+    @pytest.mark.parametrize("column, shift, what", [
+        (2, 2e-5, "length"),          # past _LENGTH_TOL = 1e-5
+        (3, 1e-5, "contribution"),    # past _CONTRIBUTION_TOL = 5e-6
+    ])
+    def test_drifted_row_is_a_numerical_failure(self, capsys, monkeypatch,
+                                                column, shift, what):
+        from casorb import cli
+
+        row = list(triangle._CORPUS_ROWS[0])
+        assert row[0] == "RL"
+        row[column] += shift
+        monkeypatch.setattr(triangle, "_CORPUS_ROWS",
+                            (tuple(row),) + triangle._CORPUS_ROWS[1:])
+        table_corpus.cache_clear()
+        try:
+            with pytest.raises(triangle.CorpusIntegrityError,
+                               match=f"^RL: recomputed {what}"):
+                table_corpus()
+            capsys.readouterr()
+            assert cli.run(["verify-237"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"numerical failure: RL: recomputed {what}")
+        finally:
+            table_corpus.cache_clear()
 
 
 class TestEnumeration:
@@ -296,19 +319,22 @@ class TestEnumeration:
                 assert got.class_count == row.class_count
 
     def test_classes_are_constructor_built(self):
-        # classes filled slot by slot equal GeodesicClass(...) in every way
-        # the dataclass defines, and stay frozen
+        # enumerated classes equal GeodesicClass(...) field by field, hash
+        # and print alike, and take no assignment
         classes = enumerate_classes(12)
         for c in classes:
             built = GeodesicClass(c.representative, c.trace, c.length, c.class_count)
             assert type(c) is GeodesicClass
             assert c == built and hash(c) == hash(built) and repr(c) == repr(built)
-            assert dataclasses.astuple(c) == dataclasses.astuple(built)
-        assert ([f.name for f in dataclasses.fields(classes[0])]
-                == ["representative", "trace", "length", "class_count"])
-        assert [type(v) for v in dataclasses.astuple(classes[0])] == [str, float, float, int]
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert GeodesicClass._fields == ("representative", "trace", "length",
+                                         "class_count")
+        assert [type(v) for v in classes[0]] == [str, float, float, int]
+        assert repr(GeodesicClass("RL", -2.5, 1.0, 1)) == (
+            "GeodesicClass(representative='RL', trace=-2.5, length=1.0, class_count=1)")
+        with pytest.raises(AttributeError):
             classes[0].length = 1.0
+        with pytest.raises(AttributeError):
+            classes[0].extra = 1
 
     def test_sorted_output(self):
         classes = enumerate_classes(8)
