@@ -132,9 +132,12 @@ class LengthSpectrum:
 
         Each length goes through float(); one ``np.lexsort`` orders both
         columns together.  A multiplicity is never coerced: an integer
-        column comes back as Python ints of the same values (a bool among
-        ints as 0 or 1), and any other reaches the constructor unconverted.
+        column comes back as Python ints of the same values, any other
+        reaches the constructor unconverted, and a bool is refused here,
+        since numpy would hold it among ints as 0 or 1.
         """
+        if not {bool, np.bool_}.isdisjoint(map(type, multiplicities)):
+            raise ValueError("multiplicities must be positive integers")
         ell = np.array(lengths, dtype=np.float64)
         mult = np.array(multiplicities)
         order = np.lexsort((mult, ell))

@@ -11,11 +11,12 @@ Integrands work on arrays: ``f`` takes a 1-d float64 array of nodes and
 returns an array of the same shape.  A run starts from a sequence of panel
 edges, evaluates every starting panel in one call of ``f``, and then both
 halves of each bisected panel in one call; the G7/K15 sums of a batch of
-panels are one matrix product.  Starting panels that already resolve the
-integrand (see :func:`casorb.specfun.struve_k`) make a run one call, with
-no bisection heap.  The nodes of starting edges registered through
-``_starting_nodes`` are computed once and handed to ``f`` as the same
-read-only array on every first pass, so ``f`` may tabulate on them.
+panels are one matrix product, and each panel's estimate is shaped on
+Python floats.  Starting panels that already resolve the integrand (see
+:func:`casorb.specfun.struve_k`) make a run one call, with no bisection
+heap.  Starting edges registered through ``_starting_nodes`` are validated
+once, and their nodes are handed to ``f`` as the same read-only array on
+every first pass, so ``f`` may tabulate on them.
 
 The returned ``est_error`` is the usual Kronrod-minus-Gauss discrepancy
 estimate.  It is a heuristic, not a proven bound; rigorous truncation
@@ -100,60 +101,63 @@ _WG15[1::2] = _WG + _WG[2::-1]
 _RULE = np.column_stack((_WK, _WK - _WG15))
 
 
-# Kronrod nodes and half-widths of the starting edges registered through
-# _starting_nodes, keyed by the edges' bytes.  Both arrays are read-only.
+# Kronrod nodes (read-only) and half-widths (a list) of the edges registered
+# through _starting_nodes, keyed by their shape and bytes, not bytes alone.
 _GRIDS: dict = {}
 
 
 def _grid(edges: np.ndarray):
     """Kronrod nodes of the panels between ``edges``, and their half-widths."""
+    # increasing with finite ends, so finite throughout
+    if not (edges.ndim == 1 and len(edges) >= 2
+            and np.count_nonzero(edges[1:] > edges[:-1]) == len(edges) - 1
+            and math.isfinite(edges[0]) and math.isfinite(edges[-1])):
+        raise ValueError("edges must be an increasing sequence of two or more finite floats")
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    return (mid[:, None] + half[:, None] * _NODES).ravel(), half
+    return (mid[:, None] + half[:, None] * _NODES).ravel(), half.tolist()
 
 
 def _starting_nodes(edges: np.ndarray) -> np.ndarray:
-    """The read-only node array that adaptive_quadrature hands to ``f``
-    whenever it evaluates the panels between exactly these ``edges``, as
-    on its first pass from them.
+    """The read-only node array that adaptive_quadrature hands to ``f`` on
+    its first pass from exactly these ``edges``, which are validated here,
+    once.
 
     An integrand may tabulate whatever does not depend on its parameters
     at these nodes and use the tables when it is called with this very
     array (``x is nodes``); other panels get a fresh array.
     """
-    key = edges.tobytes()
+    key = edges.shape, edges.tobytes()
     if key not in _GRIDS:
         nodes, half = _grid(edges)
-        nodes.flags.writeable = half.flags.writeable = False
+        nodes.flags.writeable = False
         _GRIDS[key] = nodes, half
     return _GRIDS[key][0]
 
 
-def _kronrod_panels(f: Integrand, edges: np.ndarray):
-    """G7/K15 on each panel [edges[i], edges[i+1]] with one call of f.
+def _kronrod_panels(f: Integrand, nodes: np.ndarray, half: list):
+    """G7/K15 on each panel of a grid from :func:`_grid`, with one call of f.
 
-    Returns arrays (value, err_estimate), one entry per panel.
+    Returns lists (value, err_estimate), one entry per panel.
     """
-    grid = _GRIDS.get(edges.tobytes())
-    nodes, half = grid if grid is not None else _grid(edges)
     fv = f(nodes).reshape(len(half), 15)
-    resk, kmg = (fv @ _RULE).T
+    rule = fv @ _RULE
     resabs = np.abs(fv) @ _WK
-    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _WK
-
-    value = resk * half
-    err = np.abs(kmg * half)
-    resasc *= half
-    # QUADPACK's shaping of the estimate, on the panels where both factors
-    # are nonzero; where that is every panel, without the masks
-    if np.count_nonzero(resasc) == np.count_nonzero(err) == len(err):
-        err = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    else:
-        shaped = (resasc != 0.0) & (err != 0.0)
-        ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=shaped)
-        err = np.where(shaped, resasc * np.minimum(1.0, ratio ** 1.5), err)
-    err = np.maximum(err, 50.0 * math.ulp(1.0) * resabs * half)
-    return value, err
+    resasc = np.abs(fv - 0.5 * rule[:, :1]) @ _WK
+    values, errs, ulps = [], [], 50.0 * math.ulp(1.0)
+    for (resk, kmg), h, ra, rs in zip(rule.tolist(), half, resabs.tolist(),
+                                      resasc.tolist()):
+        err = abs(kmg * h)
+        rs *= h
+        # QUADPACK's resasc * min(1, 200 err/resasc)^1.5 where both factors
+        # are nonzero; the power of r < 1 cannot overflow, and NaN keeps resasc
+        if rs and err:
+            r = 200.0 * err / rs
+            err = rs * r ** 1.5 if r < 1.0 else rs
+        floor = ulps * ra * h
+        values.append(resk * h)
+        errs.append(floor if floor > err else err)   # max(err, floor)
+    return values, errs
 
 
 def adaptive_quadrature(
@@ -171,13 +175,9 @@ def adaptive_quadrature(
     first, and each split evaluates both halves in one call of ``f``.
     """
     edges = np.asarray(edges, dtype=np.float64)
-    # increasing with finite ends, so finite throughout
-    if not (edges.ndim == 1 and len(edges) >= 2
-            and np.count_nonzero(edges[1:] > edges[:-1]) == len(edges) - 1
-            and math.isfinite(edges[0]) and math.isfinite(edges[-1])):
-        raise ValueError("edges must be an increasing sequence of two or more finite floats")
-    values, errs = _kronrod_panels(f, edges)
-    values, errs = values.tolist(), errs.tolist()
+    # registered edges were validated when they were registered
+    grid = _GRIDS.get((edges.shape, edges.tobytes()))
+    values, errs = _kronrod_panels(f, *(grid or _grid(edges)))
     evaluations = 15 * len(values)
 
     def met(total_val, total_err):
@@ -204,8 +204,7 @@ def adaptive_quadrature(
         if mid <= pa or mid >= pb:
             done.append((pval, perr))
             continue
-        values, errs = _kronrod_panels(f, np.array((pa, mid, pb)))
-        (v1, v2), (e1, e2) = values.tolist(), errs.tolist()
+        (v1, v2), (e1, e2) = _kronrod_panels(f, *_grid(np.array((pa, mid, pb))))
         evaluations += 30
         seq += 1
         heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))

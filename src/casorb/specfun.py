@@ -219,6 +219,7 @@ def bessel_y(nu: int, z: float) -> FnEval:
 # s = v/(1-v) runs through the decay of e^{-s}.
 _STRUVE_K_EDGES = np.array((0.0, 1 / 4, 1 / 2, 5 / 8, 3 / 4, 13 / 16, 7 / 8,
                             29 / 32, 15 / 16, 31 / 32, 63 / 64, 1.0))
+_STRUVE_K_EDGES.flags.writeable = False
 
 
 def _struve_k_tables():

@@ -12,7 +12,9 @@ from casorb.quadrature import (
     _RULE,
     _WK,
     QuadResult,
+    _grid,
     _kronrod_panels,
+    _starting_nodes,
     adaptive_quadrature,
     elliptic_kernel_integral,
     identity_integral,
@@ -38,7 +40,7 @@ def sech2(x):
 def test_kronrod_rule_polynomial_exactness():
     # the 15-point Kronrod rule must integrate monomials through degree 22
     for k in range(0, 23):
-        value, _ = _kronrod_panels(lambda x, k=k: x**k, np.array([-1.0, 1.0]))
+        value, _ = _kronrod_panels(lambda x, k=k: x**k, *_grid(np.array([-1.0, 1.0])))
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
         assert value[0] == pytest.approx(exact, abs=5e-15), f"degree {k}"
 
@@ -46,7 +48,7 @@ def test_kronrod_rule_polynomial_exactness():
 def test_kronrod_error_estimate_vanishes_on_gauss_exact_degrees():
     # G7 and K15 agree on polynomials of degree <= 13, so err ~ rounding
     for k in (0, 3, 8, 13):
-        _, err = _kronrod_panels(lambda x, k=k: x**k, np.array([-1.0, 1.0]))
+        _, err = _kronrod_panels(lambda x, k=k: x**k, *_grid(np.array([-1.0, 1.0])))
         assert err[0] < 1e-12
 
 
@@ -157,10 +159,18 @@ def test_domain_and_argument_errors():
         QuadResult(1.0, -1.0, 10)
     with pytest.raises(ValueError):
         QuadResult(1.0, 0.0, 0)
+    # registered starting edges are validated when they are registered, and
+    # a reshape with their bytes is not taken for them
+    from casorb.specfun import _STRUVE_K_EDGES
+
     for edges in ((1.0,), (0.0, 0.0), (1.0, 0.0), (0.0, 0.5, 0.5, 1.0),
-                  (0.0, math.inf), (math.nan, 1.0), ((0.0, 1.0),)):
+                  (0.0, math.inf), (math.nan, 1.0), ((0.0, 1.0),),
+                  _STRUVE_K_EDGES.reshape(3, 4), _STRUVE_K_EDGES[None, :]):
         with pytest.raises(ValueError):
             adaptive_quadrature(np.exp, edges)
+        if np.ndim(edges) == 1:
+            with pytest.raises(ValueError):
+                _starting_nodes(np.array(edges))
 
 
 def test_quad_result_refuses_non_finite():
@@ -206,17 +216,18 @@ def test_first_pass_return_is_the_exact_sum_of_the_panels(monkeypatch):
     specfun._struve_k_integral(1, math.pi)
     for f, edges, kwargs in [(np.exp, (0.0, 1.0), {})] + runs:
         res = adaptive_quadrature(f, edges, **kwargs)
-        values, errs = _kronrod_panels(f, np.asarray(edges, dtype=np.float64))
+        values, errs = _kronrod_panels(f, *_grid(np.asarray(edges, dtype=np.float64)))
         assert res.converged
-        assert res.value == math.fsum(values.tolist())
-        assert res.est_error == math.fsum(errs.tolist())
+        assert res.value == math.fsum(values)
+        assert res.est_error == math.fsum(errs)
         assert res.evaluations == 15 * (len(edges) - 1)
 
 
 def test_error_shaping_matches_masked_form():
-    # the unmasked shaping, taken when every panel has nonzero resasc and
-    # error, gives the bits of QUADPACK's masked form; a panel where f
-    # vanishes takes the masked form itself
+    # the shaping on Python floats gives the bits of QUADPACK's masked numpy
+    # form: where f vanishes on a panel (no shaping), where the ratio
+    # 200 err/resasc reaches 1 (the min caps it), on the two panels of a
+    # bisection, and where f is NaN or inf (non-finite either way)
     def masked(f, edges):
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
@@ -228,13 +239,35 @@ def test_error_shaping_matches_masked_form():
         shaped = (resasc != 0.0) & (err != 0.0)
         ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=shaped)
         err = np.where(shaped, resasc * np.minimum(1.0, ratio ** 1.5), err)
-        return resk * half, np.maximum(err, 50.0 * math.ulp(1.0) * resabs * half)
+        return resk * half, np.maximum(err, 50.0 * math.ulp(1.0) * resabs * half), ratio
 
-    edges = np.array((0.0, 0.25, 0.5, 0.75, 1.0))
-    for f in (np.exp, lambda x: np.sqrt(np.abs(x - 0.3)),
-              lambda x: np.where(x < 0.5, 0.0, x * x), lambda x: np.ones_like(x)):
-        for got, want in zip(_kronrod_panels(f, edges), masked(f, edges)):
-            assert np.array_equal(got, want)
+    def kink(x):
+        return np.sqrt(np.abs(x - 0.3))
+
+    def sine(x):
+        return np.sin(40.0 * x)
+
+    def nan_past(x):
+        return np.where(x < 0.6, x, np.nan)
+
+    def inf_past(x):
+        return np.where(x < 0.6, x, np.inf)
+
+    quarters = np.array((0.0, 0.25, 0.5, 0.75, 1.0))
+    cases = [(f, quarters) for f in (
+        np.exp, kink, lambda x: np.where(x < 0.5, 0.0, x * x),
+        lambda x: np.ones_like(x), nan_past, inf_past)]
+    cases += [(kink, np.array((0.25, 0.375, 0.5))), (sine, np.array((0.0, 1.0)))]
+    with np.errstate(invalid="ignore"):
+        for f, edges in cases:
+            got = _kronrod_panels(f, *_grid(edges))
+            for got_part, want_part in zip(got, masked(f, edges)):
+                assert np.array_equal(got_part, want_part, equal_nan=True)
+        assert masked(sine, np.array((0.0, 1.0)))[2][0] >= 1.0
+        # a non-finite panel ends in QuadResult's refusal, not in an estimate
+        for f in (nan_past, inf_past):
+            with pytest.raises(ValueError, match="non-finite"):
+                adaptive_quadrature(f, quarters, max_intervals=20)
 
 
 def test_non_convergence_flag():

@@ -1,5 +1,6 @@
 """Kernel contracts: frozen oracle values, dual-path consistency, bounds."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -28,6 +29,9 @@ Y2_AT_5 = 0.36766288260552452
 K1_STRUVE_AT_PI = 0.69085480644049455
 K2_STRUVE_AT_PI = 0.91701938411356474
 GAMMA_HALF_1 = 0.27880558528066198   # sqrt(pi) erfc(1)
+# SHA-256 of float.hex(value) and float.hex(abs_error_bound) of struve_k of
+# both orders at each of the 600 arguments z of a cold (2,3,7) run
+PRODUCTION_DIGEST = "6dbd7d954988af79eae107759d5d03c605b6dd9723417480fd4b981006490945"
 
 
 class TestFnEval:
@@ -195,6 +199,25 @@ class TestStruveK:
                     assert err <= 1e-13 * abs(float(want)), (nu, z, err)
                     assert err <= e.abs_error_bound, (nu, z, err)
 
+    def test_production_arguments_keep_their_bits(self):
+        # the 10-digit goldens cannot see a last-bit drift of the kernel: a
+        # digest of every value and bound at the production arguments can
+        from casorb.contributions import _cone_weights
+        from casorb.triangle import triangle_signature
+
+        sig = triangle_signature(2, 3, 7)
+        zs = [math.pi * ell / m + math.pi * k
+              for m, ell, _ in _cone_weights(sig) for k in range(60)]
+        zs += [math.pi * (1 + k) for k in range(60)]
+        clear_caches()
+        digest = hashlib.sha256()
+        for z in zs:
+            for nu in (1, 2):
+                e = struve_k(nu, z)
+                digest.update(f"{e.value.hex()} {e.abs_error_bound.hex()}\n".encode())
+        assert len(zs) == 600
+        assert digest.hexdigest() == PRODUCTION_DIGEST
+
     def test_cold_237_quadrature_cost(self, monkeypatch):
         # one Kronrod run per cache miss, each converged on its starting
         # panels with a single call of the integrand, and on average at most
@@ -247,7 +270,7 @@ class TestStruveK:
 
     def test_tables_are_read_only_and_take_the_first_pass(self, monkeypatch):
         tables = (specfun._SK_V, specfun._SK_S, specfun._SK_EXP, specfun._SK_W2)
-        assert all(not t.flags.writeable for t in tables)
+        assert all(not t.flags.writeable for t in tables + (specfun._STRUVE_K_EDGES,))
         assert all(t.shape == (15 * (len(specfun._STRUVE_K_EDGES) - 1),)
                    for t in tables)
         assert specfun._starting_nodes(specfun._STRUVE_K_EDGES) is specfun._SK_V
