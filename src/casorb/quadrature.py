@@ -14,9 +14,9 @@ halves of each bisected panel in one call; the G7/K15 sums of a batch of
 panels are one matrix product, and each panel's estimate is shaped on
 Python floats.  Starting panels that already resolve the integrand (see
 :func:`casorb.specfun.struve_k`) make a run one call, with no bisection
-heap.  Starting edges registered through ``_starting_nodes`` are validated
-once, and their nodes are handed to ``f`` as the same read-only array on
-every first pass, so ``f`` may tabulate on them.
+heap.  A :class:`KronrodGrid` from :func:`kronrod_grid` holds validated
+starting edges and their read-only nodes; a run from it hands ``f`` that
+very node array on its first pass, so ``f`` may tabulate on it.
 
 The returned ``est_error`` is the usual Kronrod-minus-Gauss discrepancy
 estimate.  It is a heuristic, not a proven bound; rigorous truncation
@@ -28,13 +28,15 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "QuadResult",
     "QuadratureNonConvergence",
+    "KronrodGrid",
+    "kronrod_grid",
     "adaptive_quadrature",
     "integrate_decaying",
     "elliptic_kernel_integral",
@@ -101,42 +103,45 @@ _WG15[1::2] = _WG + _WG[2::-1]
 _RULE = np.column_stack((_WK, _WK - _WG15))
 
 
-# Kronrod nodes (read-only) and half-widths (a list) of the edges registered
-# through _starting_nodes, keyed by their shape and bytes, not bytes alone.
-_GRIDS: dict = {}
+class KronrodGrid(NamedTuple):
+    """Validated starting panels: build with :func:`kronrod_grid`."""
+
+    edges: np.ndarray       # read-only, increasing, finite
+    nodes: np.ndarray       # read-only, the 15 Kronrod nodes of each panel
+    half: tuple             # each panel's half-width
 
 
-def _grid(edges: np.ndarray):
-    """Kronrod nodes of the panels between ``edges``, and their half-widths."""
-    # increasing with finite ends, so finite throughout
-    if not (edges.ndim == 1 and len(edges) >= 2
-            and np.count_nonzero(edges[1:] > edges[:-1]) == len(edges) - 1
-            and math.isfinite(edges[0]) and math.isfinite(edges[-1])):
-        raise ValueError("edges must be an increasing sequence of two or more finite floats")
+def _panel_nodes(edges: np.ndarray):
+    """Kronrod nodes of the panels between increasing ``edges``, and their
+    half-widths; the edges are not checked."""
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     return (mid[:, None] + half[:, None] * _NODES).ravel(), half.tolist()
 
 
-def _starting_nodes(edges: np.ndarray) -> np.ndarray:
-    """The read-only node array that adaptive_quadrature hands to ``f`` on
-    its first pass from exactly these ``edges``, which are validated here,
-    once.
+def kronrod_grid(edges: Sequence[float]) -> KronrodGrid:
+    """The grid of the panels between consecutive ``edges``, validated once.
 
-    An integrand may tabulate whatever does not depend on its parameters
-    at these nodes and use the tables when it is called with this very
-    array (``x is nodes``); other panels get a fresh array.
+    ``edges`` must be an increasing sequence of at least two finite floats.
+    The grid keeps a read-only copy of them and read-only nodes, so an
+    integrand may tabulate whatever does not depend on its parameters at
+    ``grid.nodes`` and use the tables when it is called with that very
+    array (``x is grid.nodes``); split panels get fresh arrays.
     """
-    key = edges.shape, edges.tobytes()
-    if key not in _GRIDS:
-        nodes, half = _grid(edges)
-        nodes.flags.writeable = False
-        _GRIDS[key] = nodes, half
-    return _GRIDS[key][0]
+    edges = np.array(edges, dtype=np.float64)
+    # increasing with finite ends, so finite throughout
+    if not (edges.ndim == 1 and len(edges) >= 2
+            and np.count_nonzero(edges[1:] > edges[:-1]) == len(edges) - 1
+            and math.isfinite(edges[0]) and math.isfinite(edges[-1])):
+        raise ValueError("edges must be an increasing sequence of two or more finite floats")
+    nodes, half = _panel_nodes(edges)
+    edges.flags.writeable = False
+    nodes.flags.writeable = False
+    return KronrodGrid(edges, nodes, tuple(half))
 
 
-def _kronrod_panels(f: Integrand, nodes: np.ndarray, half: list):
-    """G7/K15 on each panel of a grid from :func:`_grid`, with one call of f.
+def _kronrod_panels(f: Integrand, nodes: np.ndarray, half: Sequence[float]):
+    """G7/K15 on each panel of a grid from :func:`_panel_nodes`, with one call of f.
 
     Returns lists (value, err_estimate), one entry per panel.
     """
@@ -162,22 +167,21 @@ def _kronrod_panels(f: Integrand, nodes: np.ndarray, half: list):
 
 def adaptive_quadrature(
     f: Integrand,
-    edges: Sequence[float],
+    edges: KronrodGrid | Sequence[float],
     tol_abs: float = 1e-12,
     tol_rel: float = 1e-12,
     max_intervals: int = 4000,
 ) -> QuadResult:
     """Adaptive bisection from the panels between consecutive ``edges``.
 
-    ``edges`` is an increasing sequence of at least two finite floats;
-    ``(a, b)`` integrates over [a, b] from one panel.  Starting panels that
-    meet the tolerance end the run.  Otherwise the worst panel is split
-    first, and each split evaluates both halves in one call of ``f``.
+    ``edges`` is a :class:`KronrodGrid`, or the edges to build one from
+    (see :func:`kronrod_grid`); ``(a, b)`` integrates over [a, b] from one
+    panel.  Starting panels that meet the tolerance end the run.  Otherwise
+    the worst panel is split first, and each split evaluates both halves
+    in one call of ``f``.
     """
-    edges = np.asarray(edges, dtype=np.float64)
-    # registered edges were validated when they were registered
-    grid = _GRIDS.get((edges.shape, edges.tobytes()))
-    values, errs = _kronrod_panels(f, *(grid or _grid(edges)))
+    grid = edges if isinstance(edges, KronrodGrid) else kronrod_grid(edges)
+    values, errs = _kronrod_panels(f, grid.nodes, grid.half)
     evaluations = 15 * len(values)
 
     def met(total_val, total_err):
@@ -188,7 +192,7 @@ def adaptive_quadrature(
         return QuadResult(total_val, total_err, evaluations, True)
     # heap entries: (-err, seq, a, b, value, err); seq breaks comparison ties
     heap = [(-e, seq, a, b, v, e) for seq, (a, b, v, e) in enumerate(
-        zip(edges[:-1].tolist(), edges[1:].tolist(), values, errs))]
+        zip(grid.edges[:-1].tolist(), grid.edges[1:].tolist(), values, errs))]
     heapq.heapify(heap)
     done = []  # panels too narrow to split further
     seq = len(heap) - 1
@@ -204,7 +208,8 @@ def adaptive_quadrature(
         if mid <= pa or mid >= pb:
             done.append((pval, perr))
             continue
-        (v1, v2), (e1, e2) = _kronrod_panels(f, *_grid(np.array((pa, mid, pb))))
+        # increasing by construction, so not validated again
+        (v1, v2), (e1, e2) = _kronrod_panels(f, *_panel_nodes(np.array((pa, mid, pb))))
         evaluations += 30
         seq += 1
         heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))

@@ -10,14 +10,15 @@ Struve K of orders 1 and 2 takes the integral route at every z.  The
 Laplace integral is mapped to [0, 1] by s = zt = v/(1-v), which leaves an
 integrand that is smooth on the closed interval and flat to all orders at
 v = 1.  One adaptive Kronrod run starts from 11 fixed panels that narrow
-towards v = 1 (``_STRUVE_K_EDGES``) and, at every argument of a (2,3,7)
-run, reaches a relative 1e-13 on them at once: one array call of the
-integrand, 165 evaluations, and no bisection heap.  The factors of that
-call that do not depend on z (s, e^{-s}, (1-v)^2 and where s > 745) are
-tables built at import on those 165 nodes, so a new argument computes
-only the z-dependent part, with the bits of the generic integrand that
-bisected panels take.  Where s > 745, e^{-s} underflows and the
-integrand is taken as 0.
+towards v = 1 (``_STRUVE_K_GRID``, a grid built and validated at import)
+and, at every argument of a (2,3,7) run, reaches a relative 1e-13 on them
+at once: one array call of the integrand, 165 evaluations, and no
+bisection heap.  The integrand's factors that do not depend on z (s,
+e^{-s}, (1-v)^2 and where s > 745) come from one helper; on the grid's
+165 nodes they are read from a table that helper built at import, so a
+new argument computes only the z-dependent part, with the bits that
+bisected panels get.  Where s > 745, e^{-s} underflows and the integrand
+is taken as 0.
 
 The power series run in 80-bit extended precision (numpy longdouble) so
 the z <= 12 accuracy contract of 1e-12 * max(1, |value|) holds with
@@ -42,8 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import (QuadratureNonConvergence, _starting_nodes,
-                         adaptive_quadrature)
+from .quadrature import QuadratureNonConvergence, adaptive_quadrature, kronrod_grid
 
 __all__ = [
     "FnEval",
@@ -217,27 +217,28 @@ def bessel_y(nu: int, z: float) -> FnEval:
 # 600 converges on the first call of the integrand, at 165 evaluations
 # instead of about 256 (measured).  The panels narrow towards v = 1, where
 # s = v/(1-v) runs through the decay of e^{-s}.
-_STRUVE_K_EDGES = np.array((0.0, 1 / 4, 1 / 2, 5 / 8, 3 / 4, 13 / 16, 7 / 8,
-                            29 / 32, 15 / 16, 31 / 32, 63 / 64, 1.0))
-_STRUVE_K_EDGES.flags.writeable = False
+_STRUVE_K_GRID = kronrod_grid((0.0, 1 / 4, 1 / 2, 5 / 8, 3 / 4, 13 / 16, 7 / 8,
+                               29 / 32, 15 / 16, 31 / 32, 63 / 64, 1.0))
 
 
-def _struve_k_tables():
-    """The integrand's factors that do not depend on z, at the first-pass
-    nodes v of _STRUVE_K_EDGES, each computed as the integrand computes it:
-    the node array itself, s, e^{-s} and (1-v)^2, all read-only, and the
-    number of nodes with s <= 745 (the nodes increase, so s > 745 on a
-    suffix)."""
-    v = _starting_nodes(_STRUVE_K_EDGES)
+def _struve_k_factors(v: np.ndarray):
+    """The Struve K integrand's factors that do not depend on z, at nodes v:
+    s = v/(1-v), e^{-s}, (1-v)^2, and the cut where s > 745 (a mask)."""
     w = 1.0 - v
     s = v / w
-    tables = (v, s, np.exp(-s), w * w)
-    for t in tables:
+    return s, np.exp(-s), w * w, s > 745.0
+
+
+def _struve_k_table(nodes: np.ndarray):
+    """``nodes`` and their factors, read-only, with the cut as a slice: the
+    nodes increase, so s > 745 on a suffix."""
+    s, e, w2, cut = _struve_k_factors(nodes)
+    for t in (s, e, w2):
         t.flags.writeable = False
-    return (*tables, int(np.count_nonzero(s <= 745.0)))
+    return nodes, (s, e, w2, slice(int(np.count_nonzero(~cut)), None))
 
 
-_SK_V, _SK_S, _SK_EXP, _SK_W2, _SK_LIVE = _struve_k_tables()
+_STRUVE_K_TABLE = _struve_k_table(_STRUVE_K_GRID.nodes)
 
 
 def _struve_k_integral(nu: int, z: float) -> FnEval:
@@ -248,9 +249,8 @@ def _struve_k_integral(nu: int, z: float) -> FnEval:
     # |log u|^{2nu-1} singularity at u = 0 that costs ~4x the evaluations.)
     # Past s = 745, e^{-s} underflows to 0 while s itself can reach inf as
     # v -> 1, so the integrand is 0 there rather than 0 * inf = NaN.
-    # On the first pass, at the nodes of _STRUVE_K_EDGES, s, e^{-s}, (1-v)^2
-    # and where s > 745 come from the tables above, and the remaining
-    # operations run in the same order, so both branches give the same bits.
+    # On the first pass from _STRUVE_K_GRID the factors come from the table
+    # above, which _struve_k_factors computed, so both give the same bits.
     if nu == 1:
         c = 2.0 * z / math.pi
         power = 0.5
@@ -258,20 +258,16 @@ def _struve_k_integral(nu: int, z: float) -> FnEval:
         c = 2.0 * z * z / (3.0 * math.pi)
         power = 1.5
     inv_z = 1.0 / z
+    nodes, table = _STRUVE_K_TABLE
 
     def integrand(v: np.ndarray) -> np.ndarray:
-        if v is _SK_V:
-            x = _SK_S * inv_z
-            y = inv_z * _SK_EXP * (1.0 + x * x) ** power / _SK_W2
-            y[_SK_LIVE:] = 0.0
-            return y
-        w = 1.0 - v
-        s = v / w
+        s, e, w2, cut = table if v is nodes else _struve_k_factors(v)
         x = s * inv_z
-        y = inv_z * np.exp(-s) * (1.0 + x * x) ** power / (w * w)
-        return np.where(s > 745.0, 0.0, y)
+        y = inv_z * e * (1.0 + x * x) ** power / w2
+        y[cut] = 0.0
+        return y
 
-    res = adaptive_quadrature(integrand, _STRUVE_K_EDGES, tol_abs=0.0,
+    res = adaptive_quadrature(integrand, _STRUVE_K_GRID, tol_abs=0.0,
                               tol_rel=1e-13, max_intervals=1200)
     if not res.converged:
         raise QuadratureNonConvergence(
@@ -327,12 +323,12 @@ def struve_k(nu: int, z: float) -> FnEval:
     arguments run from pi/7 to about 190.  Any other z, NaN included,
     raises ValueError; at NaN, inf, 1e308 or 1e-160 the route fails.  A new
     argument costs one array call of the integrand on 11 starting panels
-    (165 evaluations, with its z-free factors read from tables) where those
+    (165 evaluations, with its z-free factors read from a table) where those
     panels resolve it: at every argument of a (2,3,7) run, and measured for
     2.1 < z < 1e4.  Below z = 0.26 (order 1) or 2.1 (order 2) bisection
-    refines them, on the generic integrand, with the same bits.  The power
-    series (z <= 12) and the asymptotic expansion (z >= 40) are kept as
-    private check routes for the tests.
+    refines them, and the split panels compute those factors afresh.  The
+    power series (z <= 12) and the asymptotic expansion (z >= 40) are kept
+    as private check routes for the tests.
     An integral that misses its tolerance raises QuadratureNonConvergence,
     and nothing is cached for it.
     """

@@ -27,7 +27,6 @@ takes the winding sums of the terms it prints.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,8 +55,6 @@ __all__ = [
     "to_spectrum",
     "classes_to_json",
 ]
-
-log = logging.getLogger(__name__)
 
 _TRANS = str.maketrans("RL", "01")   # R < L for canonical ordering
 _UNTRANS = str.maketrans("01", "RL")
@@ -426,8 +423,8 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     """All hyperbolic involution orbits of aperiodic cyclic words.
 
     One :class:`GeodesicClass` per orbit, sorted by length then canonical
-    word.  Finite-order words are skipped (count logged).  Orbits that
-    share a trace, such as RL and RRL, are kept separate.
+    word.  Finite-order words are skipped.  Orbits that share a trace,
+    such as RL and RRL, are kept separate.
 
     The work runs on whole arrays that hold the words of every length,
     in increasing length, so each stage below is one pass of about
@@ -455,7 +452,6 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     # max_letters letters, and a word before its extensions
     order = np.lexsort((letters, words << (max_letters - letters)))
     hyperbolic = np.abs(traces[order]) > 2.0 + 1e-12
-    skipped = order.size - np.count_nonzero(hyperbolic)
     order = order[hyperbolic]
     lengths = 2.0 * np.array(list(map(math.acosh,
                                       (np.abs(traces[order]) / 2.0).tolist())))
@@ -465,13 +461,9 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     # a leading 1 bit keeps the word's leading Rs (0 bits) in bin()
     names = [bin(w)[3:].translate(_UNTRANS)
              for w in (words[order] | (1 << letters[order])).tolist()]
-    classes = list(map(GeodesicClass._make,
-                       zip(names, traces[order].tolist(),
-                           lengths[by_length].tolist(), sizes[order].tolist())))
-    if skipped:
-        log.info("enumerate_classes(%d): skipped %d finite-order orbits",
-                 max_letters, skipped)
-    return classes
+    return list(map(GeodesicClass._make,
+                    zip(names, traces[order].tolist(),
+                        lengths[by_length].tolist(), sizes[order].tolist())))
 
 
 def to_spectrum(classes: Iterable[GeodesicClass],

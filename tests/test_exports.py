@@ -57,13 +57,8 @@ def test_submodule_surfaces_are_pinned():
         "enumerate_classes", "to_spectrum", "classes_to_json"])
 
 
-@pytest.mark.parametrize("code", [
-    "import casorb",
-    "from casorb import cli; assert cli.run(['verify-237', '--output', 'json']) == 0",
-])
-def test_no_scipy_in_fresh_interpreter(code):
-    # numpy is the only numerical dependency: neither the import nor a CLI
-    # run may load scipy
+def _fresh_modules(code):
+    """Top-level packages in sys.modules after ``code`` runs in a new interpreter."""
     import os
     import pathlib
     import subprocess
@@ -73,8 +68,23 @@ def test_no_scipy_in_fresh_interpreter(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p))
     probe = (code + "\nimport sys\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(*{m.split('.')[0] for m in sys.modules})")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("code", [
+    "import casorb",
+    "from casorb import cli; assert cli.run(['verify-237', '--output', 'json']) == 0",
+])
+def test_no_scipy_in_fresh_interpreter(code):
+    # numpy is the only numerical dependency: neither the import nor a CLI
+    # run may load scipy
+    assert "scipy" not in _fresh_modules(code)
+
+
+def test_import_leaves_logging_out():
+    # logging takes milliseconds to import, and nothing in casorb logs
+    assert "logging" not in _fresh_modules("import casorb")

@@ -11,14 +11,14 @@ from casorb.quadrature import (
     _NODES,
     _RULE,
     _WK,
+    KronrodGrid,
     QuadResult,
-    _grid,
     _kronrod_panels,
-    _starting_nodes,
     adaptive_quadrature,
     elliptic_kernel_integral,
     identity_integral,
     integrate_decaying,
+    kronrod_grid,
 )
 
 # frozen with mpmath (40 digits): 2 * quad((1/4+r^2)^{3/2} sech^2(pi r), [0, inf])
@@ -37,10 +37,16 @@ def sech2(x):
     return s * s
 
 
+def panels(f, edges):
+    """Kronrod value and error estimate of each panel of the grid of ``edges``."""
+    grid = edges if isinstance(edges, KronrodGrid) else kronrod_grid(edges)
+    return _kronrod_panels(f, grid.nodes, grid.half)
+
+
 def test_kronrod_rule_polynomial_exactness():
     # the 15-point Kronrod rule must integrate monomials through degree 22
     for k in range(0, 23):
-        value, _ = _kronrod_panels(lambda x, k=k: x**k, *_grid(np.array([-1.0, 1.0])))
+        value, _ = panels(lambda x, k=k: x**k, (-1.0, 1.0))
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
         assert value[0] == pytest.approx(exact, abs=5e-15), f"degree {k}"
 
@@ -48,7 +54,7 @@ def test_kronrod_rule_polynomial_exactness():
 def test_kronrod_error_estimate_vanishes_on_gauss_exact_degrees():
     # G7 and K15 agree on polynomials of degree <= 13, so err ~ rounding
     for k in (0, 3, 8, 13):
-        _, err = _kronrod_panels(lambda x, k=k: x**k, *_grid(np.array([-1.0, 1.0])))
+        _, err = panels(lambda x, k=k: x**k, (-1.0, 1.0))
         assert err[0] < 1e-12
 
 
@@ -159,18 +165,48 @@ def test_domain_and_argument_errors():
         QuadResult(1.0, -1.0, 10)
     with pytest.raises(ValueError):
         QuadResult(1.0, 0.0, 0)
-    # registered starting edges are validated when they are registered, and
-    # a reshape with their bytes is not taken for them
-    from casorb.specfun import _STRUVE_K_EDGES
+    # plain edges are validated by kronrod_grid, where they enter; a 2-d
+    # array of good edges is refused too
+    from casorb.specfun import _STRUVE_K_GRID
 
+    good = _STRUVE_K_GRID.edges
     for edges in ((1.0,), (0.0, 0.0), (1.0, 0.0), (0.0, 0.5, 0.5, 1.0),
                   (0.0, math.inf), (math.nan, 1.0), ((0.0, 1.0),),
-                  _STRUVE_K_EDGES.reshape(3, 4), _STRUVE_K_EDGES[None, :]):
+                  good.reshape(3, 4), good[None, :]):
         with pytest.raises(ValueError):
             adaptive_quadrature(np.exp, edges)
-        if np.ndim(edges) == 1:
-            with pytest.raises(ValueError):
-                _starting_nodes(np.array(edges))
+        with pytest.raises(ValueError):
+            kronrod_grid(edges)
+
+
+def test_edges_are_validated_once(monkeypatch):
+    # a bisecting run from plain edges builds one grid, and a run from a
+    # grid builds none: split panels are increasing by construction
+    from casorb import quadrature
+
+    real = quadrature.kronrod_grid
+    built = []
+
+    def counting(edges):
+        built.append(edges)
+        return real(edges)
+
+    def f(x):
+        return np.abs(x - 1 / math.pi) ** -0.5
+
+    monkeypatch.setattr(quadrature, "kronrod_grid", counting)
+    res = adaptive_quadrature(f, (0.0, 0.5, 1.0), max_intervals=50)
+    assert res.evaluations > 45 and len(built) == 1
+    edges = [0.0, 0.5, 1.0]
+    grid = real(edges)
+    built.clear()
+    assert adaptive_quadrature(f, grid, max_intervals=50) == res
+    assert built == []
+    # the grid keeps a read-only copy of its edges, and read-only nodes
+    edges[1] = 0.75
+    assert grid.edges.tolist() == [0.0, 0.5, 1.0]
+    assert not grid.edges.flags.writeable and not grid.nodes.flags.writeable
+    assert grid.half == (0.25, 0.25)
 
 
 def test_quad_result_refuses_non_finite():
@@ -216,11 +252,11 @@ def test_first_pass_return_is_the_exact_sum_of_the_panels(monkeypatch):
     specfun._struve_k_integral(1, math.pi)
     for f, edges, kwargs in [(np.exp, (0.0, 1.0), {})] + runs:
         res = adaptive_quadrature(f, edges, **kwargs)
-        values, errs = _kronrod_panels(f, *_grid(np.asarray(edges, dtype=np.float64)))
+        values, errs = panels(f, edges)
         assert res.converged
         assert res.value == math.fsum(values)
         assert res.est_error == math.fsum(errs)
-        assert res.evaluations == 15 * (len(edges) - 1)
+        assert res.evaluations == 15 * len(values)
 
 
 def test_error_shaping_matches_masked_form():
@@ -260,7 +296,7 @@ def test_error_shaping_matches_masked_form():
     cases += [(kink, np.array((0.25, 0.375, 0.5))), (sine, np.array((0.0, 1.0)))]
     with np.errstate(invalid="ignore"):
         for f, edges in cases:
-            got = _kronrod_panels(f, *_grid(edges))
+            got = panels(f, edges)
             for got_part, want_part in zip(got, masked(f, edges)):
                 assert np.array_equal(got_part, want_part, equal_nan=True)
         assert masked(sine, np.array((0.0, 1.0)))[2][0] >= 1.0

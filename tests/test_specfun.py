@@ -238,7 +238,7 @@ class TestStruveK:
                 return f(x)
 
             res = real(counted, edges, *args, **kwargs)
-            runs.append((res, len(edges) - 1))
+            runs.append((res, len(edges.half)))
             return res
 
         monkeypatch.setattr(specfun, "adaptive_quadrature", counting)
@@ -253,7 +253,7 @@ class TestStruveK:
         assert sum(r.evaluations for r, _ in runs) <= 300 * misses
         assert calls == [1] * misses
         assert all(r.evaluations == 15 * panels for r, panels in runs)
-        assert {panels for _, panels in runs} == {len(specfun._STRUVE_K_EDGES) - 1}
+        assert {panels for _, panels in runs} == {len(specfun._STRUVE_K_GRID.half)} == {11}
 
     def test_starting_panels_match_single_panel_start(self, monkeypatch):
         # over the tri-method sweep, the integral started from the fixed
@@ -261,7 +261,7 @@ class TestStruveK:
         zs = [float(z) for z in np.geomspace(1e-3, 200.0, 200)]
         fixed = {(nu, z): specfun._struve_k_integral(nu, z)
                  for z in zs for nu in (1, 2)}
-        monkeypatch.setattr(specfun, "_STRUVE_K_EDGES", (0.0, 1.0))
+        monkeypatch.setattr(specfun, "_STRUVE_K_GRID", (0.0, 1.0))
         for (nu, z), e in fixed.items():
             one = specfun._struve_k_integral(nu, z)
             gap = abs(e.value - one.value)
@@ -269,16 +269,22 @@ class TestStruveK:
             assert gap <= allow, (nu, z, gap, allow)
 
     def test_tables_are_read_only_and_take_the_first_pass(self, monkeypatch):
-        tables = (specfun._SK_V, specfun._SK_S, specfun._SK_EXP, specfun._SK_W2)
-        assert all(not t.flags.writeable for t in tables + (specfun._STRUVE_K_EDGES,))
-        assert all(t.shape == (15 * (len(specfun._STRUVE_K_EDGES) - 1),)
-                   for t in tables)
-        assert specfun._starting_nodes(specfun._STRUVE_K_EDGES) is specfun._SK_V
-        # s increases with the nodes, so s > 745 exactly past _SK_LIVE
-        live = specfun._SK_LIVE
-        assert np.all(specfun._SK_S[:live] <= 745.0) and np.all(specfun._SK_S[live:] > 745.0)
+        grid = specfun._STRUVE_K_GRID
+        nodes, (s, e, w2, cut) = specfun._STRUVE_K_TABLE
+        assert nodes is grid.nodes
+        tables = (nodes, s, e, w2)
+        assert all(not t.flags.writeable for t in tables + (grid.edges,))
+        assert all(t.shape == (15 * len(grid.half),) for t in tables)
+        # s increases with the nodes, so s > 745 exactly on the cut, a
+        # suffix; the table is the factors the helper computes, cut included
+        live = cut.start
+        assert cut == slice(live, None) and 0 < live < len(s)
+        assert np.all(s[:live] <= 745.0) and np.all(s[live:] > 745.0)
+        *factors, mask = specfun._struve_k_factors(nodes.copy())
+        assert all(np.array_equal(a, b) for a, b in zip(factors, (s, e, w2)))
+        assert np.array_equal(np.flatnonzero(mask), np.arange(len(s))[cut])
         with pytest.raises(ValueError):
-            specfun._SK_EXP[0] = 0.0
+            e[0] = 0.0
         # a production argument: one call of the integrand, on the table
         # nodes; at every node the tables give the generic branch's values
         # (a copy of the nodes is not the table array)
@@ -291,12 +297,12 @@ class TestStruveK:
 
         monkeypatch.setattr(specfun, "adaptive_quadrature", recording)
         specfun._struve_k_integral(2, math.pi)
-        assert len(seen) == 1 and seen[0] is specfun._SK_V
+        assert len(seen) == 1 and seen[0] is nodes
         for z in (1e-3, 0.3, 40.0, 1e4):
             for nu in (1, 2):
                 specfun._struve_k_integral(nu, z)
         for f in integrands:
-            assert np.array_equal(f(specfun._SK_V), f(specfun._SK_V.copy()))
+            assert np.array_equal(f(nodes), f(nodes.copy()))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(nu=st.sampled_from((1, 2)),
@@ -317,7 +323,7 @@ class TestStruveK:
             y = inv_z * np.exp(-s) * (1.0 + x * x) ** power / (w * w)
             return np.where(s > 745.0, 0.0, y)
 
-        res = specfun.adaptive_quadrature(generic, specfun._STRUVE_K_EDGES,
+        res = specfun.adaptive_quadrature(generic, specfun._STRUVE_K_GRID.edges,
                                           tol_abs=0.0, tol_rel=1e-13,
                                           max_intervals=1200)
         e = specfun._struve_k_integral(nu, z)
@@ -326,19 +332,20 @@ class TestStruveK:
         assert e.abs_error_bound == c * res.est_error + 8 * math.ulp(1.0) * abs(value)
 
     def test_moved_edges_take_the_generic_path(self, monkeypatch):
-        # with other starting edges no call sees the table nodes, and the
+        # with another starting grid no call sees the table nodes, and the
         # values still match mpmath (H - Y at 30 digits)
         mp = pytest.importorskip("mpmath")
         real = specfun.adaptive_quadrature
+        nodes = specfun._STRUVE_K_TABLE[0]
         calls = []
 
         def recording(f, edges, *args, **kwargs):
-            return real(lambda v: calls.append(v is specfun._SK_V) or f(v),
+            return real(lambda v: calls.append(v is nodes) or f(v),
                         edges, *args, **kwargs)
 
         monkeypatch.setattr(specfun, "adaptive_quadrature", recording)
-        monkeypatch.setattr(specfun, "_STRUVE_K_EDGES",
-                            np.array((0.0, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 1.0)))
+        monkeypatch.setattr(specfun, "_STRUVE_K_GRID", specfun.kronrod_grid(
+            (0.0, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 1.0)))
         with mp.workdps(30):
             for z in (0.05, 1.0, math.pi, 20.0, 300.0):
                 for nu in (1, 2):
