@@ -202,8 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("text", "csv", "json"), default="text")
 
     p = sub.add_parser("tail", help="index-tail bounds for the geodesic sum")
-    p.add_argument("--j-lo", type=int, default=51)
-    p.add_argument("--j-hi", type=int, default=10_000_000)
+    p.add_argument("--j-lo", type=int, default=co._TAIL_J_LO)
+    p.add_argument("--j-hi", type=int, default=co._TAIL_J_HI)
     p.add_argument("--output", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify-237", help="run the full (2,3,7) certification")
@@ -216,12 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 def _cmd_energy(args) -> str:
-    sig = _signature_from_args(args)
-    # casimir_energy holds a spectrum to the cone orders, when there are any
-    if args.spectrum == "table" and not sig.cone_orders:
-        raise ValueError(f"--spectrum {args.spectrum} is a (2,3,7) spectrum; "
-                         f"give cone orders 2,3,7 or a file:PATH spectrum")
-    b = co.casimir_energy(sig, _load_spectrum(args.spectrum)[1])
+    b = co.casimir_energy(_signature_from_args(args), _load_spectrum(args.spectrum)[1])
     return emit_breakdown(b, args.output)
 
 
@@ -285,9 +280,7 @@ def _cmd_spectrum(args) -> str:
 
 
 def _cmd_tail(args) -> str:
-    b1 = co.tail_b1_bound(args.j_lo, args.j_hi)
-    b2 = co.tail_far_bound(args.j_hi)
-    b3 = co.tail_higher_windings_bound(args.j_lo)
+    b1, b2, b3 = co.tail_bounds(args.j_lo, args.j_hi)
     total = b1 + b2 + b3
     if args.output == "json":
         return json.dumps({"b1": _jsonable(b1), "b2": _jsonable(b2),
@@ -300,9 +293,8 @@ def _cmd_tail(args) -> str:
 def _cmd_verify_237(args) -> str:
     b = co.casimir_energy(tri.triangle_signature(2, 3, 7),
                           _load_spectrum("table")[1])
-    reference = (b.elliptic.value - b.elliptic.truncation_bound
-                 + b.identity_interval[0] + b.hyperbolic_head
-                 - b.hyperbolic_head_bound - co.REFERENCE_TAIL_237)
+    reference = (b.certified_lower_bound + b.hyperbolic_tail_magnitude_bound
+                 - co.REFERENCE_TAIL_237)
     if args.output == "json":
         d = breakdown_dict(b)
         d["reference_tail"] = {

@@ -52,6 +52,7 @@ __all__ = [
     "tail_windings_prefactor",
     "tail_windings_integral",
     "tail_higher_windings_bound",
+    "tail_bounds",
     "growth_inequality_check",
     "check_gauss_bonnet",
     "casimir_energy",
@@ -228,21 +229,21 @@ def _k1_over_arg(x: float) -> float:
     return struve_k(1, x).value / x
 
 
-def elliptic_kernel_truncation_bound(C: float, N: int) -> float:
-    """2^{-N} (pi C K_1(C) + 4) / (2 C^2), the remainder after N outer terms."""
+def _elliptic_remainder(C: float) -> float:
+    """(pi C K_1(C) + 4) / (2 C^2), the remainder bound before its factor 2^{-N}."""
     if C <= 0:
         raise ValueError("C must be positive")
-    k1 = struve_k(1, C).value
-    return math.ldexp((math.pi * C * k1 + 4.0) / (2.0 * C * C), -N)
+    return (math.pi * C * struve_k(1, C).value + 4.0) / (2.0 * C * C)
+
+
+def elliptic_kernel_truncation_bound(C: float, N: int) -> float:
+    """2^{-N} (pi C K_1(C) + 4) / (2 C^2), the remainder after N outer terms."""
+    return math.ldexp(_elliptic_remainder(C), -N)
 
 
 def elliptic_kernel_truncation_bound_log10(C: float, N: int) -> float:
     """log10 of the same bound, safe for N far beyond float underflow."""
-    if C <= 0:
-        raise ValueError("C must be positive")
-    k1 = struve_k(1, C).value
-    return (-N * math.log10(2.0)
-            + math.log10((math.pi * C * k1 + 4.0) / (2.0 * C * C)))
+    return -N * math.log10(2.0) + math.log10(_elliptic_remainder(C))
 
 
 def elliptic_kernel_series(C: float, D: float = 0.0, s: float = -0.5,
@@ -474,11 +475,14 @@ def _tail_terms(j: np.ndarray) -> np.ndarray:
     return csch_k1_array(0.5 * (np.log(j) + np.log(np.log(j))))
 
 
+# The tail's first index, past the spectrum, and the last index b1 covers.
+_TAIL_J_LO = 51
+_TAIL_J_HI = 10_000_000
 # Indices per numpy reduction in the direct sum; bounds its memory.
 _TAIL_CHUNK = 1 << 20
 
 
-def tail_direct_sum(j_lo: int = 51, j_hi: int = 10_000_000) -> float:
+def tail_direct_sum(j_lo: int = _TAIL_J_LO, j_hi: int = _TAIL_J_HI) -> float:
     """(1/4pi) sum_{j=j_lo}^{j_hi} csch(z_j) K_1(z_j), z_j from the growth floor.
 
     Chunk sums use numpy's pairwise summation and are combined in index
@@ -509,7 +513,7 @@ _TAIL_Z_MAX = 350.0
 _TAIL_REL_MARGIN = 1e-12
 
 
-def tail_b1_bound(j_lo: int = 51, j_hi: int = 10_000_000) -> float:
+def tail_b1_bound(j_lo: int = _TAIL_J_LO, j_hi: int = _TAIL_J_HI) -> float:
     """Upper bound on (1/4pi) sum_{j=j_lo}^{j_hi} csch(z_j) K_1(z_j).
 
     f(j) = g(z_j) with g = csch * K_1 is convex in j for j >= 3: g is
@@ -561,7 +565,7 @@ def tail_far_integral(j_split: int) -> float:
     return 2.0 / math.sqrt(math.log(j_split))
 
 
-def tail_far_bound(j_split: int = 10_000_000) -> float:
+def tail_far_bound(j_split: int = _TAIL_J_HI) -> float:
     """Bound on the single-winding contribution of indices beyond j_split."""
     if j_split < 16:
         raise ValueError("the majorant chain is only asserted for j >= 16")
@@ -583,11 +587,20 @@ def tail_windings_integral(j_lo: int) -> float:
     return integral / 1.9
 
 
-def tail_higher_windings_bound(j_lo: int = 51) -> float:
+def tail_higher_windings_bound(j_lo: int = _TAIL_J_LO) -> float:
     """Bound on all n >= 2 windings of geodesics with index >= j_lo."""
     if j_lo < 51:
         raise ValueError("-log(1 - 1/x) <= 1/x + 1/(1.9 x^2) is used from x = 50 up")
     return tail_windings_prefactor(j_lo) * tail_windings_integral(j_lo)
+
+
+def tail_bounds(j_lo: int = _TAIL_J_LO, j_hi: int = _TAIL_J_HI) -> Tuple[float, ...]:
+    """(b1, b2, b3): single windings j_lo..j_hi, beyond j_hi, and n >= 2 from j_lo.
+
+    Their sum, in this order, is :func:`casimir_energy`'s tail magnitude.
+    """
+    return (tail_b1_bound(j_lo, j_hi), tail_far_bound(j_hi),
+            tail_higher_windings_bound(j_lo))
 
 
 def growth_inequality_check(j: int, n: int) -> bool:
@@ -612,10 +625,6 @@ def growth_inequality_check(j: int, n: int) -> bool:
 # assembly
 # ----------------------------------------------------------------------
 
-# Geodesic index at which the tail model takes over from the spectrum.
-_TAIL_J_LO = 51
-
-
 def check_gauss_bonnet(orders, area: float) -> None:
     """Refuse an area that is not 2 pi (2g - 2 + sum(1 - 1/m)) for any genus g >= 0."""
     chi = sum(1.0 - 1.0 / m for m in orders) - 2.0
@@ -629,38 +638,36 @@ def check_gauss_bonnet(orders, area: float) -> None:
 
 def casimir_energy(sig: OrbifoldSignature,
                    spectrum: LengthSpectrum,
-                   tail_j_hi: int = 10_000_000) -> EnergyBreakdown:
+                   tail_j_hi: int = _TAIL_J_HI) -> EnergyBreakdown:
     """Assemble the certified lower bound for the energy at s = -1/2.
 
     The bound takes the pessimistic end of every piece: the low end of the
     identity bracket, the cone-point series minus its truncation bound,
     the spectrum head minus its winding-truncation bound, and minus the
-    full tail magnitude (the b1 convexity bound plus far-index and
-    higher-winding bounds).  The tail starts at geodesic index 51: it
-    presumes the spectrum lists every geodesic below that index and that
-    the growth floor ell_j >= log j + log log j holds from there on.
+    tail magnitude, the sum of :func:`tail_bounds`.  The tail starts at
+    geodesic index 51: it presumes the spectrum lists every geodesic below
+    that index and that the growth floor ell_j >= log j + log log j holds
+    from there on.
 
     This function alone decides certifiability, and refuses with
     ValueError, in this order: an area that breaks Gauss-Bonnet for the
     cone orders (:func:`check_gauss_bonnet`); a spectrum that names no
-    ``group``, or whose group is not the sorted cone orders; a spectrum
-    of total multiplicity below 50 (an empty one included); lengths that
-    break the growth floor.  The first two need cone orders: a cone-free
-    signature is an exploratory run and takes any area and spectrum.
+    ``group`` while there are cone orders, or names one that is not the
+    sorted cone orders; a spectrum of total multiplicity below 50 (an
+    empty one included); lengths that break the growth floor.  So a
+    cone-free run takes any area, but only a spectrum that names no group.
     """
+    group, orders = spectrum.group, ",".join(map(str, sig.cone_orders)) or "none"
     if sig.cone_orders:
         check_gauss_bonnet(sig.cone_orders, sig.volume)
-        group = spectrum.group
         if group is None:
             raise ValueError(
                 "the spectrum names no group, so it cannot be held to the "
-                f"cone orders {','.join(map(str, sig.cone_orders))}; "
-                "no certified bound")
-        if sorted(sig.cone_orders) != sorted(group):
-            orders = ",".join(map(str, group))
-            raise ValueError(
-                f"the spectrum is a ({orders}) spectrum, but the cone orders "
-                f"are {','.join(map(str, sig.cone_orders))}; no certified bound")
+                f"cone orders {orders}; no certified bound")
+    if group is not None and sorted(sig.cone_orders) != sorted(group):
+        raise ValueError(
+            f"the spectrum is a ({','.join(map(str, group))}) spectrum, but the "
+            f"cone orders are {orders}; no certified bound")
     covered = spectrum.total_multiplicity
     if covered < _TAIL_J_LO - 1:
         raise ValueError(
@@ -676,10 +683,8 @@ def casimir_energy(sig: OrbifoldSignature,
     interval = identity_interval(sig.volume)
     ellip = elliptic_contribution(sig)
     head = hyperbolic_contribution(spectrum)
-    b1 = tail_b1_bound(_TAIL_J_LO, tail_j_hi)
-    b2 = tail_far_bound(tail_j_hi)
-    b3 = tail_higher_windings_bound(_TAIL_J_LO)
-    tail_bound = b1 + b2 + b3
+    tail = tail_bounds(_TAIL_J_LO, tail_j_hi)
+    tail_bound = sum(tail)
 
     certified = (ellip.value - ellip.truncation_bound + interval[0]
                  + head.value - head.truncation_bound - tail_bound)
@@ -690,7 +695,7 @@ def casimir_energy(sig: OrbifoldSignature,
         hyperbolic_head=head.value,
         hyperbolic_head_bound=head.truncation_bound,
         hyperbolic_tail_magnitude_bound=tail_bound,
-        tail_components=(b1, b2, b3),
+        tail_components=tail,
         certified_lower_bound=certified,
         assumption=report,
     )

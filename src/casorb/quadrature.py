@@ -146,16 +146,17 @@ def _kronrod_panels(f: Integrand, nodes: np.ndarray, half: Sequence[float]):
     Returns lists (value, err_estimate), one entry per panel.
     """
     fv = f(nodes).reshape(len(half), 15)
+    resabs = (np.abs(fv) @ _WK).tolist()   # positive weights: inf, NaN pass quietly
+    if not math.isfinite(sum(resabs)):
+        raise ValueError("non-finite integrand value")
     rule = fv @ _RULE
-    resabs = np.abs(fv) @ _WK
     resasc = np.abs(fv - 0.5 * rule[:, :1]) @ _WK
     values, errs, ulps = [], [], 50.0 * math.ulp(1.0)
-    for (resk, kmg), h, ra, rs in zip(rule.tolist(), half, resabs.tolist(),
-                                      resasc.tolist()):
+    for (resk, kmg), h, ra, rs in zip(rule.tolist(), half, resabs, resasc.tolist()):
         err = abs(kmg * h)
         rs *= h
         # QUADPACK's resasc * min(1, 200 err/resasc)^1.5 where both factors
-        # are nonzero; the power of r < 1 cannot overflow, and NaN keeps resasc
+        # are nonzero; the power of r < 1 cannot overflow
         if rs and err:
             r = 200.0 * err / rs
             err = rs * r ** 1.5 if r < 1.0 else rs

@@ -131,12 +131,19 @@ class TestEnergyValues:
             0.138415, abs=1e-5)
 
     def test_cone_free_run(self, capsys, tmp_path):
-        # the built-in table is refused without cone orders 2,3,7, so the
-        # same spectrum goes in as a file
+        # a cone-free run refuses the table's file, which names its group as
+        # table does, and takes the same file without its '# group' line
         code, out, _ = _capture(capsys, ["spectrum", "--table"])
         assert code == 0
+        assert out.startswith("# group 2,3,7\n")
         path = tmp_path / "spec.txt"
         path.write_text(out)
+        code, out, err = _capture(capsys, [
+            "energy", "--volume", "1.0", "--spectrum", f"file:{path}"])
+        assert code == 2
+        assert out == ""
+        assert "(2,3,7) spectrum" in err
+        path.write_text(path.read_text().split("\n", 1)[1])
         code, out, _ = _capture(capsys, [
             "energy", "--volume", "1.0", "--spectrum", f"file:{path}",
             "--output", "json"])

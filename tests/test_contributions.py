@@ -37,6 +37,7 @@ from casorb.contributions import (
     read_spectrum_file,
     spectrum_file_lines,
     tail_b1_bound,
+    tail_bounds,
     tail_direct_sum,
     tail_far_bound,
     tail_far_integral,
@@ -451,11 +452,37 @@ class TestTails:
 
     @pytest.mark.parametrize("j_lo, j_hi", [
         (51, 5000), (51, 10001), (51, 2 * 10**5), (51, 10**6), (200, 10**6),
-        (51, 10**7), (20_000, 10**6)])
+        (51, 10**7), (20_000, 10**6), (10**6, 3 * 10**6)])
     def test_b1_bound_dominates_direct_sum(self, j_lo, j_hi):
         bound = tail_b1_bound(j_lo, j_hi)
         direct = tail_direct_sum(j_lo, j_hi)
         assert direct <= bound <= direct + 1e-8
+
+    def test_kernel_matches_mpmath_at_tail_nodes(self, monkeypatch):
+        # csch_k1_array at the arguments tail_b1_bound(51, 10**150) hands it:
+        # a sample of the direct head's z_j and every 256th trapezoid node,
+        # z from 2.65 to 175.6, within the kernel's proved relative bound
+        mp = pytest.importorskip("mpmath")
+        from casorb import contributions
+        from casorb.specfun import CSCH_K1_REL_ERROR
+
+        seen = []
+
+        def recording(z):
+            seen.append(z.copy())
+            return csch_k1_array(z)
+
+        monkeypatch.setattr(contributions, "csch_k1_array", recording)
+        tail_b1_bound(51, 10**150)
+        head, nodes = seen
+        assert (head.size, nodes.size) == (10**4 - 50, 16_385)
+        z = np.concatenate((head[::199], nodes[::256]))
+        assert 2.6 < z.min() < 2.7 and 175.5 < z.max() < 175.7
+        with mp.workdps(30):
+            for zi, got in zip(z.tolist(), csch_k1_array(z).tolist()):
+                x = mp.mpf(zi)
+                want = mp.besselk(1, x) / mp.sinh(x)
+                assert abs(got - want) <= CSCH_K1_REL_ERROR * want, zi
 
     def test_b1_bound_bits(self):
         # the trapezoid's exact sum, as recorded before
@@ -530,7 +557,9 @@ class TestTails:
 class TestAssembly:
     def test_cone_free_is_negative(self):
         sig = OrbifoldSignature((), 4.0 * math.pi)   # genus-2-like area
-        b = casimir_energy(sig, _corpus_spectrum(), tail_j_hi=10**5)
+        # the table's lengths without its group, which a cone-free run refuses
+        unnamed = LengthSpectrum(_corpus_spectrum().entries, "file")
+        b = casimir_energy(sig, unnamed, tail_j_hi=10**5)
         assert b.elliptic.value == 0.0
         assert b.certified_lower_bound < 0.0
         assert b.identity.value + b.hyperbolic_head < 0.0
@@ -540,6 +569,15 @@ class TestAssembly:
         sig = OrbifoldSignature((), 1.0)
         with pytest.raises(ValueError, match=r"covers j=1\.\.0 "):
             casimir_energy(sig, LengthSpectrum((), "file"))
+
+    def test_tail_bounds_are_the_three_bounds(self):
+        parts = tail_bounds(51, 10**7)
+        assert parts == (tail_b1_bound(51, 10**7), tail_far_bound(10**7),
+                         tail_higher_windings_bound(51))
+        assert tail_bounds() == parts
+        b = casimir_energy(SIG_237, _corpus_spectrum())
+        assert b.tail_components == parts
+        assert b.hyperbolic_tail_magnitude_bound == parts[0] + parts[1] + parts[2]
 
     def test_certified_bound_identity(self):
         b = casimir_energy(SIG_237, _corpus_spectrum(), tail_j_hi=10**5)
@@ -576,6 +614,10 @@ class TestAssembly:
         # genus 1 with cone orders (2,3): Gauss-Bonnet holds, the group not
         with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum"):
             casimir_energy(OrbifoldSignature((2, 3), 7 * math.pi / 3), table)
+        # a named group is held to the cone orders even when there are none
+        with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum, but "
+                                             "the cone orders are none;"):
+            casimir_energy(OrbifoldSignature((), 4.0 * math.pi), table)
         # the cone orders are compared sorted
         b = casimir_energy(triangle_signature(7, 3, 2), table)
         assert b.certified_lower_bound == pytest.approx(
@@ -604,6 +646,8 @@ class TestAssembly:
             casimir_energy(OrbifoldSignature((2, 3, 8), math.pi / 12), one)
         with pytest.raises(ValueError, match=r"covers j=1\.\.1 "):
             casimir_energy(SIG_237, one)
+        with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum"):
+            casimir_energy(OrbifoldSignature((), 1.0), one)
 
     def test_refuses_growth_violation(self):
         from casorb.triangle import enumerate_classes, to_spectrum
