@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands compute the energy pieces separately or run the full
-certified (2,3,7) pipeline.  Reports print floats with 10 significant
-digits (scientific below 1e-4); ``spectrum`` text and class JSON print
-lengths and terms with ``repr``, so spectrum files round-trip.  Identical
-configurations produce byte-identical output.
+certified (2,3,7) pipeline.  Reports print floats with :func:`fmt10`, and
+:func:`_dumps` rounds every report JSON float the same way; spectrum data
+(``spectrum`` text and JSON, class JSON) prints ``repr``, so spectrum files
+round-trip.  Identical configurations produce byte-identical output.
 
 Exit codes: 0 success, 2 for any input the parser or ``casimir_energy``
 refuses, 1 internal numerical failure (non-convergent quadrature).
@@ -31,31 +31,35 @@ def fmt10(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _jsonable(x: float) -> float:
-    # pre-round floats so dumps -> loads -> dumps is byte-stable
-    return float(fmt10(x))
+def _dumps(obj) -> str:
+    """Report JSON, every float rounded to ``float(fmt10(x))`` so it round-trips."""
+    def rounded(o):
+        if isinstance(o, dict):
+            return {k: rounded(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [rounded(v) for v in o]
+        return float(fmt10(o)) if isinstance(o, float) else o
+    return json.dumps(rounded(obj), indent=2)
 
 
 def breakdown_dict(b: co.EnergyBreakdown) -> dict:
-    b1, b2, b3 = b.tail_components
+    """Raw report values of a breakdown; :func:`_dumps` rounds them."""
     return {
         "identity": {
-            "value": _jsonable(b.identity.value),
-            "bound": _jsonable(b.identity.truncation_bound),
-            "interval": [_jsonable(b.identity_interval[0]),
-                         _jsonable(b.identity_interval[1])],
+            "value": b.identity.value,
+            "bound": b.identity.truncation_bound,
+            "interval": b.identity_interval,
         },
         "elliptic": {
-            "value": _jsonable(b.elliptic.value),
-            "bound": _jsonable(b.elliptic.truncation_bound),
+            "value": b.elliptic.value,
+            "bound": b.elliptic.truncation_bound,
         },
         "hyperbolic": {
-            "head": _jsonable(b.hyperbolic_head),
-            "tail_bound": _jsonable(b.hyperbolic_tail_magnitude_bound),
-            "components": {"b1": _jsonable(b1), "b2": _jsonable(b2),
-                           "b3": _jsonable(b3)},
+            "head": b.hyperbolic_head,
+            "tail_bound": b.hyperbolic_tail_magnitude_bound,
+            "components": dict(zip(("b1", "b2", "b3"), b.tail_components)),
         },
-        "certified_lower_bound": _jsonable(b.certified_lower_bound),
+        "certified_lower_bound": b.certified_lower_bound,
         "assumption": {
             "verified_through": b.assumption.checked_through,
             "holds": b.assumption.holds,
@@ -66,7 +70,7 @@ def breakdown_dict(b: co.EnergyBreakdown) -> dict:
 def emit_breakdown(b: co.EnergyBreakdown, fmt: str = "text") -> str:
     """Render a breakdown as text, canonical JSON, or component CSV."""
     if fmt == "json":
-        return json.dumps(breakdown_dict(b), indent=2)
+        return _dumps(breakdown_dict(b))
     b1, b2, b3 = b.tail_components
     if fmt == "csv":
         rows = [
@@ -137,8 +141,9 @@ def _signature_from_args(args, needs_area: bool = True) -> co.OrbifoldSignature:
                 raise ValueError("--cone-orders needs --volume (the hyperbolic area)")
             # a command that never reads the area gets a placeholder
             return co.OrbifoldSignature(orders, 1.0)
-        co.check_gauss_bonnet(orders, args.volume)
-        return co.OrbifoldSignature(orders, args.volume)
+        sig = co.OrbifoldSignature(orders, args.volume)
+        co.check_gauss_bonnet(sig)
+        return sig
     if args.volume is not None:
         return co.OrbifoldSignature((), args.volume)
     raise ValueError("need --triangle P,Q,R, or --cone-orders (with --volume), or --volume")
@@ -224,9 +229,8 @@ def _cmd_elliptic(args) -> str:
     sig = _signature_from_args(args, needs_area=False)
     ser = co.elliptic_contribution(sig)
     if args.output == "json":
-        return json.dumps({"value": _jsonable(ser.value),
-                           "bound": _jsonable(ser.truncation_bound),
-                           "terms": ser.terms_used}, indent=2)
+        return _dumps({"value": ser.value, "bound": ser.truncation_bound,
+                       "terms": ser.terms_used})
     return (f"elliptic {fmt10(ser.value)}   "
             f"(bound {fmt10(ser.truncation_bound)}, N={ser.terms_used})")
 
@@ -237,10 +241,8 @@ def _cmd_identity(args) -> str:
     lo, hi = co.identity_interval(sig.volume)
     inside = lo < ser.value < hi
     if args.output == "json":
-        return json.dumps({"value": _jsonable(ser.value),
-                           "bound": _jsonable(ser.truncation_bound),
-                           "interval": [_jsonable(lo), _jsonable(hi)],
-                           "inside_interval": inside}, indent=2)
+        return _dumps({"value": ser.value, "bound": ser.truncation_bound,
+                       "interval": [lo, hi], "inside_interval": inside})
     return (f"identity {fmt10(ser.value)}   interval [{fmt10(lo)}, {fmt10(hi)}]"
             f"   inside={inside}")
 
@@ -249,10 +251,9 @@ def _cmd_hyperbolic(args) -> str:
     spectrum = _load_spectrum(args.spectrum)[1]
     ser = co.hyperbolic_contribution(spectrum)
     if args.output == "json":
-        return json.dumps({"head": _jsonable(ser.value),
-                           "bound": _jsonable(ser.truncation_bound),
-                           "entries": len(spectrum),
-                           "multiplicity": spectrum.total_multiplicity}, indent=2)
+        return _dumps({"head": ser.value, "bound": ser.truncation_bound,
+                       "entries": len(spectrum),
+                       "multiplicity": spectrum.total_multiplicity})
     return (f"hyperbolic head {fmt10(ser.value)}   "
             f"(bound {fmt10(ser.truncation_bound)}, "
             f"{spectrum.total_multiplicity} geodesics)")
@@ -280,12 +281,10 @@ def _cmd_spectrum(args) -> str:
 
 
 def _cmd_tail(args) -> str:
-    b1, b2, b3 = co.tail_bounds(args.j_lo, args.j_hi)
-    total = b1 + b2 + b3
+    tail = co.tail_bounds(args.j_lo, args.j_hi)
+    (b1, b2, b3), total = tail, sum(tail)
     if args.output == "json":
-        return json.dumps({"b1": _jsonable(b1), "b2": _jsonable(b2),
-                           "b3": _jsonable(b3), "total": _jsonable(total)},
-                          indent=2)
+        return _dumps({"b1": b1, "b2": b2, "b3": b3, "total": total})
     return (f"b1 {fmt10(b1)}\nb2 {fmt10(b2)}\nb3 {fmt10(b3)}\n"
             f"tail total {fmt10(total)}")
 
@@ -297,11 +296,9 @@ def _cmd_verify_237(args) -> str:
                  - co.REFERENCE_TAIL_237)
     if args.output == "json":
         d = breakdown_dict(b)
-        d["reference_tail"] = {
-            "tail_magnitude": _jsonable(co.REFERENCE_TAIL_237),
-            "certified_lower_bound": _jsonable(reference),
-        }
-        return json.dumps(d, indent=2)
+        d["reference_tail"] = {"tail_magnitude": co.REFERENCE_TAIL_237,
+                               "certified_lower_bound": reference}
+        return _dumps(d)
     lines = [emit_breakdown(b, "text")]
     lines.append(f"certified lower bound (recomputed tail {fmt10(b.hyperbolic_tail_magnitude_bound)}): "
                  f"{fmt10(b.certified_lower_bound)}")

@@ -625,8 +625,10 @@ def growth_inequality_check(j: int, n: int) -> bool:
 # assembly
 # ----------------------------------------------------------------------
 
-def check_gauss_bonnet(orders, area: float) -> None:
-    """Refuse an area that is not 2 pi (2g - 2 + sum(1 - 1/m)) for any genus g >= 0."""
+def check_gauss_bonnet(sig: OrbifoldSignature) -> None:
+    """Refuse a signature whose area is 2 pi (2g - 2 + sum(1 - 1/m)) for no
+    genus g >= 0; its type has already checked the orders and the area."""
+    area, orders = sig.volume, sig.cone_orders
     chi = sum(1.0 - 1.0 / m for m in orders) - 2.0
     g = round((area / (2 * math.pi) - chi) / 2)
     if g < 0 or abs(area - 2 * math.pi * (2 * g + chi)) > 1e-6 * area:
@@ -659,7 +661,7 @@ def casimir_energy(sig: OrbifoldSignature,
     """
     group, orders = spectrum.group, ",".join(map(str, sig.cone_orders)) or "none"
     if sig.cone_orders:
-        check_gauss_bonnet(sig.cone_orders, sig.volume)
+        check_gauss_bonnet(sig)
         if group is None:
             raise ValueError(
                 "the spectrum names no group, so it cannot be held to the "

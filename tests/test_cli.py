@@ -86,14 +86,34 @@ class TestFormatting:
             assert fmt10(float(fmt10(x))) == fmt10(x)
 
 
+def _floats(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for item in obj for x in _floats(item)]
+    return [obj] if isinstance(obj, float) else []
+
+
+REPORT_JSON_COMMANDS = [
+    ENERGY_237, ["verify-237"], ["elliptic", "--triangle", "2,3,7"],
+    ["identity", "--volume", "0.1495996"],
+    ["hyperbolic", "--spectrum", "table"], ["tail"],
+]
+
+
 class TestDeterminismAndRoundTrip:
     def test_json_deterministic_and_roundtrips(self, capsys):
-        code1, out1, _ = _capture(capsys, ENERGY_237 + ["--output", "json"])
-        code2, out2, _ = _capture(capsys, ENERGY_237 + ["--output", "json"])
-        assert code1 == code2 == 0
-        assert out1 == out2
-        payload = json.loads(out1)
-        assert json.dumps(payload, indent=2) + "\n" == out1
+        # every report JSON is canonical, its floats already fmt10-rounded
+        for argv in REPORT_JSON_COMMANDS:
+            code1, out1, _ = _capture(capsys, argv + ["--output", "json"])
+            code2, out2, _ = _capture(capsys, argv + ["--output", "json"])
+            assert code1 == code2 == 0
+            assert out1 == out2
+            payload = json.loads(out1)
+            assert json.dumps(payload, indent=2) + "\n" == out1, argv
+            floats = _floats(payload)
+            assert floats, argv
+            assert all(float(fmt10(x)) == x for x in floats), argv
 
     def test_text_deterministic(self, capsys):
         _, out1, _ = _capture(capsys, ENERGY_237)
@@ -314,18 +334,24 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.875676, abs=5e-7)
 
-    @pytest.mark.parametrize("command", ["energy", "identity"])
+    @pytest.mark.parametrize("command", ["energy", "identity", "elliptic"])
     def test_refuses_area_breaking_gauss_bonnet(self, capsys, tmp_path, command):
-        # cone orders (2,3): genus 0 is spherical, genus 1 has area 7 pi/3
         _, spectrum, _ = _capture(capsys, ["spectrum", "--table"])
         path = tmp_path / "spec.txt"
         path.write_text(spectrum)
         extra = ["--spectrum", f"file:{path}"] if command == "energy" else []
-        code, out, err = _capture(capsys, [
-            command, "--cone-orders", "2,3", "--volume", "1.0", *extra])
-        assert code == 2
-        assert out == ""
-        assert "Gauss-Bonnet" in err
+        # cone orders (2,3): genus 0 is spherical, genus 1 has area 7 pi/3;
+        # the signature refuses the rest before Gauss-Bonnet rounds a genus
+        for orders, volume, message in (
+                ("2,3", "1.0", "Gauss-Bonnet"),
+                ("2,3,7", "inf", "volume must be positive and finite"),
+                ("2,3,7", "nan", "volume must be positive and finite"),
+                ("0,3,7", "1.0", "cone orders must be integers >= 2")):
+            code, out, err = _capture(capsys, [
+                command, "--cone-orders", orders, "--volume", volume, *extra])
+            assert code == 2, (orders, volume, err)
+            assert out == ""
+            assert message in err
 
     def test_gauss_bonnet_area_runs(self, capsys):
         # 0.1495996 is pi/21, the (2,3,7) area, to 7 digits
