@@ -9,7 +9,7 @@ API and the ``casorb`` command-line tool.
 The top level re-exports the names needed to run that certificate; the
 pieces stay in their modules: ``casorb.contributions`` (series, tail
 bounds, assembly), ``casorb.specfun`` (kernels), ``casorb.quadrature``
-(the Gauss-Kronrod oracle) and ``casorb.triangle`` (word calculus).
+(Gauss-Kronrod, also behind Struve K) and ``casorb.triangle`` (word calculus).
 """
 
 from .contributions import (

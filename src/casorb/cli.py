@@ -6,14 +6,16 @@ certified (2,3,7) pipeline.  Reports print floats with :func:`fmt10`, and
 (``spectrum`` text and JSON, class JSON) prints ``repr``, so spectrum files
 round-trip.  Identical configurations produce byte-identical output.
 
-Exit codes: 0 success, 2 for any input the parser or ``casimir_energy``
-refuses, 1 internal numerical failure (non-convergent quadrature).
+Exit codes: 0 success, 2 refused input (parser, signature, ``casimir_energy``),
+1 numerical failure (non-convergent quadrature), 141 (128 + SIGPIPE) when
+the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import contributions as co
@@ -56,6 +58,7 @@ def breakdown_dict(b: co.EnergyBreakdown) -> dict:
         },
         "hyperbolic": {
             "head": b.hyperbolic_head,
+            "head_bound": b.hyperbolic_head_bound,
             "tail_bound": b.hyperbolic_tail_magnitude_bound,
             "components": dict(zip(("b1", "b2", "b3"), b.tail_components)),
         },
@@ -115,38 +118,26 @@ def emit_breakdown(b: co.EnergyBreakdown, fmt: str = "text") -> str:
 # argument handling
 # ----------------------------------------------------------------------
 
-def _parse_triangle(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("--triangle expects P,Q,R")
-    return tuple(int(p) for p in parts)
-
-
-def _signature_from_args(args, needs_area: bool = True) -> co.OrbifoldSignature:
+def _signature_from_args(args) -> co.OrbifoldSignature:
     if args.triangle is not None:
         for flag, value in (("--cone-orders", args.cone_orders),
-                            ("--volume", args.volume)):
+                            ("--genus", args.genus)):
             if value is not None:
                 raise ValueError(f"--triangle and {flag} conflict: --triangle "
-                                 "sets both the cone orders and the area")
-        return tri.triangle_signature(*_parse_triangle(args.triangle))
-    if args.cone_orders is not None:
-        try:
-            orders = tuple(int(x) for x in args.cone_orders.split(","))
-        except ValueError:
-            raise ValueError("--cone-orders expects comma-separated integers, "
-                             f"got {args.cone_orders!r}") from None
-        if args.volume is None:
-            if needs_area:
-                raise ValueError("--cone-orders needs --volume (the hyperbolic area)")
-            # a command that never reads the area gets a placeholder
-            return co.OrbifoldSignature(orders, 1.0)
-        sig = co.OrbifoldSignature(orders, args.volume)
-        co.check_gauss_bonnet(sig)
-        return sig
-    if args.volume is not None:
-        return co.OrbifoldSignature((), args.volume)
-    raise ValueError("need --triangle P,Q,R, or --cone-orders (with --volume), or --volume")
+                                 "sets the whole signature, at genus 0")
+        parts = args.triangle.split(",")
+        if len(parts) != 3:
+            raise ValueError("--triangle expects P,Q,R")
+        return tri.triangle_signature(*(int(p) for p in parts))
+    if args.cone_orders is None and args.genus is None:
+        raise ValueError("need --triangle P,Q,R, or --cone-orders, --genus or both")
+    text = args.cone_orders
+    try:
+        orders = () if text is None else tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError("--cone-orders expects comma-separated integers, "
+                         f"got {text!r}") from None
+    return co.OrbifoldSignature(orders, 0 if args.genus is None else args.genus)
 
 
 def _load_spectrum(src: str):
@@ -166,7 +157,7 @@ def _load_spectrum(src: str):
 def _add_signature_flags(p):
     p.add_argument("--triangle", help="triangle signature P,Q,R")
     p.add_argument("--cone-orders", help="comma-separated cone orders")
-    p.add_argument("--volume", type=float, help="hyperbolic area of the quotient")
+    p.add_argument("--genus", type=int, help="genus of the quotient (default 0)")
 
 
 _SPECTRUM_HELP = ("table | enumerate:N | file:PATH; table and enumerate:N are "
@@ -179,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="casorb",
         description="Casimir energy of compact hyperbolic 2-orbifolds "
-                    "from cone orders, area, and a geodesic length spectrum.")
+                    "from genus, cone orders, and a geodesic length spectrum.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("energy", help="full breakdown and certified lower bound")
@@ -226,8 +217,7 @@ def _cmd_energy(args) -> str:
 
 
 def _cmd_elliptic(args) -> str:
-    sig = _signature_from_args(args, needs_area=False)
-    ser = co.elliptic_contribution(sig)
+    ser = co.elliptic_contribution(_signature_from_args(args))
     if args.output == "json":
         return _dumps({"value": ser.value, "bound": ser.truncation_bound,
                        "terms": ser.terms_used})
@@ -326,8 +316,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        print(_COMMANDS[args.command](args))
+        print(_COMMANDS[args.command](args), flush=True)
         return 0
+    except BrokenPipeError:          # the reader left: not refused input
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -337,7 +329,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    if code == 141:   # the reader is gone: the exit flush of stdout goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ __all__ = [
     "tail_higher_windings_bound",
     "tail_bounds",
     "growth_inequality_check",
-    "check_gauss_bonnet",
     "casimir_energy",
     "read_spectrum_file",
     "spectrum_file_lines",
@@ -71,22 +70,44 @@ class SpectrumFormatError(ValueError):
     """Malformed spectrum file."""
 
 
+class NonHyperbolicSignatureError(ValueError):
+    """2g - 2 + sum(1 - 1/m) <= 0: a spherical or Euclidean signature."""
+
+
 # ----------------------------------------------------------------------
 # domain types
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OrbifoldSignature:
-    """Cone-point orders and hyperbolic area of a compact quotient."""
+    """Genus and cone-point orders of a compact hyperbolic quotient; they
+    fix its area, :attr:`volume`, by Gauss-Bonnet."""
 
     cone_orders: Tuple[int, ...]
-    volume: float
+    genus: int = 0
 
     def __post_init__(self):
         if any((not isinstance(m, int)) or m < 2 for m in self.cone_orders):
             raise ValueError("cone orders must be integers >= 2")
-        if not (self.volume > 0 and math.isfinite(self.volume)):
-            raise ValueError("volume must be positive and finite")
+        # the cap keeps the area 2 pi (2g - 2 + sum(1 - 1/m)) a finite float
+        if type(self.genus) is not int or not 0 <= self.genus <= 10**300:
+            raise ValueError(f"genus must be an int in [0, 1e300], got {self.genus!r}")
+        if self._euler_fraction()[0] <= 0:   # exact: (2,3,6) sits on zero
+            orders = ",".join(map(str, self.cone_orders)) or "none"
+            raise NonHyperbolicSignatureError(
+                f"genus {self.genus} with cone orders {orders} is not "
+                "hyperbolic: 2g - 2 + sum(1 - 1/m) <= 0")
+
+    def _euler_fraction(self) -> Tuple[int, int]:
+        """(n, L) with n / L == 2g - 2 + sum(1 - 1/m) exactly."""
+        L = math.lcm(*self.cone_orders)
+        return (2 * self.genus - 2) * L + sum(L - L // m for m in self.cone_orders), L
+
+    @property
+    def volume(self) -> float:
+        """2 pi (2g - 2 + sum(1 - 1/m)); int / int rounds the fraction once."""
+        n, L = self._euler_fraction()
+        return 2.0 * math.pi * (n / L)
 
 
 @dataclass(frozen=True)
@@ -625,19 +646,6 @@ def growth_inequality_check(j: int, n: int) -> bool:
 # assembly
 # ----------------------------------------------------------------------
 
-def check_gauss_bonnet(sig: OrbifoldSignature) -> None:
-    """Refuse a signature whose area is 2 pi (2g - 2 + sum(1 - 1/m)) for no
-    genus g >= 0; its type has already checked the orders and the area."""
-    area, orders = sig.volume, sig.cone_orders
-    chi = sum(1.0 - 1.0 / m for m in orders) - 2.0
-    g = round((area / (2 * math.pi) - chi) / 2)
-    if g < 0 or abs(area - 2 * math.pi * (2 * g + chi)) > 1e-6 * area:
-        raise ValueError(
-            f"area {area} breaks Gauss-Bonnet for cone orders "
-            f"{','.join(map(str, orders))}: the area must be "
-            f"2*pi*(2g - 2 + sum(1 - 1/m)) for an integer genus g >= 0")
-
-
 def casimir_energy(sig: OrbifoldSignature,
                    spectrum: LengthSpectrum,
                    tail_j_hi: int = _TAIL_J_HI) -> EnergyBreakdown:
@@ -652,20 +660,17 @@ def casimir_energy(sig: OrbifoldSignature,
     from there on.
 
     This function alone decides certifiability, and refuses with
-    ValueError, in this order: an area that breaks Gauss-Bonnet for the
-    cone orders (:func:`check_gauss_bonnet`); a spectrum that names no
-    ``group`` while there are cone orders, or names one that is not the
-    sorted cone orders; a spectrum of total multiplicity below 50 (an
-    empty one included); lengths that break the growth floor.  So a
-    cone-free run takes any area, but only a spectrum that names no group.
+    ValueError, in this order: a spectrum that names no ``group`` while
+    there are cone orders, or names one that is not the sorted cone
+    orders; a spectrum of total multiplicity below 50 (an empty one
+    included); lengths that break the growth floor.  So a cone-free run
+    takes only a spectrum that names no group.
     """
     group, orders = spectrum.group, ",".join(map(str, sig.cone_orders)) or "none"
-    if sig.cone_orders:
-        check_gauss_bonnet(sig)
-        if group is None:
-            raise ValueError(
-                "the spectrum names no group, so it cannot be held to the "
-                f"cone orders {orders}; no certified bound")
+    if sig.cone_orders and group is None:
+        raise ValueError(
+            "the spectrum names no group, so it cannot be held to the "
+            f"cone orders {orders}; no certified bound")
     if group is not None and sorted(sig.cone_orders) != sorted(group):
         raise ValueError(
             f"the spectrum is a ({','.join(map(str, group))}) spectrum, but the "

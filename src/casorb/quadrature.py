@@ -1,8 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature and the two integrals it must own.
 
-This module is the independent oracle against which every series route in
-the package is validated, so it imports nothing but the standard library
-and numpy.  The base rule is the classical 7/15-point Gauss-Kronrod pair
+The tests check every series route against it; it is no independent oracle,
+since every Struve K value the certificate uses comes from its
+:func:`adaptive_quadrature`.  It imports only the standard library and
+numpy.  The base rule is the classical 7/15-point Gauss-Kronrod pair
 with largest-error-first bisection.  Semi-infinite domains are mapped to
 (0, 1] by t = e^{-y}, and the elliptic kernel by u = e^{-min(C,1) y}; endpoint
 values are never sampled because all Kronrod nodes are interior.

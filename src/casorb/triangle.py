@@ -34,7 +34,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .contributions import LengthSpectrum, OrbifoldSignature, geodesic_contributions
+from .contributions import (LengthSpectrum, NonHyperbolicSignatureError,
+                            OrbifoldSignature, geodesic_contributions)
 
 __all__ = [
     "Mat2",
@@ -67,10 +68,6 @@ class WordError(ValueError):
 
 class EllipticWordError(ValueError):
     """Word represents a finite-order (or parabolic) element, no geodesic."""
-
-
-class NonHyperbolicSignatureError(ValueError):
-    """1/p + 1/q + 1/r >= 1: spherical or Euclidean signature."""
 
 
 @dataclass
@@ -121,20 +118,12 @@ class GeodesicClass(NamedTuple):
 
 def triangle_area(p: int, q: int, r: int) -> float:
     """Hyperbolic area 2 pi (1 - 1/p - 1/q - 1/r) of the (p,q,r) quotient."""
-    for m in (p, q, r):
-        if not isinstance(m, int) or m < 2:
-            raise ValueError("cone orders must be integers >= 2")
-    # exact integer test: (2,3,6)-style Euclidean signatures sit right on the
-    # boundary; int / int rounds the defect num / den once, correctly
-    num, den = p * q * r - q * r - p * r - p * q, p * q * r
-    if num <= 0:
-        raise NonHyperbolicSignatureError(
-            f"({p},{q},{r}) is not hyperbolic: 1/p + 1/q + 1/r >= 1")
-    return 2.0 * math.pi * (num / den)
+    return triangle_signature(p, q, r).volume
 
 
 def triangle_signature(p: int, q: int, r: int) -> OrbifoldSignature:
-    return OrbifoldSignature((p, q, r), triangle_area(p, q, r))
+    """Genus 0 and cones p, q, r; NonHyperbolicSignatureError if 1/p+1/q+1/r >= 1."""
+    return OrbifoldSignature((p, q, r))
 
 
 @lru_cache(maxsize=1)

@@ -1,8 +1,11 @@
 """CLI behavior: determinism, formats, exit codes, golden outputs."""
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -28,7 +31,7 @@ GOLDEN_CASES = [
     ("energy_csv", ENERGY_237 + ["--output", "csv"]),
     ("verify_237", ["verify-237"]),
     ("elliptic", ["elliptic", "--triangle", "2,3,7"]),
-    ("identity", ["identity", "--volume", "0.1495996"]),
+    ("identity", ["identity", "--triangle", "2,3,7"]),
     ("hyperbolic", ["hyperbolic", "--spectrum", "table"]),
     ("tail", ["tail"]),
     ("spectrum_table", ["spectrum", "--table"]),
@@ -96,7 +99,7 @@ def _floats(obj):
 
 REPORT_JSON_COMMANDS = [
     ENERGY_237, ["verify-237"], ["elliptic", "--triangle", "2,3,7"],
-    ["identity", "--volume", "0.1495996"],
+    ["identity", "--triangle", "2,3,7"],
     ["hyperbolic", "--spectrum", "table"], ["tail"],
 ]
 
@@ -159,16 +162,18 @@ class TestEnergyValues:
         path = tmp_path / "spec.txt"
         path.write_text(out)
         code, out, err = _capture(capsys, [
-            "energy", "--volume", "1.0", "--spectrum", f"file:{path}"])
+            "energy", "--genus", "2", "--spectrum", f"file:{path}"])
         assert code == 2
         assert out == ""
         assert "(2,3,7) spectrum" in err
         path.write_text(path.read_text().split("\n", 1)[1])
         code, out, _ = _capture(capsys, [
-            "energy", "--volume", "1.0", "--spectrum", f"file:{path}",
+            "energy", "--genus", "2", "--spectrum", f"file:{path}",
             "--output", "json"])
         assert code == 0
         d = json.loads(out)
+        # genus 2 has area 4 pi, whose identity bracket starts at -8/45
+        assert d["identity"]["interval"][0] == float(fmt10(-8 / 45))
         assert d["elliptic"]["value"] == 0
         assert d["certified_lower_bound"] < 0
 
@@ -181,10 +186,12 @@ class TestSubcommands:
         assert json.loads(out)["value"] == pytest.approx(0.875676, abs=5e-7)
 
     def test_identity_inside_interval(self, capsys):
+        # genus 1 with cone orders (2,3) has area 7 pi/3
         code, out, _ = _capture(capsys, [
-            "identity", "--volume", "0.1495996", "--output", "json"])
+            "identity", "--cone-orders", "2,3", "--genus", "1", "--output", "json"])
         assert code == 0
         d = json.loads(out)
+        assert d["interval"] == [float(fmt10(-14 / 135)), float(fmt10(-7 / 108))]
         assert d["inside_interval"] is True
 
     def test_hyperbolic(self, capsys):
@@ -266,6 +273,21 @@ class TestExitCodes:
             "hyperbolic", "--spectrum", "file:/nonexistent/spec.txt"])
         assert code == 2
 
+    def test_closed_stdout_is_not_refused_input(self):
+        # the JSON (about 110 kB) outgrows the pipe, so the reader's early
+        # close reaches the writer as EPIPE: exit 128 + SIGPIPE, no message
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "casorb.cli", "spectrum", "--enumerate", "14",
+             "--output", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("this is not a spectrum\n")
@@ -280,8 +302,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["energy", "elliptic", "identity"])
     @pytest.mark.parametrize("flag", [["--cone-orders", "2,3"],
-                                      ["--volume", "0.5"]],
-                             ids=["cone-orders", "volume"])
+                                      ["--genus", "0"]],
+                             ids=["cone-orders", "genus"])
     def test_triangle_conflicts_with_other_signature_flags(self, capsys,
                                                            command, flag):
         extra = ["--spectrum", "table"] if command == "energy" else []
@@ -289,14 +311,14 @@ class TestExitCodes:
             command, "--triangle", "2,3,7", *flag, *extra])
         assert code == 2
         assert out == ""
-        assert "--triangle" in err and flag[0] in err
+        assert f"--triangle and {flag[0]} conflict" in err
 
     @pytest.mark.parametrize("command", ["energy", "elliptic", "identity"])
     @pytest.mark.parametrize("flags, message", [
         (["--triangle", ""], "--triangle expects P,Q,R"),
-        (["--triangle", "", "--volume", "0.5"], "--triangle and --volume conflict"),
-        (["--cone-orders", "", "--volume", "0.5"], "--cone-orders expects"),
-    ], ids=["triangle", "triangle+volume", "cone-orders"])
+        (["--triangle", "", "--genus", "0"], "--triangle and --genus conflict"),
+        (["--cone-orders", "", "--genus", "1"], "--cone-orders expects"),
+    ], ids=["triangle", "triangle+genus", "cone-orders"])
     def test_empty_signature_flag_is_refused(self, capsys, command, flags, message):
         # an empty value is malformed, not absent
         extra = ["--spectrum", "table"] if command == "energy" else []
@@ -320,13 +342,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["energy", "identity"])
     def test_cone_orders_without_volume(self, capsys, command):
-        # energy gets its required --spectrum, so the refusal is the area's
+        # no area is given: cone orders alone are genus 0, so 2,3,7 is the
+        # (2,3,7) triangle and Gauss-Bonnet gives its area
         extra = ["--spectrum", "table"] if command == "energy" else []
         code, out, err = _capture(capsys, [
             command, "--cone-orders", "2,3,7", *extra, "--output", "json"])
-        assert code == 2
-        assert out == ""
-        assert "--cone-orders needs --volume" in err
+        assert code == 0, err
+        assert out == _capture(capsys, [
+            command, "--triangle", "2,3,7", *extra, "--output", "json"])[1]
 
     def test_elliptic_cone_orders_without_volume(self, capsys):
         code, out, _ = _capture(capsys, [
@@ -340,23 +363,25 @@ class TestExitCodes:
         path = tmp_path / "spec.txt"
         path.write_text(spectrum)
         extra = ["--spectrum", f"file:{path}"] if command == "energy" else []
-        # cone orders (2,3): genus 0 is spherical, genus 1 has area 7 pi/3;
-        # the signature refuses the rest before Gauss-Bonnet rounds a genus
-        for orders, volume, message in (
-                ("2,3", "1.0", "Gauss-Bonnet"),
-                ("2,3,7", "inf", "volume must be positive and finite"),
-                ("2,3,7", "nan", "volume must be positive and finite"),
-                ("0,3,7", "1.0", "cone orders must be integers >= 2")):
-            code, out, err = _capture(capsys, [
-                command, "--cone-orders", orders, "--volume", volume, *extra])
-            assert code == 2, (orders, volume, err)
+        # Gauss-Bonnet gives the area, and the signature refuses one that
+        # is not positive: (2,3) at genus 0 is spherical, a bare torus flat
+        for flags, message in (
+                (["--cone-orders", "2,3"],
+                 "genus 0 with cone orders 2,3 is not hyperbolic"),
+                (["--genus", "1"], "genus 1 with cone orders none is not hyperbolic"),
+                (["--genus", "-1"], "genus must be an int in [0, 1e300], got -1"),
+                (["--genus", str(10**301)], "genus must be an int in [0, 1e300], got 1000"),
+                (["--genus", "1.5"], "argument --genus: invalid int value: '1.5'"),
+                (["--cone-orders", "0,3,7"], "cone orders must be integers >= 2")):
+            code, out, err = _capture(capsys, [command, *flags, *extra])
+            assert code == 2, (flags, err)
             assert out == ""
             assert message in err
 
     def test_gauss_bonnet_area_runs(self, capsys):
-        # 0.1495996 is pi/21, the (2,3,7) area, to 7 digits
+        # genus 0 with cone orders 2,3,7 has the (2,3,7) area pi/21
         code, out, err = _capture(capsys, [
-            "identity", "--cone-orders", "2,3,7", "--volume", "0.1495996"])
+            "identity", "--cone-orders", "2,3,7"])
         assert code == 0, err
         assert out == (GOLDEN / "identity.txt").read_text(encoding="utf-8")
 
@@ -443,7 +468,7 @@ class TestExitCodes:
         assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize("signature", [["--triangle", "2,3,7"],
-                                           ["--volume", "1.0"]])
+                                           ["--genus", "2"]])
     def test_energy_needs_spectrum(self, capsys, signature):
         code, out, err = _capture(capsys, ["energy", *signature])
         assert code == 2
@@ -452,7 +477,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["--triangle", "3,3,4", "--spectrum", "table"],
-        ["--volume", "1.0", "--spectrum", "table"],
+        ["--genus", "2", "--spectrum", "table"],
         ["--triangle", "2,3,8", "--spectrum", "enumerate:12"],
     ])
     def test_refuses_237_spectrum_for_other_signature(self, capsys, argv):

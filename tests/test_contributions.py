@@ -1,8 +1,10 @@
 """Series routes, tail bounds, and the certified assembly."""
 
+import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from casorb.contributions import (
     _euler_weights,
     AssumptionReport,
     LengthSpectrum,
+    NonHyperbolicSignatureError,
     OrbifoldSignature,
     SeriesEvaluation,
     SpectrumFormatError,
@@ -50,7 +53,7 @@ from casorb.quadrature import elliptic_kernel_integral, identity_integral
 from casorb.specfun import csch_k1, csch_k1_array, struve_k
 
 VOL_237 = 2.0 * math.pi * (1.0 - (1.0 / 2 + 1.0 / 3 + 1.0 / 7))
-SIG_237 = OrbifoldSignature((2, 3, 7), VOL_237)
+SIG_237 = OrbifoldSignature((2, 3, 7))
 
 # frozen against the high-precision series run (80 outer terms, 50 digits)
 ELLIPTIC_237 = 0.87567611517881749
@@ -158,7 +161,7 @@ class TestEllipticContribution:
         assert ser.truncation_bound < 1e-16
 
     def test_no_cone_points(self):
-        ser = elliptic_contribution(OrbifoldSignature((), 1.0), 60)
+        ser = elliptic_contribution(OrbifoldSignature((), 2), 60)
         assert ser.value == 0.0 and ser.truncation_bound == 0.0
 
     def test_integral_route_agreement(self):
@@ -173,7 +176,7 @@ class TestEllipticContribution:
 
     def test_positivity(self):
         for orders in ((2,), (3, 5), (2, 3, 7)):
-            ser = elliptic_contribution(OrbifoldSignature(orders, 1.0), 40)
+            ser = elliptic_contribution(OrbifoldSignature(orders, 1), 40)
             assert ser.value > 0.0
 
 
@@ -556,7 +559,7 @@ class TestTails:
 
 class TestAssembly:
     def test_cone_free_is_negative(self):
-        sig = OrbifoldSignature((), 4.0 * math.pi)   # genus-2-like area
+        sig = OrbifoldSignature((), 2)   # genus 2: area 4 pi
         # the table's lengths without its group, which a cone-free run refuses
         unnamed = LengthSpectrum(_corpus_spectrum().entries, "file")
         b = casimir_energy(sig, unnamed, tail_j_hi=10**5)
@@ -566,7 +569,7 @@ class TestAssembly:
 
     def test_empty_spectrum_refused(self):
         # no geodesic term means no lower bound
-        sig = OrbifoldSignature((), 1.0)
+        sig = OrbifoldSignature((), 2)
         with pytest.raises(ValueError, match=r"covers j=1\.\.0 "):
             casimir_energy(sig, LengthSpectrum((), "file"))
 
@@ -611,13 +614,13 @@ class TestAssembly:
         table = _corpus_spectrum()
         with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum"):
             casimir_energy(triangle_signature(2, 3, 8), table)
-        # genus 1 with cone orders (2,3): Gauss-Bonnet holds, the group not
+        # genus 1 with cone orders (2,3): hyperbolic, but not the group
         with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum"):
-            casimir_energy(OrbifoldSignature((2, 3), 7 * math.pi / 3), table)
+            casimir_energy(OrbifoldSignature((2, 3), 1), table)
         # a named group is held to the cone orders even when there are none
         with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum, but "
                                              "the cone orders are none;"):
-            casimir_energy(OrbifoldSignature((), 4.0 * math.pi), table)
+            casimir_energy(OrbifoldSignature((), 2), table)
         # the cone orders are compared sorted
         b = casimir_energy(triangle_signature(7, 3, 2), table)
         assert b.certified_lower_bound == pytest.approx(
@@ -630,24 +633,25 @@ class TestAssembly:
         with pytest.raises(ValueError, match="names no group"):
             casimir_energy(SIG_237, unnamed)
         # a cone-free run is exploratory and takes it
-        casimir_energy(OrbifoldSignature((), 4.0 * math.pi), unnamed,
+        casimir_energy(OrbifoldSignature((), 2), unnamed,
                        tail_j_hi=10**5)
 
     def test_refuses_area_breaking_gauss_bonnet(self):
-        with pytest.raises(ValueError, match="breaks Gauss-Bonnet"):
-            casimir_energy(OrbifoldSignature((2, 3, 7), 0.01), _corpus_spectrum())
+        # the area follows from genus and cone orders, so none can be given:
+        # an old-style area in the genus slot is refused
+        with pytest.raises(ValueError,
+                           match=r"genus must be an int in \[0, 1e300\], got 0\.01"):
+            OrbifoldSignature((2, 3, 7), 0.01)
 
     def test_refusal_order(self):
-        # Gauss-Bonnet, then the group, then coverage
+        # the group, then coverage
         one = LengthSpectrum.from_pairs([(0.98, 1)], group=(2, 3, 7))
-        with pytest.raises(ValueError, match="breaks Gauss-Bonnet"):
-            casimir_energy(OrbifoldSignature((2, 3, 8), 0.01), one)
         with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum"):
-            casimir_energy(OrbifoldSignature((2, 3, 8), math.pi / 12), one)
+            casimir_energy(OrbifoldSignature((2, 3, 8)), one)
         with pytest.raises(ValueError, match=r"covers j=1\.\.1 "):
             casimir_energy(SIG_237, one)
         with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum"):
-            casimir_energy(OrbifoldSignature((), 1.0), one)
+            casimir_energy(OrbifoldSignature((), 2), one)
 
     def test_refuses_growth_violation(self):
         from casorb.triangle import enumerate_classes, to_spectrum
@@ -668,6 +672,46 @@ class TestAssembly:
                 SeriesEvaluation(value, bound, 3)
 
 
+class TestOrbifoldSignature:
+    def test_volume_is_gauss_bonnet(self):
+        # every signature of genus 0..3 with up to four cone orders in 2..12
+        from casorb.triangle import triangle_area, triangle_signature
+
+        hyperbolic = 0
+        for genus in range(4):
+            for k in range(5):
+                for orders in itertools.combinations_with_replacement(range(2, 13), k):
+                    chi = Fraction(2 * genus - 2) + sum(Fraction(m - 1, m)
+                                                        for m in orders)
+                    if chi <= 0:
+                        with pytest.raises(NonHyperbolicSignatureError,
+                                           match="is not hyperbolic"):
+                            OrbifoldSignature(orders, genus)
+                        continue
+                    hyperbolic += 1
+                    sig = OrbifoldSignature(orders, genus)
+                    assert sig.volume == 2.0 * math.pi * float(chi), (orders, genus)
+                    if genus == 0 and k == 3:
+                        assert triangle_signature(*orders).volume == triangle_area(*orders)
+        assert hyperbolic == 5363   # 97 of the 5460 are spherical or Euclidean
+
+    @pytest.mark.parametrize("args, message", [
+        (((2, 3, 7), True), "genus must be an int in [0, 1e300], got True"),
+        (((2, 3, 7), -1), "genus must be an int in [0, 1e300], got -1"),
+        (((2, 3, 7), 1.5), "genus must be an int in [0, 1e300], got 1.5"),
+        (((2, 3, 7), 0.1495996), "genus must be an int in [0, 1e300], got 0.1495996"),
+        (((), 10**300 + 1), "genus must be an int in [0, 1e300], got 1000"),
+        (((2, 3),), "genus 0 with cone orders 2,3 is not hyperbolic"),
+        (((), 1), "genus 1 with cone orders none is not hyperbolic"),
+    ], ids=["bool", "negative", "float", "area", "huge", "spherical", "torus"])
+    def test_refusals(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OrbifoldSignature(*args)
+
+    def test_largest_genus_has_a_finite_area(self):
+        assert OrbifoldSignature((), 10**300).volume == 2.0 * math.pi * 2e300
+
+
 class TestSpectrumTypesAndIO:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -676,10 +720,10 @@ class TestSpectrumTypesAndIO:
             LengthSpectrum(((-1.0, 1),), "file")
         with pytest.raises(ValueError):
             LengthSpectrum(((1.0, 0),), "file")
-        with pytest.raises(ValueError):
-            OrbifoldSignature((1,), 1.0)
-        with pytest.raises(ValueError):
-            OrbifoldSignature((2, 3), 0.0)
+        with pytest.raises(ValueError, match="cone orders must be integers >= 2"):
+            OrbifoldSignature((1,))
+        with pytest.raises(ValueError, match="is not hyperbolic"):
+            OrbifoldSignature((2, 3))
 
     def test_bool_multiplicity_refused(self):
         # True is an int to isinstance, but would be written as "True"
@@ -761,7 +805,7 @@ class TestSpectrumTypesAndIO:
         path = tmp_path / "spec.txt"
         path.write_text("# group 2,3\n1.5,2\n")
         with pytest.raises(ValueError, match=r"covers j=1\.\.2 "):
-            casimir_energy(OrbifoldSignature((2, 3), 7 * math.pi / 3),
+            casimir_energy(OrbifoldSignature((2, 3), 1),
                            read_spectrum_file(str(path)))
 
     def test_file_comments_and_errors(self, tmp_path):

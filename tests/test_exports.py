@@ -47,7 +47,7 @@ def test_submodule_surfaces_are_pinned():
         "tail_direct_sum", "tail_b1_bound", "tail_far_prefactor",
         "tail_far_integral", "tail_far_bound", "tail_windings_prefactor",
         "tail_windings_integral", "tail_higher_windings_bound", "tail_bounds",
-        "growth_inequality_check", "check_gauss_bonnet", "casimir_energy",
+        "growth_inequality_check", "casimir_energy",
         "read_spectrum_file", "spectrum_file_lines"])
     assert sorted(triangle.__all__) == sorted([
         "Mat2", "GeodesicClass", "WordError", "EllipticWordError",
