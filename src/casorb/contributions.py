@@ -87,6 +87,7 @@ class OrbifoldSignature:
     genus: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "cone_orders", tuple(self.cone_orders))
         if any((not isinstance(m, int)) or m < 2 for m in self.cone_orders):
             raise ValueError("cone orders must be integers >= 2")
         # the cap keeps the area 2 pi (2g - 2 + sum(1 - 1/m)) a finite float
@@ -384,18 +385,62 @@ def hyperbolic_n_tail_bound(ell, n_done):
     return csch_k32 / n / -np.expm1(-ell)
 
 
-# Windings tested per pass when searching for each length's stopping point.
-_WINDING_BLOCK = 32
-# From _NARROW_FROM lengths on, the first pass tests only the first
-# _FIRST_WINDING_BLOCK windings: most enumerated lengths stop by then, and
-# the rest go on in full blocks.  Fewer lengths (the 27-row table, one
-# class) take full blocks from the start, since there a second pass costs
-# more than the narrower probe saves.
-_FIRST_WINDING_BLOCK = 8
-_NARROW_FROM = 512
 _MAX_WINDINGS = 100_000
 # Majorant tail at which every winding sum stops, head and class terms alike.
 _WINDING_TOL = 1e-13
+# With x = n ell at n = N + 1 windings, the majorant tail is
+# log hyperbolic_n_tail_bound(ell, N) = h(x) - log((1 - e^{-ell}) / ell),
+# h(x) = log(2 sqrt(pi)) + log(2 + x) - 2.5 log x - x - log(1 - e^{-x}),
+# so a length's stopping point solves h(x) = r(ell) with
+# r = log(_WINDING_TOL (1 - e^{-ell}) / ell): one equation in x for every
+# ell.  Its roots lie in x = 26.4..32.6 for 0 < ell <= 700, where the last
+# term of h is below 4e-12 and is left out of the estimate.  _X0 is a
+# point among them.
+_LOG_2_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
+_X0 = 28.0
+
+
+def _log_majorant(x):
+    """h(x) above without its last term, and its derivative."""
+    p = 2.0 + x
+    return (_LOG_2_SQRT_PI + np.log(p) - 2.5 * np.log(x) - x,
+            1.0 / p - 2.5 / x - 1.0)
+
+
+_H0, _DH0 = _log_majorant(_X0)
+_LAST_TWO = np.array([1, 0])        # N - 1 and N
+
+
+def _winding_counts(ell):
+    """For each length, the first N >= 1 with
+    hyperbolic_n_tail_bound(ell, N) <= _WINDING_TOL, and that tail.
+
+    Two Newton steps on h(x) = r, the first from _X0 where h and h' are
+    constants, estimate N; then the majorant itself moves N one winding
+    at a time until N passes the test and N - 1 does not.  The estimate
+    was already that N for the 25 945 lengths of 20 letters and for
+    45 000 lengths spread over 1e-3..700.  The crossing is unique: each
+    winding shrinks the majorant by at least e^{-ell}, far above its
+    rounding for every length the cap admits.
+    """
+    r = np.log(np.expm1(-ell) / ell * -_WINDING_TOL)
+    x = _X0 + (r - _H0) / _DH0
+    h, dh = _log_majorant(x)
+    x -= (h - r) / dh
+    x /= ell                                # n = N + 1, not yet an integer
+    np.maximum(x, 2.0, out=x)
+    np.minimum(x, _MAX_WINDINGS + 1.0, out=x)
+    n = np.ceil(x, out=x).astype(np.int64) - 1
+    while True:
+        t = hyperbolic_n_tail_bound(ell[:, None], n[:, None] - _LAST_TWO)
+        above = t[:, 1] > _WINDING_TOL
+        below = (t[:, 0] <= _WINDING_TOL) & (n > 1)
+        if not (above.any() or below.any()):
+            return n, t[:, 1]
+        n += above
+        n -= below
+        if n.max() > _MAX_WINDINGS:
+            raise ArithmeticError("winding sum did not reach tolerance")
 
 
 def _winding_sums(lengths):
@@ -403,31 +448,18 @@ def _winding_sums(lengths):
 
     For each length ell, sum_{n <= N} (1/n) csch(n ell/2) K_1(n ell/2),
     where N is the first winding count whose majorant tail
-    (:func:`hyperbolic_n_tail_bound`) is at most ``_WINDING_TOL``.
-    Returns the sums, those tails and the N, as arrays.  Each sum adds its
-    terms smallest first.
+    (:func:`hyperbolic_n_tail_bound`) is at most ``_WINDING_TOL``; N is
+    solved from the majorant's logarithm and checked against the majorant
+    (:func:`_winding_counts`).  Returns the sums, those tails and the N,
+    as arrays.  Each sum adds its terms smallest first.  The lengths must
+    be positive and finite.
     """
     ell = np.asarray(lengths, dtype=np.float64)
-    n = np.zeros(ell.size, dtype=np.int64)
-    tails = np.zeros(ell.size)
-    todo = np.arange(ell.size)
-    start = 1
-    width = _FIRST_WINDING_BLOCK if ell.size >= _NARROW_FROM else _WINDING_BLOCK
-    while todo.size:
-        if start > _MAX_WINDINGS:
-            raise ArithmeticError("winding sum did not reach tolerance")
-        k = np.arange(start, start + width)
-        t = hyperbolic_n_tail_bound(ell[todo, None], k)
-        ok = t <= _WINDING_TOL
-        hit = ok.any(axis=1)
-        first = ok.argmax(axis=1)[hit]
-        n[todo[hit]] = k[first]
-        tails[todo[hit]] = t[hit, first]
-        todo = todo[~hit]
-        start, width = start + width, _WINDING_BLOCK
-    offsets = np.cumsum(n) - n
+    n, tails = _winding_counts(ell)
+    ends = np.cumsum(n)
+    offsets = ends - n
     # windings n, n-1, ..., 1 within each length's run
-    k = (np.repeat(offsets + n, n) - np.arange(n.sum())).astype(np.float64)
+    k = (np.repeat(ends, n) - np.arange(n.sum())).astype(np.float64)
     terms = csch_k1_array(0.5 * k * np.repeat(ell, n)) / k
     return np.add.reduceat(terms, offsets), tails, n
 
@@ -452,7 +484,10 @@ def geodesic_contributions(lengths, weights) -> list[float]:
     One batched winding sum; each stops once its majorant tail is at most
     1e-13, as in :func:`hyperbolic_contribution`, the sum of these terms.
     """
-    sums, _, _ = _winding_sums(lengths)
+    ell = np.asarray(lengths, dtype=np.float64)
+    if not ((ell > 0) & (ell < np.inf)).all():
+        raise ValueError("lengths must be positive and finite")
+    sums, _, _ = _winding_sums(ell)
     return (-np.asarray(weights, dtype=np.int64) * sums / FOUR_PI).tolist()
 
 

@@ -391,6 +391,9 @@ _K1E_TOP = math.nextafter(2.0 ** _K1E_HI_EXP, 0.0)
 # 128 KiB default) then stay on the heap; with the default thresholds they
 # are mapped and faulted in again on every call, and a warm tail_b1_bound
 # took 2.3 ms instead of 1.3 ms (MALLOC_MMAP_THRESHOLD_=131072, x86-64).
+# The winding sums hold a few arrays of one float per term (136 kB each at
+# the 17 043 terms of a 16-letter enumeration) and stay on the heap too;
+# pinning the threshold at 128 KiB made that head 2.2 times slower.
 # Shrinking _CHEB_N, _TRAP_NODES or the window range shrinks that pass.
 _CHEB_N = 32                        # interpolation degree
 _CHEB_TERMS = 21                    # coefficients kept for evaluation
@@ -522,20 +525,25 @@ def _k1e_series(z):
     return (1.0 / z + 0.5 * z * s) * np.exp(z)
 
 
-def _clenshaw(c, t2):
-    """sum_k c_k T_k(t2 / 2), for one window's coefficients c or for each
-    element's coefficients stacked along c's second axis."""
+def _clenshaw(coef, t2):
+    """sum_k c_k T_k(t2 / 2) over k < _CHEB_TERMS, where coef(k) gives c_k:
+    one window's coefficient, or an array of each element's."""
     b1 = b2 = 0.0
-    for ck in c[:0:-1]:
+    for k in range(_CHEB_TERMS - 1, 0, -1):
         tmp = t2 * b1
         tmp -= b2
-        tmp += ck
+        tmp += coef(k)
         b1, b2 = tmp, b1
     tmp = t2 * b1
     tmp *= 0.5
-    tmp += c[0]
+    tmp += coef(0)
     tmp -= b2
     return tmp
+
+
+# _K1E_COLUMNS[k] holds c_k of every window, contiguous, for gathering one
+# step's coefficients at a time
+_K1E_COLUMNS = tuple(np.ascontiguousarray(_K1E_COEFS.T))
 
 
 def _k1e(z):
@@ -544,26 +552,33 @@ def _k1e(z):
     Arguments at or past 2^9 are evaluated at the top of the last window;
     csch_k1_array multiplies them by e^{-2z} = 0.
     """
-    mant, expo = np.frexp(np.clip(z, _K1E_LO, _K1E_TOP))
-    window = expo - _K1E_LO_EXP - 1
-    t2 = 8.0 * mant - 6.0                   # 2t, t = 4 mant - 3: both exact
+    t2, expo = np.frexp(np.clip(z, _K1E_LO, _K1E_TOP))
+    window = np.subtract(expo, _K1E_LO_EXP + 1, dtype=np.intp)
+    t2 *= 8.0
+    t2 -= 6.0                   # 2t from the mantissa, t = 4 mant - 3: exact
     # Both ways below take the same operations, so they agree bit for bit.
     # One Clenshaw run per window costs ~64 numpy calls per occupied
-    # window; gathering each element's coefficients costs one 21 x n copy.
-    # Monotone input (the tail) takes the first way and anything else (the
-    # winding sums) the second.  Either way alone is slower on one of
-    # them (x86-64, numpy 2.4): gathering made a warm tail_b1_bound (26 335
-    # points) take 1.57 ms instead of 1.28, and sorting the winding terms
-    # by window to run them per window made the table spectrum's warm
-    # hyperbolic_contribution (413 terms) take 0.25 ms instead of 0.13.
-    if np.all(window[1:] >= window[:-1]):
+    # window.  Gathering each step's coefficients into one reused array
+    # costs one take per step and holds no more than a few arrays of z's
+    # size.  Monotone input (the tail) takes the first way and anything
+    # else (the winding sums) the second.  Either way alone is slower on
+    # one of them (x86-64, numpy 2.4): gathering took 1.45 ms instead of
+    # 1.14 on 26 335 sorted tail arguments, and sorting the table
+    # spectrum's 413 winding terms by window to run them per window took
+    # 0.30 ms instead of 0.055.  The take's mode="clip" never clips
+    # (0 <= window < 11); the default mode="raise" copies through a buffer
+    # when given out=, and took 41 ms instead of 23 on the 169 752 terms
+    # of a 20-letter enumeration.
+    if (window[1:] >= window[:-1]).all():
         out = np.empty_like(t2)
         edges = np.searchsorted(window, np.arange(len(_K1E_COEFS) + 1))
         for c, lo, hi in zip(_K1E_COEFS, edges[:-1], edges[1:]):
             if lo < hi:
-                out[lo:hi] = _clenshaw(c, t2[lo:hi])
+                out[lo:hi] = _clenshaw(c.__getitem__, t2[lo:hi])
     else:
-        out = _clenshaw(np.take(_K1E_COEFS.T, window, axis=1), t2)
+        row = np.empty_like(t2)
+        out = _clenshaw(
+            lambda k: _K1E_COLUMNS[k].take(window, out=row, mode="clip"), t2)
     small = z < _K1E_LO
     if small.any():
         out[small] = _k1e_series(z[small])
@@ -586,7 +601,7 @@ def csch_k1_array(z: np.ndarray) -> np.ndarray:
     1e-150 <= z <= 350; 0.0 once e^{-2z} underflows (z > 372).
     """
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(z > 0):   # NaN included
+    if not (z > 0).all():   # NaN included
         raise ValueError("z must be positive")
     flat = z.reshape(-1)
     k1e = _k1e(flat)

@@ -252,6 +252,32 @@ class TestHyperbolic:
         assert head.value.hex() == "-0x1.57db5555314edp+7"
         assert head.truncation_bound.hex() == "0x1.e76a8c3d8c7bap-37"
 
+    def test_enumerate20_head_bits(self):
+        # the head of 25 945 lengths and 169 752 winding terms, as recorded
+        # before the winding counts were solved in closed form
+        from casorb.triangle import enumerate_classes, to_spectrum
+
+        head = hyperbolic_contribution(to_spectrum(enumerate_classes(20)))
+        assert head.value.hex() == "-0x1.82ead270409d7p+10"
+        assert head.truncation_bound.hex() == "0x1.610dcca2e24f5p-33"
+
+    def test_enumerate16_head_memory(self):
+        # numpy reports its buffers to tracemalloc; the head holds a few
+        # float arrays per winding term (17 043 here), not 21 coefficients
+        import tracemalloc
+
+        from casorb.triangle import enumerate_classes, to_spectrum
+
+        spectrum = to_spectrum(enumerate_classes(16))
+        hyperbolic_contribution(spectrum)
+        tracemalloc.start()
+        try:
+            hyperbolic_contribution(spectrum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     def test_single_class(self):
         spec = LengthSpectrum.from_pairs([(1.736006, 1)], "file")
         head = hyperbolic_contribution(spec)
@@ -276,18 +302,24 @@ class TestHyperbolic:
 
 class TestBatchedWindingSums:
     @staticmethod
-    def _scalar_winding_sum(ell, tol):
+    def _scalar_winding_count(ell, tol):
+        # the first winding count whose majorant tail is at most tol, one
+        # winding at a time
+        n = 1
+        while (tail := hyperbolic_n_tail_bound(ell, n)) > tol:
+            n += 1
+        return tail, n
+
+    @classmethod
+    def _scalar_winding_sum(cls, ell, tol):
         # the per-length loop the batched sums replaced, kept as the oracle
         from casorb.compensated import NeumaierSum
 
+        tail, n = cls._scalar_winding_count(ell, tol)
         acc = NeumaierSum()
-        n = 0
-        while True:
-            n += 1
-            acc.add(hyperbolic_term(ell, n))
-            tail = hyperbolic_n_tail_bound(ell, n)
-            if tail <= tol:
-                return acc.total, tail, n
+        for k in range(1, n + 1):
+            acc.add(hyperbolic_term(ell, k))
+        return acc.total, tail, n
 
     def test_matches_scalar_loop(self):
         from casorb.contributions import _WINDING_TOL, _winding_sums
@@ -302,27 +334,41 @@ class TestBatchedWindingSums:
             assert n == want_n and tail == want_tail
             assert abs(s - want) <= 4 * math.ulp(want)
 
-    def test_first_block_width_keeps_bits(self):
-        # a batch below _NARROW_FROM lengths probes full blocks from winding
-        # 1, a larger one 8 windings first; each length stops alike
-        from casorb.contributions import _NARROW_FROM, _winding_sums
+    def test_batch_size_keeps_bits(self):
+        # a length's sum, tail and count do not depend on the batch around it
+        from casorb.contributions import _winding_sums
         from casorb.triangle import enumerate_classes
 
         lengths = np.array([c.length for c in enumerate_classes(16)])
-        few = lengths[::8]
-        assert few.size < _NARROW_FROM <= lengths.size
-        wide = _winding_sums(few)
-        narrow = _winding_sums(lengths)
-        for got, want in zip(wide, narrow):
+        some = _winding_sums(lengths[::8])
+        every = _winding_sums(lengths)
+        for got, want in zip(some, every):
             assert got.tobytes() == want[::8].tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-3, 700.0))
+    @example(1e-3)
+    @example(700.0)
+    def test_counts_match_scalar_search(self, ell):
+        # the solved winding count is the first crossing, with its tail
+        from casorb.contributions import _WINDING_TOL, _winding_sums
+
+        _, tails, ns = _winding_sums([ell])
+        assert (tails[0], ns[0]) == self._scalar_winding_count(ell, _WINDING_TOL)
+
     def test_refuses_length_past_max_windings(self):
-        # 1e-6 needs millions of windings; the search gives up at the cap
+        # 1e-6 needs millions of windings; a count past the cap is refused
         from casorb.contributions import _MAX_WINDINGS, _winding_sums
 
         assert hyperbolic_n_tail_bound(1e-6, _MAX_WINDINGS) > 1e-13
         with pytest.raises(ArithmeticError, match="did not reach tolerance"):
             _winding_sums([2.0, 1e-6])
+
+    @pytest.mark.parametrize("ell", [0.0, -1.0, math.nan, math.inf])
+    def test_refuses_lengths_that_are_not_positive_and_finite(self, ell):
+        # raw lengths are checked before a winding count is solved for them
+        with pytest.raises(ValueError, match="lengths must be positive and finite"):
+            geodesic_contributions([2.0, ell], [1, 1])
 
     def test_one_call_per_batch(self, monkeypatch):
         # enumeration takes no winding sum; table_corpus's check and each
@@ -710,6 +756,15 @@ class TestOrbifoldSignature:
 
     def test_largest_genus_has_a_finite_area(self):
         assert OrbifoldSignature((), 10**300).volume == 2.0 * math.pi * 2e300
+
+    def test_cone_orders_are_a_tuple(self):
+        # a list is stored as the tuple it holds, so the signature hashes
+        from_list = OrbifoldSignature([2, 3, 7])
+        assert from_list.cone_orders == (2, 3, 7)
+        assert from_list == OrbifoldSignature((2, 3, 7))
+        assert hash(from_list) == hash(OrbifoldSignature((2, 3, 7)))
+        with pytest.raises(ValueError, match="cone orders must be integers >= 2"):
+            OrbifoldSignature("237")
 
 
 class TestSpectrumTypesAndIO:

@@ -493,6 +493,21 @@ class TestK1Kernel:
             assert csch_k1(float(z)) == csch_k1_array([z])[0] == v
         assert np.array_equal(np.sort(unsorted)[::-1], ordered)
 
+    def test_shuffled_input_keeps_bits(self):
+        # sorted input runs Clenshaw per window, shuffled input gathers each
+        # element's coefficients: the same operations, so the same bits
+        rng = np.random.default_rng(24)
+        zs = [0.25 * 2.0 ** k * (1 + rng.random(5)) for k in range(11)]
+        zs += [2.0 ** np.arange(-2, 10), rng.uniform(1e-3, 0.25, 8),
+               rng.uniform(512.0, 800.0, 4)]
+        ordered = np.sort(np.concatenate(zs))
+        assert ordered[0] < 0.25 and ordered[-1] > 2.0 ** 9
+        assert len(np.unique(np.frexp(ordered[ordered >= 0.25])[1])) == 12
+        perm = rng.permutation(ordered.size)
+        assert np.any(np.diff(ordered[perm]) < 0)
+        want = csch_k1_array(ordered)[perm]
+        assert csch_k1_array(ordered[perm]).tobytes() == want.tobytes()
+
     def test_zero_past_underflow(self):
         zs = np.linspace(380.0, 800.0, 200)
         vals = csch_k1_array(zs)
