@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands compute the energy pieces separately or run the full
-certified (2,3,7) pipeline.  Reports print floats with :func:`fmt10`, and
+certified (2,3,7) pipeline.  A signature is ``--cone-orders`` and ``--genus``
+(default 0); every command that reads a spectrum takes ``--spectrum
+table|enumerate:N|file:PATH``.  Reports print floats with :func:`fmt10`, and
 :func:`_dumps` rounds every report JSON float the same way; spectrum data
 (``spectrum`` text and JSON, class JSON) prints ``repr``, so spectrum files
 round-trip.  Identical configurations produce byte-identical output.
@@ -119,18 +121,8 @@ def emit_breakdown(b: co.EnergyBreakdown, fmt: str = "text") -> str:
 # ----------------------------------------------------------------------
 
 def _signature_from_args(args) -> co.OrbifoldSignature:
-    if args.triangle is not None:
-        for flag, value in (("--cone-orders", args.cone_orders),
-                            ("--genus", args.genus)):
-            if value is not None:
-                raise ValueError(f"--triangle and {flag} conflict: --triangle "
-                                 "sets the whole signature, at genus 0")
-        parts = args.triangle.split(",")
-        if len(parts) != 3:
-            raise ValueError("--triangle expects P,Q,R")
-        return tri.triangle_signature(*(int(p) for p in parts))
     if args.cone_orders is None and args.genus is None:
-        raise ValueError("need --triangle P,Q,R, or --cone-orders, --genus or both")
+        raise ValueError("need --cone-orders, --genus or both")
     text = args.cone_orders
     try:
         orders = () if text is None else tuple(int(x) for x in text.split(","))
@@ -146,7 +138,13 @@ def _load_spectrum(src: str):
         classes = tri.table_corpus()
         return classes, tri.to_spectrum(classes, provenance="table_corpus")
     if src.startswith("enumerate:"):
-        classes = tri.enumerate_classes(int(src.split(":", 1)[1]))
+        n = src.split(":", 1)[1]
+        try:
+            n = int(n)
+        except ValueError:
+            raise ValueError(
+                f"--spectrum enumerate:N needs an integer N, got {n!r}") from None
+        classes = tri.enumerate_classes(n)
         return classes, tri.to_spectrum(classes)
     if src.startswith("file:"):
         return None, co.read_spectrum_file(src.split(":", 1)[1])
@@ -155,7 +153,6 @@ def _load_spectrum(src: str):
 
 
 def _add_signature_flags(p):
-    p.add_argument("--triangle", help="triangle signature P,Q,R")
     p.add_argument("--cone-orders", help="comma-separated cone orders")
     p.add_argument("--genus", type=int, help="genus of the quotient (default 0)")
 
@@ -191,10 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("text", "json"), default="text")
 
     p = sub.add_parser("spectrum", help="export a length spectrum")
-    p.add_argument("--table", action="store_true", help="use the built-in corpus")
-    p.add_argument("--enumerate", type=int, metavar="N",
-                   help="enumerate words up to N letters")
-    p.add_argument("--file", help="read spectrum from a file")
+    p.add_argument("--spectrum", required=True, help=_SPECTRUM_HELP)
     p.add_argument("--output", choices=("text", "csv", "json"), default="text")
 
     p = sub.add_parser("tail", help="index-tail bounds for the geodesic sum")
@@ -250,13 +244,7 @@ def _cmd_hyperbolic(args) -> str:
 
 
 def _cmd_spectrum(args) -> str:
-    sources = [src for src, given in (
-        ("table", args.table),
-        (f"enumerate:{args.enumerate}", args.enumerate is not None),
-        (f"file:{args.file}", args.file is not None)) if given]
-    if len(sources) != 1:
-        raise ValueError("pick exactly one of --table, --enumerate N, --file PATH")
-    classes, spectrum = _load_spectrum(sources[0])
+    classes, spectrum = _load_spectrum(args.spectrum)
     if args.output == "json" and classes is not None:
         return tri.classes_to_json(classes)
     if args.output == "json":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,15 +137,6 @@ class LengthSpectrum:
             if ell < prev:
                 raise ValueError("lengths must be non-decreasing")
             prev = ell
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[float, int]],
-                   provenance: str = "file",
-                   group: Optional[Tuple[int, ...]] = None) -> "LengthSpectrum":
-        """Spectrum of (length, multiplicity) pairs; see :meth:`from_columns`."""
-        pairs = list(pairs)
-        return cls.from_columns([ell for ell, _ in pairs], [m for _, m in pairs],
-                                provenance, group)
 
     @classmethod
     def from_columns(cls, lengths: Sequence[float], multiplicities: Sequence[int],
@@ -765,7 +756,7 @@ def read_spectrum_file(path: str) -> LengthSpectrum:
     the lengths belong to (2,3,7 for the (2,3,7) triangle group); the
     spectrum keeps it.
     """
-    pairs = []
+    lengths, multiplicities = [], []
     group = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -783,15 +774,14 @@ def read_spectrum_file(path: str) -> LengthSpectrum:
                 raise SpectrumFormatError(
                     f"{path}:{lineno}: expected 'length,multiplicity'")
             try:
-                ell = float(fields[0])
-                mult = int(fields[1])
+                lengths.append(float(fields[0]))
+                multiplicities.append(int(fields[1]))
             except ValueError as exc:
                 raise SpectrumFormatError(f"{path}:{lineno}: {exc}") from exc
-            pairs.append((ell, mult))
-    if not pairs:
+    if not lengths:
         raise SpectrumFormatError(f"{path}: no spectrum entries found")
     try:
-        return LengthSpectrum.from_pairs(pairs, provenance="file", group=group)
+        return LengthSpectrum.from_columns(lengths, multiplicities, "file", group)
     except ValueError as exc:
         raise SpectrumFormatError(f"{path}: {exc}") from exc
 

@@ -605,7 +605,8 @@ def csch_k1_array(z: np.ndarray) -> np.ndarray:
         raise ValueError("z must be positive")
     flat = z.reshape(-1)
     k1e = _k1e(flat)
-    return (2.0 * np.exp(-2.0 * flat) * k1e / -np.expm1(-2.0 * flat)).reshape(z.shape)
+    m2z = -2.0 * flat
+    return (2.0 * np.exp(m2z) * k1e / -np.expm1(m2z)).reshape(z.shape)
 
 
 def upper_incomplete_gamma_half(a: float) -> float:

@@ -43,7 +43,6 @@ __all__ = [
     "WordError",
     "EllipticWordError",
     "NonHyperbolicSignatureError",
-    "triangle_area",
     "triangle_signature",
     "generators_237",
     "word_to_matrix",
@@ -114,11 +113,6 @@ class GeodesicClass(NamedTuple):
     trace: float
     length: float
     class_count: int
-
-
-def triangle_area(p: int, q: int, r: int) -> float:
-    """Hyperbolic area 2 pi (1 - 1/p - 1/q - 1/r) of the (p,q,r) quotient."""
-    return triangle_signature(p, q, r).volume
 
 
 def triangle_signature(p: int, q: int, r: int) -> OrbifoldSignature:
@@ -461,8 +455,8 @@ def to_spectrum(classes: Iterable[GeodesicClass],
 
     Entries stay separate even at equal lengths: one per class.  The
     classes are taken once, and their lengths and counts go, uncoerced, to
-    :meth:`LengthSpectrum.from_columns` as two columns, so the result is
-    ``LengthSpectrum.from_pairs`` of the (length, count) pairs.
+    :meth:`LengthSpectrum.from_columns` as two columns, so the entries are
+    the sorted (length, count) pairs.
     """
     classes = list(classes)
     return LengthSpectrum.from_columns([c.length for c in classes],

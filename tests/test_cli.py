@@ -22,7 +22,7 @@ def _capture(capsys, argv):
     return code, captured.out, captured.err
 
 
-ENERGY_237 = ["energy", "--triangle", "2,3,7", "--spectrum", "table"]
+ENERGY_237 = ["energy", "--cone-orders", "2,3,7", "--spectrum", "table"]
 
 
 GOLDEN_CASES = [
@@ -30,12 +30,13 @@ GOLDEN_CASES = [
     ("energy_json", ENERGY_237 + ["--output", "json"]),
     ("energy_csv", ENERGY_237 + ["--output", "csv"]),
     ("verify_237", ["verify-237"]),
-    ("elliptic", ["elliptic", "--triangle", "2,3,7"]),
-    ("identity", ["identity", "--triangle", "2,3,7"]),
+    ("elliptic", ["elliptic", "--cone-orders", "2,3,7"]),
+    ("identity", ["identity", "--cone-orders", "2,3,7"]),
     ("hyperbolic", ["hyperbolic", "--spectrum", "table"]),
     ("tail", ["tail"]),
-    ("spectrum_table", ["spectrum", "--table"]),
-    ("spectrum_enumerate12", ["spectrum", "--enumerate", "12", "--output", "json"]),
+    ("spectrum_table", ["spectrum", "--spectrum", "table"]),
+    ("spectrum_enumerate12",
+     ["spectrum", "--spectrum", "enumerate:12", "--output", "json"]),
     ("hyperbolic_enumerate16",
      ["hyperbolic", "--spectrum", "enumerate:16", "--output", "json"]),
 ]
@@ -64,7 +65,7 @@ def _readme_commands():
 
 def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code, out, err = _capture(capsys, ["spectrum", "--table"])
+    code, out, err = _capture(capsys, ["spectrum", "--spectrum", "table"])
     assert code == 0, err
     (tmp_path / "my_spectrum.txt").write_text(out, encoding="utf-8")
     commands = _readme_commands()
@@ -98,8 +99,8 @@ def _floats(obj):
 
 
 REPORT_JSON_COMMANDS = [
-    ENERGY_237, ["verify-237"], ["elliptic", "--triangle", "2,3,7"],
-    ["identity", "--triangle", "2,3,7"],
+    ENERGY_237, ["verify-237"], ["elliptic", "--cone-orders", "2,3,7"],
+    ["identity", "--cone-orders", "2,3,7"],
     ["hyperbolic", "--spectrum", "table"], ["tail"],
 ]
 
@@ -156,7 +157,7 @@ class TestEnergyValues:
     def test_cone_free_run(self, capsys, tmp_path):
         # a cone-free run refuses the table's file, which names its group as
         # table does, and takes the same file without its '# group' line
-        code, out, _ = _capture(capsys, ["spectrum", "--table"])
+        code, out, _ = _capture(capsys, ["spectrum", "--spectrum", "table"])
         assert code == 0
         assert out.startswith("# group 2,3,7\n")
         path = tmp_path / "spec.txt"
@@ -181,7 +182,7 @@ class TestEnergyValues:
 class TestSubcommands:
     def test_elliptic(self, capsys):
         code, out, _ = _capture(capsys, [
-            "elliptic", "--triangle", "2,3,7", "--output", "json"])
+            "elliptic", "--cone-orders", "2,3,7", "--output", "json"])
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.875676, abs=5e-7)
 
@@ -204,7 +205,7 @@ class TestSubcommands:
 
     def test_spectrum_enumerate_csv(self, capsys):
         code, out, _ = _capture(capsys, [
-            "spectrum", "--enumerate", "12", "--output", "csv"])
+            "spectrum", "--spectrum", "enumerate:12", "--output", "csv"])
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "length,multiplicity"
@@ -212,7 +213,7 @@ class TestSubcommands:
         assert first_length == pytest.approx(0.983987, abs=1e-5)
 
     def test_spectrum_table_roundtrip_through_file(self, capsys, tmp_path):
-        code, out, _ = _capture(capsys, ["spectrum", "--table"])
+        code, out, _ = _capture(capsys, ["spectrum", "--spectrum", "table"])
         assert code == 0
         path = tmp_path / "spec.txt"
         path.write_text(out)
@@ -223,20 +224,21 @@ class TestSubcommands:
 
     def test_spectrum_file_json_rebuilds_the_spectrum(self, capsys, tmp_path):
         # the file's JSON prints every length in full, as the table's JSON does
-        code, out, _ = _capture(capsys, ["spectrum", "--table"])
+        code, out, _ = _capture(capsys, ["spectrum", "--spectrum", "table"])
         assert code == 0
         path = tmp_path / "spec.txt"
         path.write_text(out)
         spectrum = read_spectrum_file(path)
         code, out, _ = _capture(capsys, [
-            "spectrum", "--file", str(path), "--output", "json"])
+            "spectrum", "--spectrum", f"file:{path}", "--output", "json"])
         assert code == 0
         rows = json.loads(out)
-        rebuilt = LengthSpectrum.from_pairs(
-            ((r["length"], r["multiplicity"]) for r in rows),
+        rebuilt = LengthSpectrum(
+            tuple((r["length"], r["multiplicity"]) for r in rows),
             provenance=spectrum.provenance, group=spectrum.group)
         assert rebuilt == spectrum
-        code, out, _ = _capture(capsys, ["spectrum", "--table", "--output", "json"])
+        code, out, _ = _capture(capsys, [
+            "spectrum", "--spectrum", "table", "--output", "json"])
         assert code == 0
         assert [r["length"] for r in rows] == [r["length"] for r in json.loads(out)]
 
@@ -264,7 +266,7 @@ class TestSubcommands:
 class TestExitCodes:
     def test_non_hyperbolic_signature(self, capsys):
         code, _, err = _capture(capsys, [
-            "energy", "--triangle", "2,3,6", "--spectrum", "table"])
+            "energy", "--cone-orders", "2,3,6", "--spectrum", "table"])
         assert code == 2
         assert "error:" in err
 
@@ -279,8 +281,8 @@ class TestExitCodes:
         src = pathlib.Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "casorb.cli", "spectrum", "--enumerate", "14",
-             "--output", "json"],
+            [sys.executable, "-m", "casorb.cli", "spectrum", "--spectrum",
+             "enumerate:14", "--output", "json"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert proc.stdout.readline() == b"[\n"
         proc.stdout.close()
@@ -301,24 +303,9 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["energy", "elliptic", "identity"])
-    @pytest.mark.parametrize("flag", [["--cone-orders", "2,3"],
-                                      ["--genus", "0"]],
-                             ids=["cone-orders", "genus"])
-    def test_triangle_conflicts_with_other_signature_flags(self, capsys,
-                                                           command, flag):
-        extra = ["--spectrum", "table"] if command == "energy" else []
-        code, out, err = _capture(capsys, [
-            command, "--triangle", "2,3,7", *flag, *extra])
-        assert code == 2
-        assert out == ""
-        assert f"--triangle and {flag[0]} conflict" in err
-
-    @pytest.mark.parametrize("command", ["energy", "elliptic", "identity"])
     @pytest.mark.parametrize("flags, message", [
-        (["--triangle", ""], "--triangle expects P,Q,R"),
-        (["--triangle", "", "--genus", "0"], "--triangle and --genus conflict"),
         (["--cone-orders", "", "--genus", "1"], "--cone-orders expects"),
-    ], ids=["triangle", "triangle+genus", "cone-orders"])
+    ], ids=["cone-orders"])
     def test_empty_signature_flag_is_refused(self, capsys, command, flags, message):
         # an empty value is malformed, not absent
         extra = ["--spectrum", "table"] if command == "energy" else []
@@ -327,29 +314,57 @@ class TestExitCodes:
         assert out == ""
         assert message in err
 
-    @pytest.mark.parametrize("sources", [
-        [], ["--table", "--enumerate", "4"], ["--table", "--file", "x.txt"]],
-        ids=["none", "table+enumerate", "table+file"])
+    @pytest.mark.parametrize("sources", [[]], ids=["none"])
     def test_spectrum_needs_exactly_one_source(self, capsys, sources):
         code, out, err = _capture(capsys, ["spectrum", *sources])
         assert code == 2
         assert out == ""
-        assert "pick exactly one of --table, --enumerate N, --file PATH" in err
+        assert "the following arguments are required: --spectrum" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--triangle", "2,3,7", "--spectrum", "table"],
+        ["elliptic", "--triangle", "2,3,7"],
+        ["identity", "--triangle", "2,3,7"],
+        ["spectrum", "--spectrum", "table", "--table"],
+        ["spectrum", "--spectrum", "table", "--enumerate", "12"],
+        ["spectrum", "--spectrum", "table", "--file", "x.txt"],
+    ], ids=["energy-triangle", "elliptic-triangle", "identity-triangle",
+            "spectrum-table", "spectrum-enumerate", "spectrum-file"])
+    def test_removed_input_spelling(self, capsys, argv):
+        # each input has one spelling: --cone-orders and --genus, --spectrum
+        code, out, err = _capture(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum"], ["hyperbolic"], ["energy", "--cone-orders", "2,3,7"]],
+        ids=["spectrum", "hyperbolic", "energy"])
+    @pytest.mark.parametrize("n", ["abc", ""])
+    def test_enumerate_needs_an_integer(self, capsys, argv, n):
+        code, out, err = _capture(capsys, [*argv, "--spectrum", f"enumerate:{n}"])
+        assert code == 2
+        assert out == ""
+        assert f"--spectrum enumerate:N needs an integer N, got {n!r}" in err
 
     def test_missing_signature(self, capsys):
-        code, _, _ = _capture(capsys, ["elliptic"])
+        code, _, err = _capture(capsys, ["elliptic"])
         assert code == 2
+        assert "need --cone-orders, --genus or both" in err
 
-    @pytest.mark.parametrize("command", ["energy", "identity"])
+    @pytest.mark.parametrize("command", ["energy", "elliptic", "identity"])
     def test_cone_orders_without_volume(self, capsys, command):
         # no area is given: cone orders alone are genus 0, so 2,3,7 is the
-        # (2,3,7) triangle and Gauss-Bonnet gives its area
+        # (2,3,7) triangle and Gauss-Bonnet gives its area; their order is
+        # immaterial, to the last printed byte
         extra = ["--spectrum", "table"] if command == "energy" else []
-        code, out, err = _capture(capsys, [
-            command, "--cone-orders", "2,3,7", *extra, "--output", "json"])
-        assert code == 0, err
-        assert out == _capture(capsys, [
-            command, "--triangle", "2,3,7", *extra, "--output", "json"])[1]
+        outputs = ["text", "json", "csv"] if command == "energy" else ["text", "json"]
+        for output in outputs:
+            code, out, err = _capture(capsys, [
+                command, "--cone-orders", "7,3,2", *extra, "--output", output])
+            assert code == 0, err
+            assert out == _capture(capsys, [
+                command, "--cone-orders", "2,3,7", *extra, "--output", output])[1]
 
     def test_elliptic_cone_orders_without_volume(self, capsys):
         code, out, _ = _capture(capsys, [
@@ -359,7 +374,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["energy", "identity", "elliptic"])
     def test_refuses_area_breaking_gauss_bonnet(self, capsys, tmp_path, command):
-        _, spectrum, _ = _capture(capsys, ["spectrum", "--table"])
+        _, spectrum, _ = _capture(capsys, ["spectrum", "--spectrum", "table"])
         path = tmp_path / "spec.txt"
         path.write_text(spectrum)
         extra = ["--spectrum", f"file:{path}"] if command == "energy" else []
@@ -388,7 +403,7 @@ class TestExitCodes:
     def test_refuses_enumerated_spectrum(self, capsys):
         # enumerate:N overcounts, so the growth assumption fails at j = 3
         code, out, err = _capture(capsys, [
-            "energy", "--triangle", "2,3,7", "--spectrum", "enumerate:12"])
+            "energy", "--cone-orders", "2,3,7", "--spectrum", "enumerate:12"])
         assert code == 2
         assert out == ""
         assert "fails at j=3" in err
@@ -396,7 +411,7 @@ class TestExitCodes:
     def test_reports_group_before_growth(self, capsys):
         # casimir_energy checks the group before the growth assumption
         code, out, err = _capture(capsys, [
-            "energy", "--triangle", "2,3,8", "--spectrum", "enumerate:12"])
+            "energy", "--cone-orders", "2,3,8", "--spectrum", "enumerate:12"])
         assert code == 2
         assert out == ""
         assert "is a (2,3,7) spectrum" in err
@@ -406,31 +421,31 @@ class TestExitCodes:
         path = tmp_path / "one.txt"
         path.write_text("# group 2,3,7\n0.98,1\n")
         code, out, err = _capture(capsys, [
-            "energy", "--triangle", "2,3,7", "--spectrum", f"file:{path}"])
+            "energy", "--cone-orders", "2,3,7", "--spectrum", f"file:{path}"])
         assert code == 2
         assert out == ""
         assert "covers j=1..1 " in err
 
     def test_refuses_file_spectrum_of_another_group(self, capsys, tmp_path):
-        # spectrum --table names its group, and energy holds a file to it
-        code, out, _ = _capture(capsys, ["spectrum", "--table"])
+        # spectrum --spectrum table names its group, and energy holds a file to it
+        code, out, _ = _capture(capsys, ["spectrum", "--spectrum", "table"])
         assert code == 0
         path = tmp_path / "table.txt"
         path.write_text(out)
         code, out, err = _capture(capsys, [
-            "energy", "--triangle", "3,3,4", "--spectrum", f"file:{path}"])
+            "energy", "--cone-orders", "3,3,4", "--spectrum", f"file:{path}"])
         assert code == 2
         assert out == ""
         assert "is a (2,3,7) spectrum" in err
         code, out, err = _capture(capsys, [
-            "energy", "--triangle", "7,3,2", "--spectrum", f"file:{path}",
+            "energy", "--cone-orders", "7,3,2", "--spectrum", f"file:{path}",
             "--output", "json"])
         assert code == 0, err
         assert json.loads(out)["certified_lower_bound"] >= 0.0115
 
     def test_refuses_file_spectrum_naming_no_group(self, capsys, tmp_path):
         # the table's lines without '# group 2,3,7' fit no cone orders
-        code, out, _ = _capture(capsys, ["spectrum", "--table"])
+        code, out, _ = _capture(capsys, ["spectrum", "--spectrum", "table"])
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "# group 2,3,7"
@@ -438,7 +453,7 @@ class TestExitCodes:
         path.write_text("\n".join(lines[1:]) + "\n")
         for triangle in ("3,3,4", "2,3,7"):
             code, out, err = _capture(capsys, [
-                "energy", "--triangle", triangle, "--spectrum", f"file:{path}",
+                "energy", "--cone-orders", triangle, "--spectrum", f"file:{path}",
                 "--output", "csv"])
             assert code == 2
             assert out == ""
@@ -467,7 +482,7 @@ class TestExitCodes:
         assert out == ""
         assert "unrecognized arguments" in err
 
-    @pytest.mark.parametrize("signature", [["--triangle", "2,3,7"],
+    @pytest.mark.parametrize("signature", [["--cone-orders", "2,3,7"],
                                            ["--genus", "2"]])
     def test_energy_needs_spectrum(self, capsys, signature):
         code, out, err = _capture(capsys, ["energy", *signature])
@@ -476,9 +491,9 @@ class TestExitCodes:
         assert "--spectrum" in err
 
     @pytest.mark.parametrize("argv", [
-        ["--triangle", "3,3,4", "--spectrum", "table"],
+        ["--cone-orders", "3,3,4", "--spectrum", "table"],
         ["--genus", "2", "--spectrum", "table"],
-        ["--triangle", "2,3,8", "--spectrum", "enumerate:12"],
+        ["--cone-orders", "2,3,8", "--spectrum", "enumerate:12"],
     ])
     def test_refuses_237_spectrum_for_other_signature(self, capsys, argv):
         code, out, err = _capture(capsys, ["energy", *argv, "--output", "csv"])
@@ -493,7 +508,7 @@ class TestExitCodes:
             raise QuadratureNonConvergence("forced for the exit-code contract")
 
         monkeypatch.setattr(cli.co, "elliptic_contribution", boom)
-        code, _, err = _capture(capsys, ["elliptic", "--triangle", "2,3,7"])
+        code, _, err = _capture(capsys, ["elliptic", "--cone-orders", "2,3,7"])
         assert code == 1
         assert "numerical failure" in err
 
@@ -507,7 +522,7 @@ class TestExitCodes:
         specfun.clear_caches()
         monkeypatch.setattr(specfun, "adaptive_quadrature", unconverged)
         try:
-            code, out, err = _capture(capsys, ["elliptic", "--triangle", "2,3,7"])
+            code, out, err = _capture(capsys, ["elliptic", "--cone-orders", "2,3,7"])
             cached = specfun._struve_k_dispatch.cache_info().currsize
         finally:
             specfun.clear_caches()   # no other test may see what it cached

@@ -279,13 +279,13 @@ class TestHyperbolic:
         assert peak < 2_000_000
 
     def test_single_class(self):
-        spec = LengthSpectrum.from_pairs([(1.736006, 1)], "file")
+        spec = LengthSpectrum(((1.736006, 1),), "file")
         head = hyperbolic_contribution(spec)
         assert head.value == pytest.approx(-0.064746, abs=5e-6)
 
     def test_multiplicity_linearity(self):
-        spec1 = LengthSpectrum.from_pairs([(1.0, 1), (2.0, 3)], "file")
-        spec2 = LengthSpectrum.from_pairs([(1.0, 2), (2.0, 6)], "file")
+        spec1 = LengthSpectrum(((1.0, 1), (2.0, 3)), "file")
+        spec2 = LengthSpectrum(((1.0, 2), (2.0, 6)), "file")
         a = hyperbolic_contribution(spec1).value
         b = hyperbolic_contribution(spec2).value
         assert b == pytest.approx(2.0 * a, rel=1e-12)
@@ -437,7 +437,7 @@ class TestAssumption:
 
         lengths = [1.0, 1.1] + [thr(j) + 1e-3 for j in range(3, 51)]
         lengths.append(5.29)   # >= lengths[-1], < threshold(51)
-        spec = LengthSpectrum.from_pairs([(l, 1) for l in lengths], "file")
+        spec = LengthSpectrum(tuple((l, 1) for l in lengths), "file")
         rep = assumption_check(spec)
         assert not rep.holds
         assert rep.first_violation == 51
@@ -459,20 +459,21 @@ class TestAssumption:
     def test_entry_walk_matches_per_index_loop(self, rows):
         # lengths near the floor at some index, multiplicities that can
         # carry an entry across the index where it falls below it
-        spec = LengthSpectrum.from_pairs(
-            [(math.log(j) + math.log(math.log(j)) + d, m) for j, d, m in rows])
+        spec = LengthSpectrum.from_columns(
+            [math.log(j) + math.log(math.log(j)) + d for j, d, _ in rows],
+            [m for _, _, m in rows])
         assert assumption_check(spec) == self._per_index_check(spec)
 
     def test_huge_multiplicity_is_not_expanded(self):
         def thr(j):
             return math.log(j) + math.log(math.log(j))
 
-        rep = assumption_check(LengthSpectrum.from_pairs(
-            [(1.0, 1), (2.0, 2), (30.0, 10**12)]))
+        rep = assumption_check(LengthSpectrum(
+            ((1.0, 1), (2.0, 2), (30.0, 10**12))))
         j = rep.first_violation
         assert not rep.holds and rep.checked_through == j
         assert thr(j - 1) <= 30.0 < thr(j)
-        rep = assumption_check(LengthSpectrum.from_pairs([(31.0, 10**12)]))
+        rep = assumption_check(LengthSpectrum(((31.0, 10**12),)))
         assert rep == AssumptionReport(True, None, 10**12)
 
     def test_threshold_value(self):
@@ -649,7 +650,7 @@ class TestAssembly:
             casimir_energy(SIG_237, short, tail_j_hi=10**5)
         with pytest.raises(ValueError, match=r"covers j=1\.\.1 "):
             casimir_energy(SIG_237,
-                           LengthSpectrum.from_pairs([(0.98, 1)], group=(2, 3, 7)),
+                           LengthSpectrum(((0.98, 1),), group=(2, 3, 7)),
                            tail_j_hi=10**5)
         fifty = LengthSpectrum(entries + ((5.46, 1),), "file", group=(2, 3, 7))
         assert casimir_energy(SIG_237, fifty, tail_j_hi=10**5).assumption.holds
@@ -674,7 +675,7 @@ class TestAssembly:
 
     def test_refuses_spectrum_naming_no_group(self):
         # the table's lengths without its group: nothing ties them to (2,3,7)
-        unnamed = LengthSpectrum.from_pairs(_corpus_spectrum().entries)
+        unnamed = LengthSpectrum(_corpus_spectrum().entries)
         assert unnamed.group is None
         with pytest.raises(ValueError, match="names no group"):
             casimir_energy(SIG_237, unnamed)
@@ -691,7 +692,7 @@ class TestAssembly:
 
     def test_refusal_order(self):
         # the group, then coverage
-        one = LengthSpectrum.from_pairs([(0.98, 1)], group=(2, 3, 7))
+        one = LengthSpectrum(((0.98, 1),), group=(2, 3, 7))
         with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum"):
             casimir_energy(OrbifoldSignature((2, 3, 8)), one)
         with pytest.raises(ValueError, match=r"covers j=1\.\.1 "):
@@ -721,8 +722,6 @@ class TestAssembly:
 class TestOrbifoldSignature:
     def test_volume_is_gauss_bonnet(self):
         # every signature of genus 0..3 with up to four cone orders in 2..12
-        from casorb.triangle import triangle_area, triangle_signature
-
         hyperbolic = 0
         for genus in range(4):
             for k in range(5):
@@ -737,8 +736,6 @@ class TestOrbifoldSignature:
                     hyperbolic += 1
                     sig = OrbifoldSignature(orders, genus)
                     assert sig.volume == 2.0 * math.pi * float(chi), (orders, genus)
-                    if genus == 0 and k == 3:
-                        assert triangle_signature(*orders).volume == triangle_area(*orders)
         assert hyperbolic == 5363   # 97 of the 5460 are spherical or Euclidean
 
     @pytest.mark.parametrize("args, message", [
@@ -791,28 +788,28 @@ class TestSpectrumTypesAndIO:
         # int(2.7) = 2 would undercount the class and raise the bound
         for mult in (2.7, True, np.True_, "3", 2.0):
             with pytest.raises(ValueError, match="multiplicities must be positive integers"):
-                LengthSpectrum.from_pairs([(1.0, mult)], "file")
+                LengthSpectrum.from_columns([1.0], [mult], "file")
             with pytest.raises(ValueError, match="multiplicities must be positive integers"):
                 LengthSpectrum.from_columns([2.0, 1.0], [3, mult], "file")
         # exact integers still pass, as Python ints of the same value
         spec = LengthSpectrum.from_columns([2.0, 1.0], np.array([3, 4]))
         assert spec.entries == ((1.0, 4), (2.0, 3))
         assert [type(m) for _, m in spec.entries] == [int, int]
-        big = LengthSpectrum.from_pairs([(2.0, 10**30), (1.0, 2**64), (1.5, 3)])
+        big = LengthSpectrum.from_columns([2.0, 1.0, 1.5], [10**30, 2**64, 3])
         assert big.entries == ((1.0, 2**64), (1.5, 3), (2.0, 10**30))
         assert [type(m) for _, m in big.entries] == [int, int, int]
 
     def test_from_pairs_sorts_like_sorted_tuples(self):
         # one lexsort over both columns orders pairs as sorted() orders
-        # (length, multiplicity) tuples; the pairs are taken once
+        # (length, multiplicity) tuples
         pairs = [(2.0, 1), (1.0, 3), (2.0, 10**30), (1.0, 2), (0.5, 7), (2.0, 4)]
-        spec = LengthSpectrum.from_pairs(iter(pairs), "file")
+        spec = LengthSpectrum.from_columns(*zip(*pairs))
         assert spec.entries == tuple(sorted(pairs))
-        assert LengthSpectrum.from_pairs(iter(()), "file").entries == ()
+        assert LengthSpectrum.from_columns([], [], "file").entries == ()
 
     def test_multiplicity_and_merge(self):
-        spec = LengthSpectrum.from_pairs(
-            [(1.0, 2), (1.0 + 1e-12, 3), (2.0, 1)], "file")
+        spec = LengthSpectrum(
+            ((1.0, 2), (1.0 + 1e-12, 3), (2.0, 1)), "file")
         assert spec.total_multiplicity == 6
         assert sum(m for ell, m in spec.entries if abs(ell - 1.0) <= 1e-9) == 5
         # nearly equal lengths are never merged: the spectrum keeps both
@@ -820,16 +817,16 @@ class TestSpectrumTypesAndIO:
         assert len(spec) == 3
 
     def test_file_roundtrip(self, tmp_path):
-        spec = LengthSpectrum.from_pairs(
-            [(0.983987, 1), (1.736006, 1), (2.131105, 2)], "file")
+        spec = LengthSpectrum(
+            ((0.983987, 1), (1.736006, 1), (2.131105, 2)), "file")
         path = tmp_path / "spec.txt"
         path.write_text("\n".join(spectrum_file_lines(spec)) + "\n")
         back = read_spectrum_file(str(path))
         assert back.entries == spec.entries
 
     def test_file_group_line(self, tmp_path):
-        spec = LengthSpectrum.from_pairs([(0.983987, 1), (1.736006, 1)], "file",
-                                         group=(2, 3, 7))
+        spec = LengthSpectrum(((0.983987, 1), (1.736006, 1)), "file",
+                              group=(2, 3, 7))
         lines = spectrum_file_lines(spec)
         assert lines[0] == "# group 2,3,7"
         path = tmp_path / "spec.txt"

@@ -1,6 +1,8 @@
 """Every exported name resolves, so deletions cannot leave stale exports."""
 
 import importlib
+import pathlib
+import sys
 
 import pytest
 
@@ -51,7 +53,7 @@ def test_submodule_surfaces_are_pinned():
         "read_spectrum_file", "spectrum_file_lines"])
     assert sorted(triangle.__all__) == sorted([
         "Mat2", "GeodesicClass", "WordError", "EllipticWordError",
-        "NonHyperbolicSignatureError", "triangle_area", "triangle_signature",
+        "NonHyperbolicSignatureError", "triangle_signature",
         "generators_237", "word_to_matrix", "word_length", "canonical_rotation",
         "star_word", "word_orbit", "table_corpus",
         "enumerate_classes", "to_spectrum", "classes_to_json"])
@@ -60,9 +62,7 @@ def test_submodule_surfaces_are_pinned():
 def _fresh_modules(code):
     """Top-level packages in sys.modules after ``code`` runs in a new interpreter."""
     import os
-    import pathlib
     import subprocess
-    import sys
 
     src = pathlib.Path(casorb.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -88,3 +88,19 @@ def test_no_scipy_in_fresh_interpreter(code):
 def test_import_leaves_logging_out():
     # logging takes milliseconds to import, and nothing in casorb logs
     assert "logging" not in _fresh_modules("import casorb")
+
+
+def test_console_script_runs_verify_237(monkeypatch, capsys):
+    # the entry point pyproject.toml installs as `casorb` is main itself
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, attr = project["project"]["scripts"]["casorb"].partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert callable(entry)
+    monkeypatch.setattr(sys, "argv", ["casorb", "verify-237"])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 0
+    golden = root / "tests" / "golden" / "verify_237.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

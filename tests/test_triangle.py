@@ -31,7 +31,6 @@ from casorb.triangle import (
     star_word,
     table_corpus,
     to_spectrum,
-    triangle_area,
     triangle_signature,
     word_length,
     word_orbit,
@@ -93,16 +92,18 @@ def _random_words(n, rng, min_len=2, max_len=14):
 
 class TestGeometry:
     def test_area_237(self):
-        assert triangle_area(2, 3, 7) == pytest.approx(math.pi / 21.0, rel=1e-15)
+        assert triangle_signature(2, 3, 7).volume == pytest.approx(
+            math.pi / 21.0, rel=1e-15)
 
     def test_area_334(self):
-        assert triangle_area(3, 3, 4) == pytest.approx(math.pi / 6.0, rel=1e-15)
+        assert triangle_signature(3, 3, 4).volume == pytest.approx(
+            math.pi / 6.0, rel=1e-15)
 
     def test_area_euclidean_rejected(self):
         with pytest.raises(NonHyperbolicSignatureError):
-            triangle_area(2, 3, 6)
+            triangle_signature(2, 3, 6)
         with pytest.raises(NonHyperbolicSignatureError):
-            triangle_area(2, 2, 2)
+            triangle_signature(2, 2, 2)
 
     def test_area_matches_exact_fraction(self):
         # the integer numerator and denominator round once, as Fraction does
@@ -110,9 +111,10 @@ class TestGeometry:
             defect = 1 - Fraction(1, p) - Fraction(1, q) - Fraction(1, r)
             if defect <= 0:
                 with pytest.raises(NonHyperbolicSignatureError):
-                    triangle_area(p, q, r)
+                    triangle_signature(p, q, r)
             else:
-                assert triangle_area(p, q, r) == 2.0 * math.pi * float(defect)
+                assert (triangle_signature(p, q, r).volume
+                        == 2.0 * math.pi * float(defect))
 
     def test_signature_constructor(self):
         sig = triangle_signature(2, 3, 7)
@@ -481,14 +483,16 @@ class TestSpectrumExport:
 
     @staticmethod
     def _check_to_spectrum(classes, rng):
-        # to_spectrum equals from_pairs of the (length, count) pairs and the
-        # sorted() of those pairs, for any order and a one-shot iterator
+        # to_spectrum equals from_columns of the lengths and counts and the
+        # sorted() of the (length, count) pairs, for any order and a
+        # one-shot iterator
         shuffled = list(classes)
         rng.shuffle(shuffled)
         want = LengthSpectrum(tuple(sorted((c.length, c.class_count) for c in classes)),
                               "enumerated", (2, 3, 7))
-        assert LengthSpectrum.from_pairs(
-            ((c.length, c.class_count) for c in shuffled), "enumerated", (2, 3, 7)) == want
+        assert LengthSpectrum.from_columns(
+            [c.length for c in shuffled], [c.class_count for c in shuffled],
+            "enumerated", (2, 3, 7)) == want
         assert to_spectrum(shuffled) == want
         assert to_spectrum(c for c in shuffled) == want
 
