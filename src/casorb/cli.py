@@ -248,9 +248,11 @@ def _cmd_spectrum(args) -> str:
     if args.output == "json" and classes is not None:
         return tri.classes_to_json(classes)
     if args.output == "json":
-        # repr of each length, so the JSON rebuilds the spectrum exactly
-        return json.dumps([{"length": l, "multiplicity": m}
-                           for l, m in spectrum.entries], indent=2)
+        # the group and the repr of each length, so the JSON rebuilds the
+        # spectrum exactly
+        return json.dumps({"group": spectrum.group,
+                           "entries": [{"length": l, "multiplicity": m}
+                                       for l, m in spectrum.entries]}, indent=2)
     if args.output == "csv":
         lines = ["length,multiplicity"]
         lines.extend(f"{fmt10(l)},{m}" for l, m in spectrum.entries)

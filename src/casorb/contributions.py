@@ -78,18 +78,24 @@ class NonHyperbolicSignatureError(ValueError):
 # domain types
 # ----------------------------------------------------------------------
 
+def _cone_orders(orders) -> Tuple[int, ...]:
+    """The orders as a sorted tuple; each must be an int >= 2."""
+    orders = tuple(orders)
+    if any(not isinstance(m, int) or m < 2 for m in orders):
+        raise ValueError("cone orders must be integers >= 2")
+    return tuple(sorted(orders))
+
+
 @dataclass(frozen=True)
 class OrbifoldSignature:
     """Genus and cone-point orders of a compact hyperbolic quotient; they
-    fix its area, :attr:`volume`, by Gauss-Bonnet."""
+    fix its area, :attr:`volume`, by Gauss-Bonnet; the orders are kept sorted."""
 
     cone_orders: Tuple[int, ...]
     genus: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "cone_orders", tuple(self.cone_orders))
-        if any((not isinstance(m, int)) or m < 2 for m in self.cone_orders):
-            raise ValueError("cone orders must be integers >= 2")
+        object.__setattr__(self, "cone_orders", _cone_orders(self.cone_orders))
         # the cap keeps the area 2 pi (2g - 2 + sum(1 - 1/m)) a finite float
         if type(self.genus) is not int or not 0 <= self.genus <= 10**300:
             raise ValueError(f"genus must be an int in [0, 1e300], got {self.genus!r}")
@@ -117,8 +123,9 @@ class LengthSpectrum:
 
     ``group`` holds the cone orders of the group whose geodesics these
     are, when known (``(2, 3, 7)`` for the built-in spectra, and whatever
-    a file's '# group' line names); None otherwise, and then
-    :func:`casimir_energy` certifies nothing for a signature with cones.
+    a file's '# group' line names; at least one order, kept sorted); None
+    otherwise, and then :func:`casimir_energy` certifies nothing for a
+    signature with cones.
     """
 
     entries: Tuple[Tuple[float, int], ...]
@@ -126,6 +133,10 @@ class LengthSpectrum:
     group: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
+        if self.group is not None:
+            object.__setattr__(self, "group", _cone_orders(self.group))
+            if not self.group:
+                raise ValueError("a group names at least one cone order")
         prev = 0.0
         for ell, mult in self.entries:
             if ell <= 0 or not math.isfinite(ell):
@@ -687,17 +698,17 @@ def casimir_energy(sig: OrbifoldSignature,
 
     This function alone decides certifiability, and refuses with
     ValueError, in this order: a spectrum that names no ``group`` while
-    there are cone orders, or names one that is not the sorted cone
-    orders; a spectrum of total multiplicity below 50 (an empty one
-    included); lengths that break the growth floor.  So a cone-free run
-    takes only a spectrum that names no group.
+    there are cone orders, or names other orders than the signature's; a
+    spectrum of total multiplicity below 50 (an empty one included);
+    lengths that break the growth floor.  So a cone-free run takes only a
+    spectrum that names no group.
     """
     group, orders = spectrum.group, ",".join(map(str, sig.cone_orders)) or "none"
     if sig.cone_orders and group is None:
         raise ValueError(
             "the spectrum names no group, so it cannot be held to the "
             f"cone orders {orders}; no certified bound")
-    if group is not None and sorted(sig.cone_orders) != sorted(group):
+    if group is not None and group != sig.cone_orders:
         raise ValueError(
             f"the spectrum is a ({','.join(map(str, group))}) spectrum, but the "
             f"cone orders are {orders}; no certified bound")
@@ -740,13 +751,9 @@ def casimir_energy(sig: OrbifoldSignature,
 
 def _parse_group_line(path: str, lineno: int, text: str) -> Tuple[int, ...]:
     try:
-        group = tuple(int(f) for f in text.split(","))
+        return _cone_orders(int(f) for f in text.split(","))
     except ValueError as exc:
         raise SpectrumFormatError(f"{path}:{lineno}: {exc}") from exc
-    if min(group) < 2:
-        raise SpectrumFormatError(
-            f"{path}:{lineno}: expected '# group M1,M2,...' with all orders >= 2")
-    return group
 
 
 def read_spectrum_file(path: str) -> LengthSpectrum:
@@ -754,7 +761,7 @@ def read_spectrum_file(path: str) -> LengthSpectrum:
 
     A comment line '# group M1,M2,...' names the cone orders of the group
     the lengths belong to (2,3,7 for the (2,3,7) triangle group); the
-    spectrum keeps it.
+    spectrum keeps them, sorted.
     """
     lengths, multiplicities = [], []
     group = None
@@ -767,7 +774,7 @@ def read_spectrum_file(path: str) -> LengthSpectrum:
                     if group is not None:
                         raise SpectrumFormatError(
                             f"{path}:{lineno}: a second '# group' line")
-                    group = _parse_group_line(path, lineno, "".join(comment[1:]))
+                    group = _parse_group_line(path, lineno, " ".join(comment[1:]))
                 continue
             fields = [f.strip() for f in line.split(",")]
             if len(fields) != 2:

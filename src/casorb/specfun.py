@@ -48,8 +48,6 @@ from .quadrature import QuadratureNonConvergence, adaptive_quadrature, kronrod_g
 __all__ = [
     "FnEval",
     "UnsupportedOrderError",
-    "struve_h",
-    "bessel_y",
     "struve_k",
     "csch_k1",
     "csch_k1_array",
@@ -182,30 +180,6 @@ def _bessel_y_series_ld(n: int, z: float):
     return value, bound
 
 
-def struve_h(nu: int, z: float) -> FnEval:
-    """Struve function H_nu for nu in {1, 2} and 0 < z <= 12 (power series)."""
-    if nu not in (1, 2):
-        raise UnsupportedOrderError(f"struve_h supports orders 1 and 2, got {nu}")
-    if z <= 0:
-        raise ValueError("z must be positive")
-    if z > 12.0:
-        raise ValueError("struve_h is validated for z <= 12")
-    value, bound = _struve_h_series_ld(nu, z)
-    return FnEval(value, bound, "series")
-
-
-def bessel_y(nu: int, z: float) -> FnEval:
-    """Bessel function Y_nu for nu in {1, 2} and 0 < z <= 12 (power series)."""
-    if nu not in (1, 2):
-        raise UnsupportedOrderError(f"bessel_y supports orders 1 and 2, got {nu}")
-    if z <= 0:
-        raise ValueError("z must be positive")
-    if z > 12.0:
-        raise ValueError("bessel_y is validated for z <= 12")
-    value, bound = _bessel_y_series_ld(nu, z)
-    return FnEval(value, bound, "series")
-
-
 # ----------------------------------------------------------------------
 # Struve K = H - Y
 # ----------------------------------------------------------------------
@@ -304,10 +278,14 @@ def _struve_k_asymptotic(nu: int, z: float) -> FnEval:
 
 
 def _struve_k_series(nu: int, z: float) -> FnEval:
-    h = struve_h(nu, z)
-    y = bessel_y(nu, z)
-    return FnEval(h.value - y.value, h.abs_error_bound + y.abs_error_bound,
-                  "series")
+    """H_nu - Y_nu from the two power series, for nu in {1, 2} and 0 < z <= 12."""
+    if nu not in (1, 2):
+        raise UnsupportedOrderError(f"the series route supports orders 1 and 2, got {nu}")
+    if not 0.0 < z <= 12.0:
+        raise ValueError(f"the series route is validated for 0 < z <= 12, got {z!r}")
+    h, h_bound = _struve_h_series_ld(nu, z)
+    y, y_bound = _bessel_y_series_ld(nu, z)
+    return FnEval(h - y, h_bound + y_bound, "series")
 
 
 # struve_k's memo of the integral route

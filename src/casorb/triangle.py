@@ -59,6 +59,7 @@ __all__ = [
 _TRANS = str.maketrans("RL", "01")   # R < L for canonical ordering
 _UNTRANS = str.maketrans("01", "RL")
 _STAR01 = str.maketrans("01", "10")
+_ELLIPTIC_TRACE = 2.0 + 1e-12   # |trace| at most this: finite order or parabolic
 
 
 class WordError(ValueError):
@@ -154,7 +155,7 @@ def word_to_matrix(word: str) -> Mat2:
 def _matrix_length(word: str, m: Mat2) -> float:
     """2 arcosh(|tr m|/2) for the matrix m of word; elliptic words raise."""
     t = abs(m.trace)
-    if t <= 2.0 + 1e-12:
+    if t <= _ELLIPTIC_TRACE:
         raise EllipticWordError(
             f"{word!r} has |trace| = {t:.6f} <= 2: finite order or parabolic")
     return 2.0 * math.acosh(t / 2.0)
@@ -419,12 +420,12 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     involution orbit; each orbit is then counted once, by its least word,
     as :func:`word_orbit` counts it.  :func:`_word_matrices` multiplies
     their matrices in one batch, bit for bit as :func:`word_to_matrix`
-    does.  The trace a + d, the finite-order test |tr| <= 2 + 1e-12 and
-    the length 2 ``math.acosh``(|tr| / 2) are then the same binary64
-    operations as the per-word route, so every trace and length is
-    bit-identical to it.  No winding sum is taken here.  Length ties keep
-    R < L lexicographic order over all lengths.  The classes are built by
-    ``GeodesicClass._make`` from the zipped columns.
+    does.  The trace a + d, the finite-order test against
+    ``_ELLIPTIC_TRACE`` and the length 2 ``math.acosh``(|tr| / 2) are then
+    the same binary64 operations as the per-word route, so every trace and
+    length is bit-identical to it.  No winding sum is taken here.  Length
+    ties keep R < L lexicographic order over all lengths.  The classes are
+    built by ``GeodesicClass._make`` from the zipped columns.
     """
     if not 1 <= max_letters <= 20:
         raise ValueError("max_letters must lie in 1..20")
@@ -434,7 +435,7 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     # R < L lexicographic order over all lengths: words padded with R to
     # max_letters letters, and a word before its extensions
     order = np.lexsort((letters, words << (max_letters - letters)))
-    hyperbolic = np.abs(traces[order]) > 2.0 + 1e-12
+    hyperbolic = np.abs(traces[order]) > _ELLIPTIC_TRACE
     order = order[hyperbolic]
     lengths = 2.0 * np.array(list(map(math.acosh,
                                       (np.abs(traces[order]) / 2.0).tolist())))

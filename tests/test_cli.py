@@ -55,11 +55,16 @@ def test_every_golden_file_is_checked():
             == {name for name, _ in GOLDEN_CASES})
 
 
+def _readme_block(section, language):
+    """The first ```language block under README's '## section' heading."""
+    text = (GOLDEN.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split(f"## {section}\n", 1)[1].split(f"```{language}\n", 1)[1]
+    return block.split("```", 1)[0]
+
+
 def _readme_commands():
     """Each `casorb ...` line of README's "Command line" block, as argv."""
-    text = (GOLDEN.parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
-    lines = block.split("```", 1)[0].splitlines()
+    lines = _readme_block("Command line", "sh").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("casorb ")]
 
 
@@ -73,6 +78,20 @@ def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
     for argv in commands:
         code, _, err = _capture(capsys, argv)
         assert code == 0, (argv, err)
+
+
+def test_readme_library_block_runs(capsys):
+    # each value the block prints matches the number its comment quotes, to
+    # the decimals the comment shows
+    code = _readme_block("Library", "python")
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    quoted = [line.split("#", 1)[1].split()[0]
+              for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(quoted) == 3
+    for value, comment in zip(printed, quoted):
+        decimals = len(comment.partition(".")[2])
+        assert f"{float(value):.{decimals}f}" == comment, (value, comment)
 
 
 class TestFormatting:
@@ -223,20 +242,30 @@ class TestSubcommands:
         assert json.loads(out2)["head"] == pytest.approx(-0.5680851, abs=1e-6)
 
     def test_spectrum_file_json_rebuilds_the_spectrum(self, capsys, tmp_path):
-        # the file's JSON prints every length in full, as the table's JSON does
+        # the file's JSON carries its group and prints every length in full,
+        # as the table's JSON does, so it rebuilds the spectrum on its own
         code, out, _ = _capture(capsys, ["spectrum", "--spectrum", "table"])
         assert code == 0
         path = tmp_path / "spec.txt"
         path.write_text(out)
-        spectrum = read_spectrum_file(path)
         code, out, _ = _capture(capsys, [
             "spectrum", "--spectrum", f"file:{path}", "--output", "json"])
         assert code == 0
-        rows = json.loads(out)
+        data = json.loads(out)
+        assert list(data) == ["group", "entries"]
+        assert data["group"] == [2, 3, 7]
+        rows = data["entries"]
         rebuilt = LengthSpectrum(
             tuple((r["length"], r["multiplicity"]) for r in rows),
-            provenance=spectrum.provenance, group=spectrum.group)
-        assert rebuilt == spectrum
+            group=data["group"])
+        assert rebuilt == read_spectrum_file(path)
+        # a file without its '# group' line prints a null group
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(l for l in lines if not l.startswith("# group")))
+        code, out, _ = _capture(capsys, [
+            "spectrum", "--spectrum", f"file:{path}", "--output", "json"])
+        assert code == 0
+        assert json.loads(out) == {"group": None, "entries": rows}
         code, out, _ = _capture(capsys, [
             "spectrum", "--spectrum", "table", "--output", "json"])
         assert code == 0

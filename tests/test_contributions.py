@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casorb.contributions import (
+    _cone_weights,
     _euler_sum,
     _euler_weights,
     AssumptionReport,
@@ -178,6 +179,21 @@ class TestEllipticContribution:
         for orders in ((2,), (3, 5), (2, 3, 7)):
             ser = elliptic_contribution(OrbifoldSignature(orders, 1), 40)
             assert ser.value > 0.0
+
+    @pytest.mark.parametrize(
+        "sig", [OrbifoldSignature((m,), 1) for m in range(2, 41)]
+        + [SIG_237, OrbifoldSignature((2, 3, 8)), OrbifoldSignature((2, 3), 1)],
+        ids=lambda sig: f"g{sig.genus}-{sig.cone_orders}")
+    def test_cone_weights_carry_the_heat_invariant(self, sig):
+        # As t -> 0 the heat trace's cone terms tend to sum w / sin(pi k/m),
+        # since int cosh((pi - 2 pi k/m) r) / cosh(pi r) dr = 1 / sin(pi k/m).
+        # With w = 1/(4 m sin(pi k/m)) that is sum (m^2 - 1)/(12 m), the
+        # orbifold heat invariant (Dryden, Gordon, Greenwald and Webb,
+        # Michigan Math. J. 56, 2008).
+        got = math.fsum(w / math.sin(math.pi * k / m)
+                        for m, k, w in _cone_weights(sig))
+        want = math.fsum((m * m - 1) / (12 * m) for m in sig.cone_orders)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestIdentity:
@@ -668,10 +684,13 @@ class TestAssembly:
         with pytest.raises(ValueError, match=r"is a \(2,3,7\) spectrum, but "
                                              "the cone orders are none;"):
             casimir_energy(OrbifoldSignature((), 2), table)
-        # the cone orders are compared sorted
+        # the cone orders are stored sorted, so their order does not matter
         b = casimir_energy(triangle_signature(7, 3, 2), table)
         assert b.certified_lower_bound == pytest.approx(
             casimir_energy(SIG_237, table).certified_lower_bound, rel=1e-12)
+        # a group of strings never reaches the comparison
+        with pytest.raises(ValueError, match="cone orders must be integers >= 2"):
+            LengthSpectrum(table.entries, "x", ("2", "3", "7"))
 
     def test_refuses_spectrum_naming_no_group(self):
         # the table's lengths without its group: nothing ties them to (2,3,7)
@@ -762,6 +781,11 @@ class TestOrbifoldSignature:
         assert hash(from_list) == hash(OrbifoldSignature((2, 3, 7)))
         with pytest.raises(ValueError, match="cone orders must be integers >= 2"):
             OrbifoldSignature("237")
+        # stored sorted, so the order they are given in does not matter
+        unsorted = OrbifoldSignature((7, 3, 2))
+        assert unsorted.cone_orders == (2, 3, 7)
+        assert unsorted == SIG_237
+        assert hash(unsorted) == hash(SIG_237)
 
 
 class TestSpectrumTypesAndIO:
@@ -846,10 +870,50 @@ class TestSpectrumTypesAndIO:
             assert read_spectrum_file(str(path)).group == group
         for bad in ("# group 2,x,7\n1.5,2\n", "# group 1,3,7\n1.5,2\n",
                     "# group 2,3,\n1.5,2\n", "# group\n1.5,2\n",
+                    "# group 2 3 7\n1.5,2\n",   # not the single order 237
                     "# group 2,3,7\n# group 2,3,8\n1.5,2\n"):
             path.write_text(bad)
             with pytest.raises(SpectrumFormatError):
                 read_spectrum_file(str(path))
+
+    @pytest.mark.parametrize("group, refusal", [
+        ((), "a group names at least one cone order"),
+        ((1, 0), "cone orders must be integers >= 2"),
+        ((2.5,), "cone orders must be integers >= 2"),
+        (("2", "3", "7"), "cone orders must be integers >= 2"),
+        ([7, 3, 2], None),
+    ], ids=["empty", "below-2", "float", "strings", "unsorted-list"])
+    def test_group_is_refused_or_round_trips(self, tmp_path, group, refusal):
+        # a group the file format cannot carry is refused at construction
+        entries = ((0.983987, 1), (1.736006, 2))
+        if refusal is not None:
+            with pytest.raises(ValueError, match=re.escape(refusal)):
+                LengthSpectrum(entries, "file", group)
+            return
+        spec = LengthSpectrum(entries, "file", group)
+        path = tmp_path / "spec.txt"
+        path.write_text("\n".join(spectrum_file_lines(spec)) + "\n")
+        assert read_spectrum_file(str(path)) == spec
+
+    def test_group_equality_and_hash(self):
+        entries = ((0.983987, 1), (1.736006, 2))
+        from_list = LengthSpectrum(entries, "file", [7, 3, 2])
+        from_tuple = LengthSpectrum(entries, "file", (2, 3, 7))
+        assert from_list.group == (2, 3, 7)
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(st.floats(0.0, 1e300, exclude_min=True),
+                                   st.integers(1, 10**30)), min_size=1, max_size=20),
+           group=st.lists(st.integers(2, 50), min_size=1, max_size=6))
+    def test_file_round_trip_keeps_any_valid_group(self, tmp_path_factory, rows,
+                                                   group):
+        # orders 2..50 in any order, repeats included
+        spec = LengthSpectrum(tuple(sorted(rows)), "file", group)
+        path = tmp_path_factory.mktemp("spec") / "spec.txt"
+        path.write_text("\n".join(spectrum_file_lines(spec)) + "\n")
+        assert read_spectrum_file(str(path)) == spec
 
     def test_file_group_of_a_non_triangle_orbifold(self, tmp_path):
         # genus 1 with cone orders (2,3): the '# group 2,3' file passes the

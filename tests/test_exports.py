@@ -34,7 +34,7 @@ def test_top_level_surface_is_pinned():
 
 def test_submodule_surfaces_are_pinned():
     # a name joins these only with a caller outside its own unit test
-    from casorb import contributions, triangle
+    from casorb import contributions, quadrature, specfun, triangle
 
     assert sorted(contributions.__all__) == sorted([
         "OrbifoldSignature", "LengthSpectrum", "SeriesEvaluation",
@@ -57,6 +57,14 @@ def test_submodule_surfaces_are_pinned():
         "generators_237", "word_to_matrix", "word_length", "canonical_rotation",
         "star_word", "word_orbit", "table_corpus",
         "enumerate_classes", "to_spectrum", "classes_to_json"])
+    assert sorted(specfun.__all__) == sorted([
+        "FnEval", "UnsupportedOrderError", "struve_k", "csch_k1",
+        "csch_k1_array", "CSCH_K1_REL_ERROR", "upper_incomplete_gamma_half",
+        "clear_caches"])
+    assert sorted(quadrature.__all__) == sorted([
+        "QuadResult", "QuadratureNonConvergence", "KronrodGrid", "kronrod_grid",
+        "adaptive_quadrature", "integrate_decaying", "elliptic_kernel_integral",
+        "identity_integral"])
 
 
 def _fresh_modules(code):

@@ -12,11 +12,9 @@ from casorb import specfun
 from casorb.specfun import (
     FnEval,
     UnsupportedOrderError,
-    bessel_y,
     clear_caches,
     csch_k1,
     csch_k1_array,
-    struve_h,
     struve_k,
     upper_incomplete_gamma_half,
 )
@@ -32,6 +30,16 @@ GAMMA_HALF_1 = 0.27880558528066198   # sqrt(pi) erfc(1)
 # SHA-256 of float.hex(value) and float.hex(abs_error_bound) of struve_k of
 # both orders at each of the 600 arguments z of a cold (2,3,7) run
 PRODUCTION_DIGEST = "6dbd7d954988af79eae107759d5d03c605b6dd9723417480fd4b981006490945"
+
+
+def h_series(nu, z):
+    """H_nu(z) from the 80-bit power series of the z <= 12 check route."""
+    return FnEval(*specfun._struve_h_series_ld(nu, z), "series")
+
+
+def y_series(nu, z):
+    """Y_nu(z) from the 80-bit power series of the z <= 12 check route."""
+    return FnEval(*specfun._bessel_y_series_ld(nu, z), "series")
 
 
 class TestFnEval:
@@ -55,46 +63,38 @@ class TestFnEval:
 
 class TestStruveH:
     def test_frozen_values(self):
-        assert struve_h(1, 1.0).value == pytest.approx(H1_AT_1, abs=1e-14)
-        assert struve_h(2, 2.0).value == pytest.approx(H2_AT_2, abs=1e-14)
+        assert h_series(1, 1.0).value == pytest.approx(H1_AT_1, abs=1e-14)
+        assert h_series(2, 2.0).value == pytest.approx(H2_AT_2, abs=1e-14)
 
     def test_small_z_quadratic_growth(self):
         # H_1(theta) = (2/(3 pi)) theta^2 (1 + o(1)) as theta -> 0
         for theta in (1e-2, 1e-3, 1e-4):
             lead = 2.0 * theta * theta / (3.0 * math.pi)
-            assert struve_h(1, theta).value == pytest.approx(lead, rel=1e-3)
+            assert h_series(1, theta).value == pytest.approx(lead, rel=1e-3)
 
     def test_bound_contract_z_le_12(self):
         for z in np.geomspace(1e-3, 12.0, 40):
             for nu in (1, 2):
-                e = struve_h(nu, float(z))
+                e = h_series(nu, float(z))
                 assert e.abs_error_bound <= 1e-12 * max(1.0, abs(e.value))
 
     def test_cross_method_at_large_z(self):
         # composition H = K + Y must match the series at the window edge
-        h = struve_h(2, 12.0)
+        h = h_series(2, 12.0)
         k = struve_k(2, 12.0)
-        y = bessel_y(2, 12.0)
+        y = y_series(2, 12.0)
         assert abs(h.value - (k.value + y.value)) < 1e-8
-
-    def test_errors(self):
-        with pytest.raises(UnsupportedOrderError):
-            struve_h(3, 1.0)
-        with pytest.raises(ValueError):
-            struve_h(1, -1.0)
-        with pytest.raises(ValueError):
-            struve_h(1, 12.0 + 1e-9)
 
 
 class TestBesselY:
     def test_frozen_values(self):
-        assert bessel_y(1, 1.0).value == pytest.approx(Y1_AT_1, abs=1e-14)
-        assert bessel_y(2, 5.0).value == pytest.approx(Y2_AT_5, abs=1e-13)
+        assert y_series(1, 1.0).value == pytest.approx(Y1_AT_1, abs=1e-14)
+        assert y_series(2, 5.0).value == pytest.approx(Y2_AT_5, abs=1e-13)
 
     def test_small_z_divergence(self):
         # Y_1(theta) ~ -2/(pi theta): negative blow-up like -c/theta
         for theta in (1e-2, 1e-3):
-            v = bessel_y(1, theta).value
+            v = y_series(1, theta).value
             assert v == pytest.approx(-2.0 / (math.pi * theta), rel=1e-3)
 
     def test_mpmath_sweep(self):
@@ -102,17 +102,9 @@ class TestBesselY:
         mp.mp.dps = 30
         for z in np.geomspace(1e-2, 12.0, 40):
             for nu in (1, 2):
-                e = bessel_y(nu, float(z))
+                e = y_series(nu, float(z))
                 want = float(mp.bessely(nu, float(z)))
                 assert abs(e.value - want) <= max(e.abs_error_bound, 1e-15), (nu, z)
-
-    def test_errors(self):
-        with pytest.raises(UnsupportedOrderError):
-            bessel_y(0, 1.0)
-        with pytest.raises(ValueError):
-            bessel_y(1, 0.0)
-        with pytest.raises(ValueError):
-            bessel_y(2, 13.0)
 
 
 class TestStruveK:
@@ -147,6 +139,16 @@ class TestStruveK:
         # K_2(z) -> (2/(3 pi)) z at large z
         e = struve_k(2, 192.0)
         assert e.value == pytest.approx(2.0 * 192.0 / (3.0 * math.pi), rel=1e-3)
+
+    @pytest.mark.parametrize("nu, z, error, message", [
+        (3, 1.0, UnsupportedOrderError, "orders 1 and 2, got 3"),
+        (1, 0.0, ValueError, "0 < z <= 12, got 0.0"),
+        (2, 12.0 + 1e-9, ValueError, "0 < z <= 12, got 12.000000001"),
+    ])
+    def test_series_route_refuses_outside_its_window(self, nu, z, error, message):
+        # one check of the order and the window for both power series
+        with pytest.raises(error, match=message):
+            specfun._struve_k_series(nu, z)
 
     def test_method_windows(self):
         with pytest.raises(ValueError):
