@@ -13,7 +13,7 @@ certified lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
@@ -125,11 +125,12 @@ class LengthSpectrum:
     are, when known (``(2, 3, 7)`` for the built-in spectra, and whatever
     a file's '# group' line names; at least one order, kept sorted); None
     otherwise, and then :func:`casimir_energy` certifies nothing for a
-    signature with cones.
+    signature with cones.  ``provenance`` is a label: equality and hash
+    see only the entries and the group.
     """
 
     entries: Tuple[Tuple[float, int], ...]
-    provenance: str = "file"
+    provenance: str = field(default="file", compare=False)
     group: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
@@ -165,6 +166,8 @@ class LengthSpectrum:
             raise ValueError("multiplicities must be positive integers")
         ell = np.array(lengths, dtype=np.float64)
         mult = np.array(multiplicities)
+        if mult.dtype.kind == "f":   # as numpy holds ints on both sides of 2**63
+            mult = np.array(multiplicities, dtype=object)
         order = np.lexsort((mult, ell))
         return cls(tuple(zip(ell[order].tolist(), mult[order].tolist())),
                    provenance, group)
@@ -205,15 +208,30 @@ class AssumptionReport:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
+    """The pieces of the energy; every figure is derived from them."""
+
     identity: SeriesEvaluation
     identity_interval: Tuple[float, float]
     elliptic: SeriesEvaluation
     hyperbolic_head: float
     hyperbolic_head_bound: float
-    hyperbolic_tail_magnitude_bound: float
     tail_components: Tuple[float, float, float]
-    certified_lower_bound: float
     assumption: AssumptionReport
+
+    @property
+    def hyperbolic_tail_magnitude_bound(self) -> float:
+        return sum(self.tail_components)
+
+    def lower_bound(self, tail_magnitude: float) -> float:
+        """Low end of the identity bracket, plus the cone-point series and the
+        spectrum head each less its truncation bound, less ``tail_magnitude``."""
+        return (self.elliptic.value - self.elliptic.truncation_bound
+                + self.identity_interval[0] + self.hyperbolic_head
+                - self.hyperbolic_head_bound - tail_magnitude)
+
+    @property
+    def certified_lower_bound(self) -> float:
+        return self.lower_bound(self.hyperbolic_tail_magnitude_bound)
 
 
 # ----------------------------------------------------------------------
@@ -686,32 +704,24 @@ def growth_inequality_check(j: int, n: int) -> bool:
 def casimir_energy(sig: OrbifoldSignature,
                    spectrum: LengthSpectrum,
                    tail_j_hi: int = _TAIL_J_HI) -> EnergyBreakdown:
-    """Assemble the certified lower bound for the energy at s = -1/2.
+    """The pieces of the energy at s = -1/2, whose certified lower bound
+    :class:`EnergyBreakdown` derives; the tail pieces are :func:`tail_bounds`.
 
-    The bound takes the pessimistic end of every piece: the low end of the
-    identity bracket, the cone-point series minus its truncation bound,
-    the spectrum head minus its winding-truncation bound, and minus the
-    tail magnitude, the sum of :func:`tail_bounds`.  The tail starts at
-    geodesic index 51: it presumes the spectrum lists every geodesic below
-    that index and that the growth floor ell_j >= log j + log log j holds
-    from there on.
+    The tail starts at geodesic index 51: it presumes the spectrum lists
+    every geodesic below that index and that the growth floor
+    ell_j >= log j + log log j holds from there on.
 
     This function alone decides certifiability, and refuses with
-    ValueError, in this order: a spectrum that names no ``group`` while
-    there are cone orders, or names other orders than the signature's; a
-    spectrum of total multiplicity below 50 (an empty one included);
-    lengths that break the growth floor.  So a cone-free run takes only a
-    spectrum that names no group.
+    ValueError, in this order: a spectrum whose ``group`` is not the cone
+    orders (None when there are none); a spectrum of total multiplicity
+    below 50 (an empty one included); lengths that break the growth floor.
     """
-    group, orders = spectrum.group, ",".join(map(str, sig.cone_orders)) or "none"
-    if sig.cone_orders and group is None:
-        raise ValueError(
-            "the spectrum names no group, so it cannot be held to the "
-            f"cone orders {orders}; no certified bound")
-    if group is not None and group != sig.cone_orders:
-        raise ValueError(
-            f"the spectrum is a ({','.join(map(str, group))}) spectrum, but the "
-            f"cone orders are {orders}; no certified bound")
+    if spectrum.group != (sig.cone_orders or None):
+        named = ("names no group" if spectrum.group is None
+                 else f"is a ({','.join(map(str, spectrum.group))}) spectrum")
+        orders = ",".join(map(str, sig.cone_orders)) or "none"
+        raise ValueError(f"the spectrum {named}, but the cone orders are "
+                         f"{orders}; no certified bound")
     covered = spectrum.total_multiplicity
     if covered < _TAIL_J_LO - 1:
         raise ValueError(
@@ -723,24 +733,14 @@ def casimir_energy(sig: OrbifoldSignature,
             f"growth assumption ell_j >= log j + log log j fails at "
             f"j={report.first_violation}; no certified bound")
 
-    ident = identity_series(sig.volume)
-    interval = identity_interval(sig.volume)
-    ellip = elliptic_contribution(sig)
     head = hyperbolic_contribution(spectrum)
-    tail = tail_bounds(_TAIL_J_LO, tail_j_hi)
-    tail_bound = sum(tail)
-
-    certified = (ellip.value - ellip.truncation_bound + interval[0]
-                 + head.value - head.truncation_bound - tail_bound)
     return EnergyBreakdown(
-        identity=ident,
-        identity_interval=interval,
-        elliptic=ellip,
+        identity=identity_series(sig.volume),
+        identity_interval=identity_interval(sig.volume),
+        elliptic=elliptic_contribution(sig),
         hyperbolic_head=head.value,
         hyperbolic_head_bound=head.truncation_bound,
-        hyperbolic_tail_magnitude_bound=tail_bound,
-        tail_components=tail,
-        certified_lower_bound=certified,
+        tail_components=tail_bounds(_TAIL_J_LO, tail_j_hi),
         assumption=report,
     )
 

@@ -119,7 +119,7 @@ def test_criterion_3_closed_form_moment():
 
 
 def test_criterion_4_corpus_regression():
-    # the contributions are the ones `casorb spectrum --table --output json` prints
+    # the contributions are the ones `casorb spectrum --spectrum table --output json` prints
     corpus = {row["word"]: row for row in json.loads(classes_to_json(table_corpus()))}
     worst_len = worst_a = 0.0
     for word, count, ref_len, ref_a in GOLDEN_ROWS:

@@ -488,6 +488,20 @@ class TestExitCodes:
             assert out == ""
             assert "names no group" in err
 
+    def test_group_refusal_messages(self, capsys, tmp_path):
+        # both group refusals reach stderr whole, with exit code 2
+        path = tmp_path / "unnamed.txt"
+        path.write_text("1.5,2\n")
+        for argv, message in (
+                (["--cone-orders", "2,3,8", "--spectrum", "table"],
+                 "the spectrum is a (2,3,7) spectrum, but the cone orders "
+                 "are 2,3,8; no certified bound"),
+                (["--cone-orders", "2,3,7", "--spectrum", f"file:{path}"],
+                 "the spectrum names no group, but the cone orders are "
+                 "2,3,7; no certified bound")):
+            code, out, err = _capture(capsys, ["energy", *argv])
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("j_hi", [10**305, 10**400], ids=["1e305", "1e400"])
     def test_tail_past_proved_kernel_range(self, capsys, j_hi):
         # z_J = 354.4 and 463.9: past z = 350, where csch_k1's bound ends

@@ -1,5 +1,6 @@
 """Series routes, tail bounds, and the certified assembly."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -16,7 +17,9 @@ from casorb.contributions import (
     _cone_weights,
     _euler_sum,
     _euler_weights,
+    REFERENCE_TAIL_237,
     AssumptionReport,
+    EnergyBreakdown,
     LengthSpectrum,
     NonHyperbolicSignatureError,
     OrbifoldSignature,
@@ -645,6 +648,24 @@ class TestAssembly:
         assert b.tail_components == parts
         assert b.hyperbolic_tail_magnitude_bound == parts[0] + parts[1] + parts[2]
 
+    def test_breakdown_stores_pieces_and_derives_figures(self):
+        b = casimir_energy(SIG_237, _corpus_spectrum())
+        assert [f.name for f in dataclasses.fields(EnergyBreakdown)] == [
+            "identity", "identity_interval", "elliptic", "hyperbolic_head",
+            "hyperbolic_head_bound", "tail_components", "assumption"]
+        assert b.certified_lower_bound == b.lower_bound(
+            b.hyperbolic_tail_magnitude_bound)
+        # the certificate and the paper's reference-tail figure, to the bit
+        assert b.certified_lower_bound.hex() == "0x1.7b85600dabd40p-7"
+        assert b.lower_bound(REFERENCE_TAIL_237).hex() == "0x1.7c5b6cd33c7a0p-7"
+        # new tail pieces move both derived figures, and nothing else
+        moved = dataclasses.replace(b, tail_components=(0.1, 0.2, 0.3))
+        assert moved.hyperbolic_tail_magnitude_bound == 0.1 + 0.2 + 0.3
+        assert moved.certified_lower_bound == b.lower_bound(0.1 + 0.2 + 0.3)
+        assert moved.certified_lower_bound < b.certified_lower_bound
+        assert moved.lower_bound(REFERENCE_TAIL_237) == b.lower_bound(
+            REFERENCE_TAIL_237)
+
     def test_certified_bound_identity(self):
         b = casimir_energy(SIG_237, _corpus_spectrum(), tail_j_hi=10**5)
         reconstructed = (b.elliptic.value - b.elliptic.truncation_bound
@@ -701,6 +722,22 @@ class TestAssembly:
         # a cone-free run is exploratory and takes it
         casimir_energy(OrbifoldSignature((), 2), unnamed,
                        tail_j_hi=10**5)
+
+    @pytest.mark.parametrize("sig, group, message", [
+        (SIG_237, None, "the spectrum names no group, but the cone orders "
+                        "are 2,3,7; no certified bound"),
+        (OrbifoldSignature((2, 3, 8)), (2, 3, 7),
+         "the spectrum is a (2,3,7) spectrum, but the cone orders are 2,3,8; "
+         "no certified bound"),
+        (OrbifoldSignature((), 2), (2, 3, 7),
+         "the spectrum is a (2,3,7) spectrum, but the cone orders are none; "
+         "no certified bound"),
+    ], ids=["no-group", "other-group", "group-without-cones"])
+    def test_group_refusal_messages(self, sig, group, message):
+        # one rule: the group must be the cone orders, None when there are none
+        spectrum = LengthSpectrum(_corpus_spectrum().entries, group=group)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            casimir_energy(sig, spectrum)
 
     def test_refuses_area_breaking_gauss_bonnet(self):
         # the area follows from genus and cone orders, so none can be given:
@@ -822,6 +859,10 @@ class TestSpectrumTypesAndIO:
         big = LengthSpectrum.from_columns([2.0, 1.0, 1.5], [10**30, 2**64, 3])
         assert big.entries == ((1.0, 2**64), (1.5, 3), (2.0, 10**30))
         assert [type(m) for _, m in big.entries] == [int, int, int]
+        # numpy makes a float column of ints on both sides of 2**63
+        mixed = LengthSpectrum.from_columns([1.0, 1.0], [2**63, 1])
+        assert mixed.entries == ((1.0, 1), (1.0, 2**63))
+        assert [type(m) for _, m in mixed.entries] == [int, int]
 
     def test_from_pairs_sorts_like_sorted_tuples(self):
         # one lexsort over both columns orders pairs as sorted() orders
@@ -846,17 +887,20 @@ class TestSpectrumTypesAndIO:
         path = tmp_path / "spec.txt"
         path.write_text("\n".join(spectrum_file_lines(spec)) + "\n")
         back = read_spectrum_file(str(path))
-        assert back.entries == spec.entries
+        assert back == spec and hash(back) == hash(spec)
 
     def test_file_group_line(self, tmp_path):
-        spec = LengthSpectrum(((0.983987, 1), (1.736006, 1)), "file",
+        # provenance is a label: the spectrum read back equals the one
+        # written, though the file calls it "file"
+        spec = LengthSpectrum(((0.983987, 1), (1.736006, 1)), "table_corpus",
                               group=(2, 3, 7))
         lines = spectrum_file_lines(spec)
         assert lines[0] == "# group 2,3,7"
         path = tmp_path / "spec.txt"
         path.write_text("\n".join(lines) + "\n")
         back = read_spectrum_file(str(path))
-        assert (back.entries, back.group) == (spec.entries, (2, 3, 7))
+        assert back.provenance == "file"
+        assert back == spec and hash(back) == hash(spec)
         # without a group line the group is unknown
         path.write_text("1.5,2\n")
         assert read_spectrum_file(str(path)).group is None
@@ -906,14 +950,16 @@ class TestSpectrumTypesAndIO:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(rows=st.lists(st.tuples(st.floats(0.0, 1e300, exclude_min=True),
                                    st.integers(1, 10**30)), min_size=1, max_size=20),
-           group=st.lists(st.integers(2, 50), min_size=1, max_size=6))
+           group=st.lists(st.integers(2, 50), min_size=1, max_size=6),
+           provenance=st.sampled_from(["file", "table_corpus", "enumerated"]))
     def test_file_round_trip_keeps_any_valid_group(self, tmp_path_factory, rows,
-                                                   group):
-        # orders 2..50 in any order, repeats included
-        spec = LengthSpectrum(tuple(sorted(rows)), "file", group)
+                                                   group, provenance):
+        # orders 2..50 in any order, repeats included; any provenance label
+        spec = LengthSpectrum(tuple(sorted(rows)), provenance, group)
         path = tmp_path_factory.mktemp("spec") / "spec.txt"
         path.write_text("\n".join(spectrum_file_lines(spec)) + "\n")
-        assert read_spectrum_file(str(path)) == spec
+        back = read_spectrum_file(str(path))
+        assert back == spec and hash(back) == hash(spec)
 
     def test_file_group_of_a_non_triangle_orbifold(self, tmp_path):
         # genus 1 with cone orders (2,3): the '# group 2,3' file passes the

@@ -528,7 +528,7 @@ class TestSpectrumExport:
         path = tmp_path / "corpus.txt"
         path.write_text("\n".join(spectrum_file_lines(spec)) + "\n")
         back = read_spectrum_file(str(path))
-        assert back.entries == spec.entries
+        assert back == spec and hash(back) == hash(spec)
 
     def test_json_export(self):
         payload = json.loads(classes_to_json(table_corpus()))
