@@ -369,10 +369,15 @@ _K1E_TOP = math.nextafter(2.0 ** _K1E_HI_EXP, 0.0)
 # 128 KiB default) then stay on the heap; with the default thresholds they
 # are mapped and faulted in again on every call, and a warm tail_b1_bound
 # took 2.3 ms instead of 1.3 ms (MALLOC_MMAP_THRESHOLD_=131072, x86-64).
-# The winding sums hold a few arrays of one float per term (136 kB each at
-# the 17 043 terms of a 16-letter enumeration) and stay on the heap too;
-# pinning the threshold at 128 KiB made that head 2.2 times slower.
-# Shrinking _CHEB_N, _TRAP_NODES or the window range shrinks that pass.
+# The winding sums hold a few arrays of one float per term.  A 16-letter
+# enumeration's 6865 terms (55 kB each) sit under the 128 KiB default;
+# a 20-letter one's 26 237 terms (210 kB each) stay on the heap too, and
+# pinning the threshold at 128 KiB made that head 1.5 to 2 times slower.
+# The one pass costs peak RSS at import: building the tables one window
+# at a time gave the same coefficients and a 2.4-2.7 MB lower peak after
+# `import casorb`, but left the thresholds low, and a warm tail_b1_bound
+# took 2.0-3.3 ms instead of 1.5-1.6.  Shrinking _CHEB_N, _TRAP_NODES or
+# the window range shrinks that pass.
 _CHEB_N = 32                        # interpolation degree
 _CHEB_TERMS = 21                    # coefficients kept for evaluation
 _BERNSTEIN_RHO = 4.0
@@ -545,8 +550,8 @@ def _k1e(z):
     # spectrum's 413 winding terms by window to run them per window took
     # 0.30 ms instead of 0.055.  The take's mode="clip" never clips
     # (0 <= window < 11); the default mode="raise" copies through a buffer
-    # when given out=, and took 41 ms instead of 23 on the 169 752 terms
-    # of a 20-letter enumeration.
+    # when given out=, and took 1.6 ms instead of 1.3 on the 26 237
+    # winding terms of a 20-letter enumeration's distinct lengths.
     if (window[1:] >= window[:-1]).all():
         out = np.empty_like(t2)
         edges = np.searchsorted(window, np.arange(len(_K1E_COEFS) + 1))

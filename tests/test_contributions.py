@@ -272,30 +272,41 @@ class TestHyperbolic:
         assert head.truncation_bound.hex() == "0x1.e76a8c3d8c7bap-37"
 
     def test_enumerate20_head_bits(self):
-        # the head of 25 945 lengths and 169 752 winding terms, as recorded
-        # before the winding counts were solved in closed form
+        # the head of 25 945 lengths, 3785 of them distinct, and 26 237
+        # winding terms, as recorded before the winding counts were solved
+        # in closed form and before each distinct length was summed once
         from casorb.triangle import enumerate_classes, to_spectrum
 
         head = hyperbolic_contribution(to_spectrum(enumerate_classes(20)))
         assert head.value.hex() == "-0x1.82ead270409d7p+10"
         assert head.truncation_bound.hex() == "0x1.610dcca2e24f5p-33"
 
-    def test_enumerate16_head_memory(self):
-        # numpy reports its buffers to tracemalloc; the head holds a few
-        # float arrays per winding term (17 043 here), not 21 coefficients
+    @staticmethod
+    def _head_peak(letters):
+        # numpy reports its buffers to tracemalloc
         import tracemalloc
 
         from casorb.triangle import enumerate_classes, to_spectrum
 
-        spectrum = to_spectrum(enumerate_classes(16))
+        spectrum = to_spectrum(enumerate_classes(letters))
         hyperbolic_contribution(spectrum)
         tracemalloc.start()
         try:
             hyperbolic_contribution(spectrum)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2_000_000
+
+    def test_enumerate16_head_memory(self):
+        # a few float arrays per winding term of the 735 distinct lengths
+        # (6865 terms, 0.56 MB), not per entry (17 043 terms, 1.28 MB), and
+        # not 21 coefficients per term
+        assert self._head_peak(16) < 1_000_000
+
+    def test_enumerate20_head_memory(self):
+        # 26 237 winding terms of the 3785 distinct lengths peak at 2.6 MB;
+        # summing every entry's 169 752 terms peaked at 13.0 MB
+        assert self._head_peak(20) < 4_000_000
 
     def test_single_class(self):
         spec = LengthSpectrum(((1.736006, 1),), "file")
@@ -426,6 +437,35 @@ class TestBatchedWindingSums:
         rows = json.loads(triangle.classes_to_json(classes))
         total = math.fsum(row["contribution"] for row in rows)
         assert abs(total - head) <= 2 * math.ulp(head)
+
+    def test_each_distinct_length_once(self, monkeypatch):
+        # copies of a length share its winding sum: duplicated and shuffled
+        # lengths cost the kernel what their distinct values cost, and give
+        # the one-copy values bit for bit
+        from casorb import contributions
+        from casorb.triangle import enumerate_classes, to_spectrum
+
+        elements = []
+        real = contributions.csch_k1_array
+
+        def counting(z):
+            elements.append(np.size(z))
+            return real(z)
+
+        monkeypatch.setattr(contributions, "csch_k1_array", counting)
+        lengths = [c.length for c in enumerate_classes(12)]
+        distinct = sorted(set(lengths))
+        assert (len(lengths), len(distinct)) == (208, 143)
+        once = dict(zip(distinct, geodesic_contributions(
+            distinct, [1] * len(distinct))))
+        copies = lengths * 3
+        random.Random(1).shuffle(copies)
+        got = geodesic_contributions(copies, [1] * len(copies))
+        assert elements[1] == elements[0]
+        assert got == [once[ell] for ell in copies]
+        elements.clear()
+        hyperbolic_contribution(to_spectrum(enumerate_classes(16)))
+        assert elements == [6865]
 
     def test_contributions_independent_of_order(self):
         # each winding sum depends only on its own length, bit for bit
