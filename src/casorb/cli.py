@@ -262,7 +262,7 @@ def _cmd_spectrum(args) -> str:
 
 def _cmd_tail(args) -> str:
     tail = co.tail_bounds(args.j_lo, args.j_hi)
-    (b1, b2, b3), total = tail, sum(tail)
+    (b1, b2, b3), total = tail, co._tail_magnitude(tail)
     if args.output == "json":
         return _dumps({"b1": b1, "b2": b2, "b3": b3, "total": total})
     return (f"b1 {fmt10(b1)}\nb2 {fmt10(b2)}\nb3 {fmt10(b3)}\n"

@@ -29,6 +29,3 @@ class NeumaierSum:
     @property
     def total(self) -> float:
         return self._s + self._c
-
-    def __float__(self) -> float:
-        return self.total

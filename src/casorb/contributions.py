@@ -220,7 +220,7 @@ class EnergyBreakdown:
 
     @property
     def hyperbolic_tail_magnitude_bound(self) -> float:
-        return sum(self.tail_components)
+        return _tail_magnitude(self.tail_components)
 
     def lower_bound(self, tail_magnitude: float) -> float:
         """Low end of the identity bracket, plus the cone-point series and the
@@ -238,6 +238,7 @@ class EnergyBreakdown:
 # Euler-transformed kernel series, shared by the elliptic and identity terms
 # ----------------------------------------------------------------------
 
+_SERIES_TERMS = 60   # outer terms N of every kernel series and its envelope
 # kind -> (c_n, shift) of sum_{n<N} c_n 2^{-n-shift} sum_{k<=n} (-1)^k C(n,k) f_k
 _EULER_KINDS = {"elliptic": (lambda n: 1, 2), "identity": (lambda n: n + 1, 6)}
 
@@ -289,7 +290,7 @@ def elliptic_kernel_truncation_bound_log10(C: float, N: int) -> float:
 
 
 def elliptic_kernel_series(C: float, D: float = 0.0, s: float = -0.5,
-                           N: int = 60) -> SeriesEvaluation:
+                           N: int = _SERIES_TERMS) -> SeriesEvaluation:
     """pi * sum_{n<N} 2^{-n-2} sum_k (-1)^k C(n,k) K_1(C+Dk)/(C+Dk).
 
     Only s = -1/2 (Struve order 1) is implemented; the kernel identity
@@ -309,7 +310,8 @@ def elliptic_kernel_series(C: float, D: float = 0.0, s: float = -0.5,
                             elliptic_kernel_truncation_bound(C, N), N)
 
 
-def elliptic_kernel_series_noise(C: float, D: float = 0.0, N: int = 60) -> float:
+def elliptic_kernel_series_noise(C: float, D: float = 0.0,
+                                 N: int = _SERIES_TERMS) -> float:
     """First-order rounding envelope pi * eps * sum_k w_k |K_1(C+Dk)/(C+Dk)|."""
     f = [abs(_k1_over_arg(C + D * k)) for k in range(N)]
     w = _euler_weights(N, "elliptic")
@@ -322,7 +324,8 @@ def _cone_weights(sig: OrbifoldSignature):
             yield m, ell, 1.0 / (4.0 * m * math.sin(math.pi * ell / m))
 
 
-def elliptic_contribution(sig: OrbifoldSignature, N: int = 60) -> SeriesEvaluation:
+def elliptic_contribution(sig: OrbifoldSignature,
+                          N: int = _SERIES_TERMS) -> SeriesEvaluation:
     """Total cone-point contribution: sum of weighted kernel series.
 
     Each cyclic subgroup of order m contributes m-1 kernel evaluations at
@@ -353,7 +356,7 @@ def elliptic_contribution_via_integral(sig: OrbifoldSignature) -> QuadResult:
 # area (identity) term
 # ----------------------------------------------------------------------
 
-def identity_series(volume: float, N: int = 60) -> SeriesEvaluation:
+def identity_series(volume: float, N: int = _SERIES_TERMS) -> SeriesEvaluation:
     """-(vol/pi) sum_{n<N} (n+1) 2^{-n-6} sum_k (-1)^k C(n,k) K_2(pi(1+k))/(1+k)^2.
 
     The truncation bound comes from the remainder of the 1/(1+x)^2
@@ -603,17 +606,16 @@ def tail_b1_bound(j_lo: int = _TAIL_J_LO, j_hi: int = _TAIL_J_HI) -> float:
     10^4 are summed directly (:func:`tail_direct_sum`).  Beyond, convexity
     gives f(j) <= int_{j-1/2}^{j+1/2} f (Hermite-Hadamard), and the
     trapezoid rule over-estimates the integral of a convex function on any
-    partition; a 16384-panel geometric trapezoid is used.  That sum is
-    inflated by a relative 1e-12.
+    partition; a 16384-panel geometric trapezoid is used.  The whole sum
+    is inflated by a relative 1e-12.
 
     Rigor class: proof, given numpy's exp, expm1 and log within 1 ulp (an
     allowance measured against mpmath, not documented by numpy).  The
     inequalities are exact, and the margin covers the floating-point
     error, whose largest parts are csch_k1's relative bound
     (``specfun.CSCH_K1_REL_ERROR``, proved in the comment block that opens
-    the e^z K_1 section of ``specfun``) and the rounding of z_j.
-    When ``j_hi <= 10^4`` the result is the direct sum itself, with no
-    integral part and no margin.  A j_hi whose z_J passes 350, the end of
+    the e^z K_1 section of ``specfun``) and the rounding of z_j, both
+    present in the direct part too.  A j_hi whose z_J passes 350, the end of
     the proved kernel range (j_hi above about 10^301.2), is refused.
     """
     if not 3 <= j_lo <= j_hi:
@@ -632,8 +634,8 @@ def tail_b1_bound(j_lo: int = _TAIL_J_LO, j_hi: int = _TAIL_J_HI) -> float:
         f = _tail_terms(x)
         # a memoryview yields Python floats: no numpy scalars and no list
         trapezoid = 0.5 * math.fsum(memoryview(np.diff(x) * (f[:-1] + f[1:])))
-        total = (total + trapezoid / FOUR_PI) * (1.0 + _TAIL_REL_MARGIN)
-    return total
+        total += trapezoid / FOUR_PI
+    return total * (1.0 + _TAIL_REL_MARGIN)
 
 
 def tail_far_prefactor(j_split: int) -> float:
@@ -678,10 +680,16 @@ def tail_higher_windings_bound(j_lo: int = _TAIL_J_LO) -> float:
 def tail_bounds(j_lo: int = _TAIL_J_LO, j_hi: int = _TAIL_J_HI) -> Tuple[float, ...]:
     """(b1, b2, b3): single windings j_lo..j_hi, beyond j_hi, and n >= 2 from j_lo.
 
-    Their sum, in this order, is :func:`casimir_energy`'s tail magnitude.
+    Their sum, :func:`_tail_magnitude`, is :func:`casimir_energy`'s tail.
     """
     return (tail_b1_bound(j_lo, j_hi), tail_far_bound(j_hi),
             tail_higher_windings_bound(j_lo))
+
+
+def _tail_magnitude(components: Tuple[float, float, float]) -> float:
+    """b1 + b2 + b3, summed in that order: the tail magnitude."""
+    b1, b2, b3 = components
+    return b1 + b2 + b3
 
 
 def growth_inequality_check(j: int, n: int) -> bool:
@@ -694,9 +702,7 @@ def growth_inequality_check(j: int, n: int) -> bool:
         raise ValueError("need j >= 2 and n >= 1")
     lj = math.log(j)
     llj = math.log(lj)
-    v = n * (lj + llj)           # log(j^n log^n j)
-    if v <= 0:
-        return False
+    v = n * (lj + llj)           # log(j^n log^n j), positive as 2 log 2 > 1
     lhs = n * lj + (n + 0.5) * llj
     rhs = v + math.log1p(-math.exp(-v)) + 0.5 * math.log(lj + llj)
     return lhs <= rhs

@@ -60,6 +60,7 @@ _TRANS = str.maketrans("RL", "01")   # R < L for canonical ordering
 _UNTRANS = str.maketrans("01", "RL")
 _STAR01 = str.maketrans("01", "10")
 _ELLIPTIC_TRACE = 2.0 + 1e-12   # |trace| at most this: finite order or parabolic
+_DET_DRIFT = 1e-13   # |det - 1| past this renormalises, per word and batched
 
 
 class WordError(ValueError):
@@ -87,7 +88,7 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
         drift = m.det() - 1.0
-        if abs(drift) > 1e-13:
+        if abs(drift) > _DET_DRIFT:
             r = 1.0 / math.sqrt(m.det())
             m.a *= r
             m.b *= r
@@ -372,9 +373,9 @@ def _word_matrices(words: np.ndarray, letters: np.ndarray) -> tuple[np.ndarray, 
     suffix, and step j multiplies in letter j of each of them.  The
     products run left to right from the identity with the expressions
     of :meth:`Mat2.__matmul__`, in the same order, and renormalise exactly
-    the elements whose determinant drifts by more than 1e-13.  Elementwise
-    binary64 products, sums, square roots and quotients round as Python's
-    do, so each element equals :func:`word_to_matrix` bit for bit.
+    the elements whose determinant drifts by more than ``_DET_DRIFT``.
+    Elementwise binary64 products, sums, square roots and quotients round
+    as Python's do, so each element equals :func:`word_to_matrix` bit for bit.
     """
     _, _, R, L = generators_237()
     # (R, L) pairs of each entry, gathered into contiguous arrays
@@ -393,7 +394,7 @@ def _word_matrices(words: np.ndarray, letters: np.ndarray) -> tuple[np.ndarray, 
         sa[:], sb[:], sc[:], sd[:] = (sa * ga + sb * gc, sa * gb + sb * gd,
                                       sc * ga + sd * gc, sc * gb + sd * gd)
         det = sa * sd - sb * sc
-        drift = np.abs(det - 1.0) > 1e-13
+        drift = np.abs(det - 1.0) > _DET_DRIFT
         if drift.any():
             r = 1.0 / np.sqrt(det[drift])
             sa[drift] *= r
@@ -423,31 +424,27 @@ def enumerate_classes(max_letters: int) -> list[GeodesicClass]:
     does.  The trace a + d, the finite-order test against
     ``_ELLIPTIC_TRACE`` and the length 2 ``math.acosh``(|tr| / 2) are then
     the same binary64 operations as the per-word route, so every trace and
-    length is bit-identical to it.  No winding sum is taken here.  Length
-    ties keep R < L lexicographic order over all lengths.  The classes are
-    built by ``GeodesicClass._make`` from the zipped columns.
+    length is bit-identical to it.  No winding sum is taken here.  The
+    classes are built by ``GeodesicClass._make`` from the zipped columns.
     """
     if not 1 <= max_letters <= 20:
         raise ValueError("max_letters must lie in 1..20")
     words, letters, sizes = _orbit_representatives(max_letters)
     a, _, _, d = _word_matrices(words, letters)
     traces = a + d
-    # R < L lexicographic order over all lengths: words padded with R to
-    # max_letters letters, and a word before its extensions
-    order = np.lexsort((letters, words << (max_letters - letters)))
-    hyperbolic = np.abs(traces[order]) > _ELLIPTIC_TRACE
-    order = order[hyperbolic]
-    lengths = 2.0 * np.array(list(map(math.acosh,
-                                      (np.abs(traces[order]) / 2.0).tolist())))
-    # by length, then in R < L order
-    by_length = np.argsort(lengths, kind="stable")
-    order = order[by_length]
+    hyperbolic = np.abs(traces) > _ELLIPTIC_TRACE
+    words, letters, sizes, traces = (
+        col[hyperbolic] for col in (words, letters, sizes, traces))
+    lengths = 2.0 * np.array(list(map(math.acosh, (np.abs(traces) / 2.0).tolist())))
+    # by length, then R < L lexicographic order over all lengths (words
+    # padded with R to max_letters letters), then a word before its extensions
+    order = np.lexsort((letters, words << (max_letters - letters), lengths))
     # a leading 1 bit keeps the word's leading Rs (0 bits) in bin()
     names = [bin(w)[3:].translate(_UNTRANS)
              for w in (words[order] | (1 << letters[order])).tolist()]
     return list(map(GeodesicClass._make,
                     zip(names, traces[order].tolist(),
-                        lengths[by_length].tolist(), sizes[order].tolist())))
+                        lengths[order].tolist(), sizes[order].tolist())))
 
 
 def to_spectrum(classes: Iterable[GeodesicClass],

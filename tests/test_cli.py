@@ -502,6 +502,20 @@ class TestExitCodes:
             code, out, err = _capture(capsys, ["energy", *argv])
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("row, message", [
+        ("1.5,0", "multiplicities must be positive integers"),
+        ("-1.5,2", "lengths must be positive and finite"),
+        ("nan,1", "lengths must be positive and finite"),
+        ("inf,1", "lengths must be positive and finite"),
+    ], ids=["zero-multiplicity", "negative", "nan", "inf"])
+    def test_refuses_file_row_the_spectrum_type_refuses(self, capsys, tmp_path,
+                                                        row, message):
+        path = tmp_path / "spec.txt"
+        path.write_text(f"# group 2,3,7\n0.98,1\n{row}\n")
+        code, out, err = _capture(capsys, [
+            "energy", "--cone-orders", "2,3,7", "--spectrum", f"file:{path}"])
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
     @pytest.mark.parametrize("j_hi", [10**305, 10**400], ids=["1e305", "1e400"])
     def test_tail_past_proved_kernel_range(self, capsys, j_hi):
         # z_J = 354.4 and 463.9: past z = 350, where csch_k1's bound ends

@@ -54,7 +54,8 @@ from casorb.contributions import (
     tail_windings_prefactor,
 )
 from casorb.quadrature import elliptic_kernel_integral, identity_integral
-from casorb.specfun import csch_k1, csch_k1_array, struve_k
+from casorb.specfun import (csch_k1, csch_k1_array, struve_k,
+                            upper_incomplete_gamma_half)
 
 VOL_237 = 2.0 * math.pi * (1.0 - (1.0 / 2 + 1.0 / 3 + 1.0 / 7))
 SIG_237 = OrbifoldSignature((2, 3, 7))
@@ -598,8 +599,10 @@ class TestTails:
         assert tail_b1_bound(51, 10**7).hex() == "0x1.1b798a13cf4bep-3"
 
     def test_b1_bound_is_direct_sum_below_head(self):
+        # the direct sum carries the kernel and z_j rounding too: same margin
         for j_lo, j_hi in ((3, 3), (51, 2000), (51, 10**4), (9000, 10**4)):
-            assert tail_b1_bound(j_lo, j_hi) == tail_direct_sum(j_lo, j_hi)
+            assert tail_b1_bound(j_lo, j_hi) == (
+                tail_direct_sum(j_lo, j_hi) * (1.0 + 1e-12))
 
     def test_b1_bound_errors(self):
         for j_lo, j_hi in ((2, 100), (0, 100), (100, 99)):
@@ -1027,3 +1030,38 @@ class TestSpectrumTypesAndIO:
         empty.write_text("# nothing\n")
         with pytest.raises(SpectrumFormatError):
             read_spectrum_file(str(empty))
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.5,0", "multiplicities must be positive integers"),
+        ("-1.5,2", "lengths must be positive and finite"),
+        ("nan,1", "lengths must be positive and finite"),
+        ("inf,1", "lengths must be positive and finite"),
+    ], ids=["zero-multiplicity", "negative", "nan", "inf"])
+    def test_file_row_the_spectrum_type_refuses(self, tmp_path, row, message):
+        # the row parses, and the constructor's refusal is reported with the path
+        path = tmp_path / "spec.txt"
+        path.write_text(f"# group 2,3,7\n0.98,1\n{row}\n")
+        with pytest.raises(SpectrumFormatError) as info:
+            read_spectrum_file(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (elliptic_kernel_series, (1.0, -1.0), "D must be nonnegative"),
+    (elliptic_kernel_series, (1.0, 0.0, -0.5, 0), "N must be >= 1"),
+    (elliptic_kernel_truncation_bound, (0.0, 10), "C must be positive"),
+    (identity_series, (0.0,), "volume must be positive"),
+    (identity_series, (1.0, 0), "N must be >= 1"),
+    (identity_interval, (-1.0,), "volume must be positive"),
+    (hyperbolic_term, (0.0, 1), "length must be positive"),
+    (hyperbolic_term, (1.0, 0), "winding number must be >= 1"),
+    (tail_direct_sum, (2, 100), "need 3 <= j_lo <= j_hi"),
+    (tail_direct_sum, (100, 99), "need 3 <= j_lo <= j_hi"),
+    (upper_incomplete_gamma_half, (-1.0,), "a must be nonnegative"),
+], ids=["series-D", "series-N", "truncation-C", "identity-volume", "identity-N",
+        "interval-volume", "term-length", "term-winding", "direct-sum-j_lo",
+        "direct-sum-empty", "gamma-a"])
+def test_argument_refusals(call, args, message):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert (info.type, str(info.value)) == (ValueError, message)
