@@ -20,7 +20,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .quadrature import QuadResult, elliptic_kernel_integral
-from .specfun import csch_k1, csch_k1_array, struve_k, upper_incomplete_gamma_half
+from .specfun import (_CSCH_K1_Z_MAX, csch_k1, csch_k1_array, struve_k,
+                      upper_incomplete_gamma_half)
 
 __all__ = [
     "OrbifoldSignature",
@@ -140,6 +141,10 @@ class LengthSpectrum:
                 raise ValueError("a group names at least one cone order")
         prev = 0.0
         for ell, mult in self.entries:
+            # exactly float: np.float64 is a float subclass, but the file
+            # format would write it as "np.float64(1.5)", which the reader refuses
+            if type(ell) is not float:
+                raise ValueError("lengths must be floats")
             if ell <= 0 or not math.isfinite(ell):
                 raise ValueError("lengths must be positive and finite")
             # exactly int: True passes isinstance(True, int), but the file
@@ -586,13 +591,10 @@ def tail_direct_sum(j_lo: int = _TAIL_J_LO, j_hi: int = _TAIL_J_HI) -> float:
 _TAIL_HEAD_TERMS = 10_000
 # Panels of the geometric trapezoid beyond the head.
 _TAIL_PANELS = 16_384
-# Largest z_j the bound accepts: the end of the range where
-# specfun.CSCH_K1_REL_ERROR is proved (j_hi up to about 10^301.2).
-_TAIL_Z_MAX = 350.0
 # Relative inflation covering every rounding in the bound, at most about
 # 4e-13 in all: csch_k1's error (specfun.CSCH_K1_REL_ERROR, 1.9e-15), the
 # error of z_j (a few units of 2^-53, times |z g'/g| <= 2z + 2, which is
-# 21 for j <= 10^7 and 702 at z_j = _TAIL_Z_MAX), the panel widths and
+# 21 for j <= 10^7 and 702 at z_j = 350), the panel widths and
 # both sums.
 _TAIL_REL_MARGIN = 1e-12
 
@@ -621,8 +623,8 @@ def tail_b1_bound(j_lo: int = _TAIL_J_LO, j_hi: int = _TAIL_J_HI) -> float:
     if not 3 <= j_lo <= j_hi:
         raise ValueError("need 3 <= j_lo <= j_hi")
     z_hi = 0.5 * _growth_threshold(j_hi)
-    if z_hi > _TAIL_Z_MAX:
-        raise ValueError(f"j_hi puts z_J = {z_hi:.1f} past {_TAIL_Z_MAX:g}, where "
+    if z_hi > _CSCH_K1_Z_MAX:
+        raise ValueError(f"j_hi puts z_J = {z_hi:.1f} past {_CSCH_K1_Z_MAX:g}, where "
                          "csch_k1's error bound ends (j_hi <= about 10^301)")
     head_hi = min(j_hi, _TAIL_HEAD_TERMS)
     total = tail_direct_sum(j_lo, head_hi) if j_lo <= head_hi else 0.0

@@ -1,6 +1,6 @@
-"""Adaptive Gauss-Kronrod quadrature and the two integrals it must own.
+"""Adaptive Gauss-Kronrod quadrature and the elliptic kernel integral.
 
-The tests check every series route against it; it is no independent oracle,
+The tests check the elliptic kernel series against it; it is no independent oracle,
 since every Struve K value the certificate uses comes from its
 :func:`adaptive_quadrature`.  It imports only the standard library and
 numpy.  The base rule is the classical 7/15-point Gauss-Kronrod pair
@@ -41,7 +41,6 @@ __all__ = [
     "adaptive_quadrature",
     "integrate_decaying",
     "elliptic_kernel_integral",
-    "identity_integral",
 ]
 
 Integrand = Callable[[np.ndarray], np.ndarray]
@@ -284,24 +283,3 @@ def elliptic_kernel_integral(C: float, D: float = 0.0,
 
     return adaptive_quadrature(integrand, (0.0, 1.0), tol_abs=0.0,
                                tol_rel=1e-12, max_intervals=20000)
-
-
-def _sech(x: np.ndarray) -> np.ndarray:
-    # overflow-free; 2e^{-|x|}/(1+e^{-2|x|})
-    e = np.exp(-np.abs(x))
-    return 2.0 * e / (1.0 + e * e)
-
-
-def identity_integral() -> QuadResult:
-    """int_{-inf}^{inf} (1/4 + r^2)^{3/2} sech^2(pi r) dr.
-
-    The integrand is even, so it is integrated on [0, inf) and doubled.
-    """
-
-    def f(r: np.ndarray) -> np.ndarray:
-        s = _sech(np.pi * r)
-        return (0.25 + r * r) ** 1.5 * s * s
-
-    res = integrate_decaying(f, "halfline", tol=5e-13)
-    return QuadResult(2.0 * res.value, 2.0 * res.est_error,
-                      res.evaluations, res.converged)

@@ -1,9 +1,9 @@
 """Struve/Bessel kernels and small special-function utilities.
 
 Each kernel returns an :class:`FnEval` carrying the value, an absolute
-error bound, and the evaluation method.  Bounds from series and asymptotic
-routes are rigorous (truncation plus a conservative rounding envelope);
-bounds from the integral route inherit the heuristic Gauss-Kronrod
+error bound, and the evaluation method.  Bounds from the power series route
+are rigorous (truncation plus a conservative rounding envelope); bounds
+from the integral route inherit the heuristic Gauss-Kronrod
 estimate and are flagged through ``method == "integral_rep"``.
 
 Struve K of orders 1 and 2 takes the integral route at every z.  The
@@ -63,7 +63,7 @@ _PI_LD = _LD("3.141592653589793238462643383279502884")
 _SQRTPI_LD = np.sqrt(_PI_LD)
 _EULER_LD = _LD("0.577215664901532860606512090082402431")
 
-_METHODS = ("series", "asymptotic", "integral_rep")
+_METHODS = ("series", "integral_rep")
 
 
 class UnsupportedOrderError(ValueError):
@@ -251,32 +251,6 @@ def _struve_k_integral(nu: int, z: float) -> FnEval:
     return FnEval(value, bound, "integral_rep")
 
 
-def _struve_k_asymptotic(nu: int, z: float) -> FnEval:
-    # (1/pi) sum_k Gamma(k+1/2) (z/2)^{nu-2k-1} / Gamma(nu+1/2-k),
-    # truncated at the smallest term, which also bounds the error.
-    if z < 40.0:
-        raise ValueError("asymptotic route for Struve K requires z >= 40")
-    if nu == 1:
-        t = 2.0 / math.pi
-    else:
-        t = 2.0 * z / (3.0 * math.pi)
-    total = t
-    abssum = abs(t)
-    k = 0
-    while True:
-        ratio = (k + 0.5) * (nu - 0.5 - k) * (2.0 / z) ** 2
-        t_next = t * ratio
-        if abs(t_next) >= abs(t) or k > 200:
-            bound = abs(t_next)
-            break
-        total += t_next
-        abssum += abs(t_next)
-        t = t_next
-        k += 1
-    bound += 4 * (k + 2) * _EPS * abssum
-    return FnEval(total, bound, "asymptotic")
-
-
 def _struve_k_series(nu: int, z: float) -> FnEval:
     """H_nu - Y_nu from the two power series, for nu in {1, 2} and 0 < z <= 12."""
     if nu not in (1, 2):
@@ -305,8 +279,8 @@ def struve_k(nu: int, z: float) -> FnEval:
     panels resolve it: at every argument of a (2,3,7) run, and measured for
     2.1 < z < 1e4.  Below z = 0.26 (order 1) or 2.1 (order 2) bisection
     refines them, and the split panels compute those factors afresh.  The
-    power series (z <= 12) and the asymptotic expansion (z >= 40) are kept
-    as private check routes for the tests.
+    power series (z <= 12) is kept as a private check route for the tests,
+    which hold larger z to mpmath.
     An integral that misses its tolerance raises QuadratureNonConvergence,
     and nothing is cached for it.
     """
@@ -483,6 +457,9 @@ _K1_SERIES_H = tuple(
 # first dropped term is below 1e-21 relative.  exp(z) and the product add
 # _ELEM_ULP ulp and u.
 _K1E_SERIES_REL_BOUND = 4.1 * _U + 2 * _ELEM_ULP * _U + _U
+
+# The end of the range where CSCH_K1_REL_ERROR is proved.
+_CSCH_K1_Z_MAX = 350.0
 
 CSCH_K1_REL_ERROR = (max(_K1E_CHEB_REL_BOUND, _K1E_SERIES_REL_BOUND)
                      + 2 * 2 * _ELEM_ULP * _U + 2 * _U)

@@ -53,7 +53,7 @@ from casorb.contributions import (
     tail_windings_integral,
     tail_windings_prefactor,
 )
-from casorb.quadrature import elliptic_kernel_integral, identity_integral
+from casorb.quadrature import elliptic_kernel_integral
 from casorb.specfun import (csch_k1, csch_k1_array, struve_k,
                             upper_incomplete_gamma_half)
 
@@ -229,9 +229,14 @@ class TestIdentity:
             assert lo < ser.value < hi
 
     def test_quadrature_route(self):
+        # the series against 2 int_0^inf (1/4 + r^2)^{3/2} sech^2(pi r) dr,
+        # integrated by mpmath at 30 digits
+        mp = pytest.importorskip("mpmath")
         ser = identity_series(VOL_237, 60)
-        quad = identity_integral()
-        assert ser.value == pytest.approx(-VOL_237 / 12.0 * quad.value, abs=1e-9)
+        with mp.workdps(30):
+            quad = 2 * mp.quad(lambda r: (mp.mpf(1) / 4 + r * r) ** 1.5
+                               * mp.sech(mp.pi * r) ** 2, [0, mp.inf])
+        assert ser.value == pytest.approx(-VOL_237 / 12.0 * float(quad), rel=1e-12)
 
     def test_truncation_decay(self):
         for N in (50, 55, 60, 65):
@@ -888,6 +893,21 @@ class TestSpectrumTypesAndIO:
         with pytest.raises(ValueError, match="multiplicities must be positive integers"):
             LengthSpectrum(((1.0, 2), (2.0, True)), "file")
 
+    @pytest.mark.parametrize("ell", [np.float64(1.5), np.float32(1.5), True,
+                                     Fraction(3, 2), 2],
+                             ids=["float64", "float32", "bool", "fraction", "int"])
+    def test_length_that_is_not_a_float_refused(self, ell, tmp_path):
+        # np.float64(1.5) would be written as "np.float64(1.5)", which
+        # read_spectrum_file refuses; a numpy column through from_columns
+        # arrives as floats and reads back equal
+        with pytest.raises(ValueError, match="lengths must be floats"):
+            LengthSpectrum(((ell, 1),), group=(2, 3, 7))
+        spec = LengthSpectrum.from_columns(np.array([ell], dtype=np.float64), [1],
+                                           group=(2, 3, 7))
+        path = tmp_path / "spec.txt"
+        path.write_text("\n".join(spectrum_file_lines(spec)) + "\n")
+        assert read_spectrum_file(str(path)) == spec
+
     def test_builders_never_coerce_a_multiplicity(self):
         # int(2.7) = 2 would undercount the class and raise the bound
         for mult in (2.7, True, np.True_, "3", 2.0):
@@ -907,7 +927,7 @@ class TestSpectrumTypesAndIO:
         assert mixed.entries == ((1.0, 1), (1.0, 2**63))
         assert [type(m) for _, m in mixed.entries] == [int, int]
 
-    def test_from_pairs_sorts_like_sorted_tuples(self):
+    def test_from_columns_sorts_like_sorted_tuples(self):
         # one lexsort over both columns orders pairs as sorted() orders
         # (length, multiplicity) tuples
         pairs = [(2.0, 1), (1.0, 3), (2.0, 10**30), (1.0, 2), (0.5, 7), (2.0, 4)]

@@ -1,5 +1,6 @@
 """Every exported name resolves, so deletions cannot leave stale exports."""
 
+import ast
 import importlib
 import pathlib
 import sys
@@ -10,6 +11,8 @@ import casorb
 
 MODULES = ("casorb", "casorb.cli", "casorb.compensated", "casorb.contributions",
            "casorb.quadrature", "casorb.specfun", "casorb.triangle")
+# scipy is no dependency at all; mpmath and hypothesis are the tests' oracles
+TEST_ONLY_PACKAGES = {"scipy", "mpmath", "hypothesis"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -63,8 +66,7 @@ def test_submodule_surfaces_are_pinned():
         "clear_caches"])
     assert sorted(quadrature.__all__) == sorted([
         "QuadResult", "QuadratureNonConvergence", "KronrodGrid", "kronrod_grid",
-        "adaptive_quadrature", "integrate_decaying", "elliptic_kernel_integral",
-        "identity_integral"])
+        "adaptive_quadrature", "integrate_decaying", "elliptic_kernel_integral"])
 
 
 def _fresh_modules(code):
@@ -89,8 +91,26 @@ def _fresh_modules(code):
 ])
 def test_no_scipy_in_fresh_interpreter(code):
     # numpy is the only numerical dependency: neither the import nor a CLI
-    # run may load scipy
-    assert "scipy" not in _fresh_modules(code)
+    # run may load scipy or a package only the tests need
+    assert not TEST_ONLY_PACKAGES & _fresh_modules(code)
+
+
+def test_no_test_only_import_in_the_package():
+    # a lazy import inside a function escapes the fresh-interpreter check
+    # unless that path runs; the source itself must name none
+    src = pathlib.Path(casorb.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if name.split(".")[0] in TEST_ONLY_PACKAGES | {"pytest"}]
+    assert not found
 
 
 def test_import_leaves_logging_out():

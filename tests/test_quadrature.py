@@ -16,13 +16,10 @@ from casorb.quadrature import (
     _kronrod_panels,
     adaptive_quadrature,
     elliptic_kernel_integral,
-    identity_integral,
     integrate_decaying,
     kronrod_grid,
 )
 
-# frozen with mpmath (40 digits): 2 * quad((1/4+r^2)^{3/2} sech^2(pi r), [0, inf])
-IDENTITY_INTEGRAL = 0.13005312553535777
 # 64 / (15 pi)
 SQUARE_BRACKET = 1.3581221810508402
 # mpmath: quad(e^{-pi y/7}/(e^{-pi y}+1) (1+y^2)^{1/2}, [0, inf])
@@ -128,14 +125,6 @@ def test_elliptic_kernel_integral_dominates_small_angle_bound():
         res = elliptic_kernel_integral(theta, math.pi, -0.5)
         lower = math.pi * struve_k(1, theta).value / (4.0 * theta)
         assert res.value >= lower
-
-
-def test_identity_integral():
-    res = identity_integral()
-    assert res.value == pytest.approx(IDENTITY_INTEGRAL, abs=1e-12)
-    assert res.est_error <= 1e-12
-    # (1/12) * integral must land inside the closed-form bracket
-    assert 1.0 / (36.0 * math.pi) < res.value / 12.0 < 2.0 / (45.0 * math.pi)
 
 
 def test_identity_integral_bracket_moments():

@@ -501,7 +501,7 @@ class TestSpectrumExport:
                               | st.floats(0.1, 10.0),
                               st.integers(1, 4)), max_size=30),
            st.randoms(use_true_random=False))
-    def test_to_spectrum_matches_from_pairs(self, rows, rng):
+    def test_to_spectrum_matches_from_columns(self, rows, rng):
         self._check_to_spectrum(self._classes(rows), rng)
 
     @pytest.mark.parametrize("rows", [
@@ -510,7 +510,7 @@ class TestSpectrumExport:
         [(1.0, 4), (1.0, 1), (1.0, 2), (0.5, 1), (1.0, 1)],
         "enumerate12",
     ])
-    def test_to_spectrum_matches_from_pairs_cases(self, rows):
+    def test_to_spectrum_matches_from_columns_cases(self, rows):
         classes = enumerate_classes(12) if rows == "enumerate12" else self._classes(rows)
         self._check_to_spectrum(classes, random.Random(12))
 
