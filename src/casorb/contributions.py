@@ -421,11 +421,15 @@ _WINDING_TOL = 1e-13
 # h(x) = log(2 sqrt(pi)) + log(2 + x) - 2.5 log x - x - log(1 - e^{-x}),
 # so a length's stopping point solves h(x) = r(ell) with
 # r = log(_WINDING_TOL (1 - e^{-ell}) / ell): one equation in x for every
-# ell.  Its roots lie in x = 26.4..32.6 for 0 < ell <= 700, where the last
+# ell.  Its roots lie in x = 26.36..32.6 for 0 < ell <= 700, where the last
 # term of h is below 4e-12 and is left out of the estimate.  _X0 is a
-# point among them.
+# point among them.  The root grows with ell, so every length below
+# _MIN_LENGTH needs more than _MAX_WINDINGS windings.  Such lengths are
+# refused before the majorant is evaluated, since there it underflows or
+# overflows.
 _LOG_2_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
 _X0 = 28.0
+_MIN_LENGTH = 26.0 / (_MAX_WINDINGS + 1)
 
 
 def _log_majorant(x):
@@ -451,6 +455,8 @@ def _winding_counts(ell):
     winding shrinks the majorant by at least e^{-ell}, far above its
     rounding for every length the cap admits.
     """
+    if (ell < _MIN_LENGTH).any():
+        raise ArithmeticError("winding sum did not reach tolerance")
     r = np.log(np.expm1(-ell) / ell * -_WINDING_TOL)
     x = _X0 + (r - _H0) / _DH0
     h, dh = _log_majorant(x)

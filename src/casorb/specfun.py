@@ -1,10 +1,9 @@
 """Struve/Bessel kernels and small special-function utilities.
 
-Each kernel returns an :class:`FnEval` carrying the value, an absolute
-error bound, and the evaluation method.  Bounds from the power series route
-are rigorous (truncation plus a conservative rounding envelope); bounds
-from the integral route inherit the heuristic Gauss-Kronrod
-estimate and are flagged through ``method == "integral_rep"``.
+``struve_k`` returns an :class:`FnEval` carrying the value, an absolute
+error bound, and the evaluation method.  Its one route is the integral
+representation, whose bound is the heuristic Gauss-Kronrod estimate, so
+``bound_is_rigorous`` is False for every value it returns.
 
 Struve K of orders 1 and 2 takes the integral route at every z.  The
 Laplace integral is mapped to [0, 1] by s = zt = v/(1-v), which leaves an
@@ -20,11 +19,6 @@ new argument computes only the z-dependent part, with the bits that
 bisected panels get.  Where s > 745, e^{-s} underflows and the integrand
 is taken as 0.
 
-The power series run in 80-bit extended precision (numpy longdouble) so
-the z <= 12 accuracy contract of 1e-12 * max(1, |value|) holds with
-margin; binary64 alone loses ~1e-11 to cancellation at the top of that
-window.  Everything downstream of the kernels is plain binary64.
-
 The modified Bessel function K_1 enters only through ``csch_k1`` and
 ``csch_k1_array``, which share one numpy kernel for e^z K_1(z): the power
 series below z = 1/4 and, above, Chebyshev series on dyadic windows whose
@@ -32,7 +26,9 @@ coefficients are built at import from a trapezoid rule.  Its relative
 error bound (``CSCH_K1_REL_ERROR``, about 1.9e-15) is computed from the
 coefficients in use and proved given one assumption: numpy's elementary
 functions are within ``_ELEM_ULP`` ulp, an allowance measured against
-mpmath, not documented by numpy.
+mpmath, not documented by numpy.  That table build is the only
+extended-precision (80-bit numpy longdouble) code in the package;
+everything else is plain binary64.
 """
 
 from __future__ import annotations
@@ -60,10 +56,9 @@ _LD = np.longdouble
 _EPS_LD = float(np.finfo(_LD).eps)
 _EPS = math.ulp(1.0)
 _PI_LD = _LD("3.141592653589793238462643383279502884")
-_SQRTPI_LD = np.sqrt(_PI_LD)
 _EULER_LD = _LD("0.577215664901532860606512090082402431")
 
-_METHODS = ("series", "integral_rep")
+_METHODS = ("integral_rep",)
 
 
 class UnsupportedOrderError(ValueError):
@@ -88,96 +83,6 @@ class FnEval:
     def bound_is_rigorous(self) -> bool:
         """Integral-route bounds are Kronrod estimates, not proofs."""
         return self.method != "integral_rep"
-
-
-# ----------------------------------------------------------------------
-# power series in extended precision
-# ----------------------------------------------------------------------
-
-def _struve_h_series_ld(nu: int, z: float):
-    """H_nu power series: sum_k (-1)^k (z/2)^{2k+nu+1} / (G(k+3/2)G(k+nu+3/2))."""
-    zh = _LD(z) / 2
-    q = zh * zh
-    # Gamma(3/2) and Gamma(nu + 3/2) built up from Gamma(1/2) = sqrt(pi)
-    g1 = _SQRTPI_LD / 2
-    g2 = _SQRTPI_LD
-    for i in range(nu + 1):
-        g2 = g2 * (_LD(2 * i + 1) / 2)
-    t = zh ** (nu + 1) / (g1 * g2)
-    total = _LD(0)
-    wsum = 0.0          # (k+3)-weighted |term| sum, for the rounding envelope
-    abssum = _LD(0)
-    k = 0
-    while True:
-        total += t
-        abssum += abs(t)
-        wsum += (k + 3) * abs(float(t))
-        ratio = q / ((_LD(k) + _LD(1.5)) * (_LD(k) + _LD(nu) + _LD(1.5)))
-        t_next = -t * ratio
-        if ratio < 0.5 and abs(t_next) < _LD(1e-26) * max(abssum, _LD(1)):
-            trunc = 2 * abs(t_next)
-            break
-        t = t_next
-        k += 1
-        if k > 400:
-            raise ArithmeticError("Struve series failed to converge")
-    value = float(total)
-    bound = float(trunc) + 3 * _EPS_LD * wsum + 2 * _EPS * abs(value)
-    return value, bound
-
-
-def _bessel_y_series_ld(n: int, z: float):
-    """Y_n power series (DLMF 10.8.1) for integer n in {1, 2}, z <= 12."""
-    zh = _LD(z) / 2
-    q = zh * zh
-    lg = np.log(zh)
-
-    # finite part: sum_{k<n} (n-k-1)!/k! * q^k
-    p = _LD(1)
-    if n == 2:
-        p = p + q
-
-    # shared term u_k = q^k / (k! (n+k)!)
-    u = _LD(1)
-    for i in range(1, n + 1):
-        u = u / _LD(i)
-    hk = _LD(0)             # H_k
-    hnk = _LD(0)            # H_{n+k}
-    for i in range(1, n + 1):
-        hnk += _LD(1) / _LD(i)
-
-    jsum = _LD(0)           # sum (-1)^k u_k
-    ssum = _LD(0)           # sum (-1)^k (-2g + H_k + H_{n+k}) u_k
-    zhn = zh ** n
-    part_scale = float(zhn * (2 * abs(lg) + 1)) / math.pi
-    absacc = _LD(0)
-    wsum = 0.0
-    sign = _LD(1)
-    k = 0
-    while True:
-        w = -2 * _EULER_LD + hk + hnk
-        jsum += sign * u
-        ssum += sign * w * u
-        mag = abs(u) * (1 + abs(w))
-        absacc += mag
-        wsum += (k + 3) * float(mag) * part_scale
-        ratio = q / ((_LD(k) + 1) * (_LD(k) + n + 1))
-        if ratio < 0.5 and mag < _LD(1e-26) * max(absacc, _LD(1)):
-            trunc = 2 * float(u * ratio) * (3 + abs(float(w)) + 2 * abs(float(lg)))
-            break
-        u = u * ratio
-        hk += _LD(1) / _LD(k + 1)
-        hnk += _LD(1) / _LD(n + k + 1)
-        sign = -sign
-        k += 1
-        if k > 400:
-            raise ArithmeticError("Bessel Y series failed to converge")
-
-    y = (-(zh ** (-n)) * p + 2 * lg * zhn * jsum - zhn * ssum) / _PI_LD
-    wsum += 3 * float(abs(zh ** (-n)) * abs(p)) / math.pi
-    value = float(y)
-    bound = trunc * float(zhn) / math.pi + 4 * _EPS_LD * wsum + 2 * _EPS * abs(value)
-    return value, bound
 
 
 # ----------------------------------------------------------------------
@@ -251,17 +156,6 @@ def _struve_k_integral(nu: int, z: float) -> FnEval:
     return FnEval(value, bound, "integral_rep")
 
 
-def _struve_k_series(nu: int, z: float) -> FnEval:
-    """H_nu - Y_nu from the two power series, for nu in {1, 2} and 0 < z <= 12."""
-    if nu not in (1, 2):
-        raise UnsupportedOrderError(f"the series route supports orders 1 and 2, got {nu}")
-    if not 0.0 < z <= 12.0:
-        raise ValueError(f"the series route is validated for 0 < z <= 12, got {z!r}")
-    h, h_bound = _struve_h_series_ld(nu, z)
-    y, y_bound = _bessel_y_series_ld(nu, z)
-    return FnEval(h - y, h_bound + y_bound, "series")
-
-
 # struve_k's memo of the integral route
 _struve_k_dispatch = lru_cache(maxsize=100000)(_struve_k_integral)
 
@@ -279,8 +173,7 @@ def struve_k(nu: int, z: float) -> FnEval:
     panels resolve it: at every argument of a (2,3,7) run, and measured for
     2.1 < z < 1e4.  Below z = 0.26 (order 1) or 2.1 (order 2) bisection
     refines them, and the split panels compute those factors afresh.  The
-    power series (z <= 12) is kept as a private check route for the tests,
-    which hold larger z to mpmath.
+    tests hold it to mpmath's H - Y at 30 digits.
     An integral that misses its tolerance raises QuadratureNonConvergence,
     and nothing is cached for it.
     """

@@ -326,6 +326,17 @@ class TestExitCodes:
             "hyperbolic", "--spectrum", f"file:{path}"])
         assert code == 2
 
+    @pytest.mark.parametrize("length", ["1e-300", "5e-324"])
+    def test_too_short_length_is_a_numerical_failure(self, capsys, tmp_path, length):
+        # refused before the majorant runs, so no RuntimeWarning precedes
+        # the one line on stderr
+        path = tmp_path / "short.txt"
+        path.write_text(f"# group 2,3,7\n{length},1\n")
+        code, out, err = _capture(capsys, [
+            "hyperbolic", "--spectrum", f"file:{path}"])
+        assert (code, out) == (1, "")
+        assert err == "numerical failure: winding sum did not reach tolerance\n"
+
     def test_bad_spectrum_source(self, capsys):
         code, _, _ = _capture(capsys, [
             "hyperbolic", "--spectrum", "guess"])

@@ -400,6 +400,14 @@ class TestBatchedWindingSums:
         with pytest.raises(ArithmeticError, match="did not reach tolerance"):
             _winding_sums([2.0, 1e-6])
 
+    @pytest.mark.parametrize("ell", [1e-300, 5e-324, 1e-5])
+    def test_refuses_short_length_before_the_majorant(self, ell):
+        # pytest turns RuntimeWarning into an error: the majorant, which
+        # underflows or overflows at such lengths, is never evaluated
+        spec = LengthSpectrum(((ell, 1),), "file")
+        with pytest.raises(ArithmeticError, match="^winding sum did not reach tolerance$"):
+            hyperbolic_contribution(spec)
+
     @pytest.mark.parametrize("ell", [0.0, -1.0, math.nan, math.inf])
     def test_refuses_lengths_that_are_not_positive_and_finite(self, ell):
         # raw lengths are checked before a winding count is solved for them

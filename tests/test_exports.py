@@ -132,3 +132,31 @@ def test_console_script_runs_verify_237(monkeypatch, capsys):
     assert exc.value.code == 0
     golden = root / "tests" / "golden" / "verify_237.txt"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    # a private helper that only tests call is a test oracle, and belongs
+    # with the tests; every module-level private name needs a use in src
+    src = pathlib.Path(casorb.__file__).resolve().parent
+    defined, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(path.stem, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    assert [d for d in defined if d[1] not in used] == []

@@ -20,10 +20,6 @@ from casorb.specfun import (
 )
 
 # frozen with mpmath at 40 digits
-H1_AT_1 = 0.1984573362019444
-H2_AT_2 = 0.28031806035385379
-Y1_AT_1 = -0.78121282130028872
-Y2_AT_5 = 0.36766288260552452
 K1_STRUVE_AT_PI = 0.69085480644049455
 K2_STRUVE_AT_PI = 0.91701938411356474
 GAMMA_HALF_1 = 0.27880558528066198   # sqrt(pi) erfc(1)
@@ -32,79 +28,25 @@ GAMMA_HALF_1 = 0.27880558528066198   # sqrt(pi) erfc(1)
 PRODUCTION_DIGEST = "6dbd7d954988af79eae107759d5d03c605b6dd9723417480fd4b981006490945"
 
 
-def h_series(nu, z):
-    """H_nu(z) from the 80-bit power series of the z <= 12 check route."""
-    return FnEval(*specfun._struve_h_series_ld(nu, z), "series")
-
-
-def y_series(nu, z):
-    """Y_nu(z) from the 80-bit power series of the z <= 12 check route."""
-    return FnEval(*specfun._bessel_y_series_ld(nu, z), "series")
-
-
 class TestFnEval:
     def test_invariants(self):
         # a NaN bound would pass the sign check and reach the certificate
         for value, bound in ((math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
                              (1.0, math.nan), (1.0, math.inf)):
             with pytest.raises(ValueError):
-                FnEval(value, bound, "series")
+                FnEval(value, bound, "integral_rep")
         with pytest.raises(ValueError):
-            FnEval(1.0, -1e-30, "series")
+            FnEval(1.0, -1e-30, "integral_rep")
         with pytest.raises(ValueError):
             FnEval(1.0, 0.0, "magic")
         with pytest.raises(ValueError):
             FnEval(1.0, 1e-10, "closed_form")   # a route no kernel has
 
     def test_rigor_flag(self):
-        assert FnEval(1.0, 1e-13, "series").bound_is_rigorous
-        assert not FnEval(1.0, 1e-13, "integral_rep").bound_is_rigorous
-
-
-class TestStruveH:
-    def test_frozen_values(self):
-        assert h_series(1, 1.0).value == pytest.approx(H1_AT_1, abs=1e-14)
-        assert h_series(2, 2.0).value == pytest.approx(H2_AT_2, abs=1e-14)
-
-    def test_small_z_quadratic_growth(self):
-        # H_1(theta) = (2/(3 pi)) theta^2 (1 + o(1)) as theta -> 0
-        for theta in (1e-2, 1e-3, 1e-4):
-            lead = 2.0 * theta * theta / (3.0 * math.pi)
-            assert h_series(1, theta).value == pytest.approx(lead, rel=1e-3)
-
-    def test_bound_contract_z_le_12(self):
-        for z in np.geomspace(1e-3, 12.0, 40):
-            for nu in (1, 2):
-                e = h_series(nu, float(z))
-                assert e.abs_error_bound <= 1e-12 * max(1.0, abs(e.value))
-
-    def test_cross_method_at_large_z(self):
-        # composition H = K + Y must match the series at the window edge
-        h = h_series(2, 12.0)
-        k = struve_k(2, 12.0)
-        y = y_series(2, 12.0)
-        assert abs(h.value - (k.value + y.value)) < 1e-8
-
-
-class TestBesselY:
-    def test_frozen_values(self):
-        assert y_series(1, 1.0).value == pytest.approx(Y1_AT_1, abs=1e-14)
-        assert y_series(2, 5.0).value == pytest.approx(Y2_AT_5, abs=1e-13)
-
-    def test_small_z_divergence(self):
-        # Y_1(theta) ~ -2/(pi theta): negative blow-up like -c/theta
-        for theta in (1e-2, 1e-3):
-            v = y_series(1, theta).value
-            assert v == pytest.approx(-2.0 / (math.pi * theta), rel=1e-3)
-
-    def test_mpmath_sweep(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
-        for z in np.geomspace(1e-2, 12.0, 40):
-            for nu in (1, 2):
-                e = y_series(nu, float(z))
-                want = float(mp.bessely(nu, float(z)))
-                assert abs(e.value - want) <= max(e.abs_error_bound, 1e-15), (nu, z)
+        # no route with a proved bound ships, so every value is flagged
+        with pytest.raises(ValueError):
+            FnEval(1.0, 1e-13, "series")
+        assert struve_k(1, math.pi).bound_is_rigorous is False
 
 
 class TestStruveK:
@@ -112,32 +54,30 @@ class TestStruveK:
         assert struve_k(1, math.pi).value == pytest.approx(K1_STRUVE_AT_PI, rel=1e-12)
         assert struve_k(2, math.pi).value == pytest.approx(K2_STRUVE_AT_PI, rel=1e-12)
 
-    def test_tri_method_consistency(self):
-        # the production value and the private series route agree within
-        # the sum of their bounds across the series window; needs no mpmath
-        zs = np.geomspace(1e-3, 200.0, 200)
-        for z in zs[zs <= 12.0]:
-            z = float(z)
-            for nu in (1.0, 2.0):
-                e = struve_k(nu, z)
-                s = specfun._struve_k_series(int(nu), z)
-                gap = abs(e.value - s.value)
-                allow = e.abs_error_bound + s.abs_error_bound
-                assert gap <= allow, (nu, z, gap, allow)
-
-    def test_large_z_matches_mpmath(self):
-        # past the series window the production value is held to H - Y at
-        # 30 digits, within the integral route's own bound
+    @staticmethod
+    def _hold_to_mpmath(zs):
+        # the production value is held to H - Y at 30 digits, within the
+        # integral route's own bound
         mp = pytest.importorskip("mpmath")
-        zs = np.geomspace(1e-3, 200.0, 200)
         with mp.workdps(30):
-            for z in zs[zs >= 40.0]:
+            for z in zs:
                 z = float(z)
-                for nu in (1.0, 2.0):
+                for nu in (1, 2):
                     e = struve_k(nu, z)
-                    want = mp.struveh(int(nu), z) - mp.bessely(int(nu), z)
+                    want = mp.struveh(nu, z) - mp.bessely(nu, z)
                     err = abs(float(mp.mpf(e.value) - want))
                     assert err <= e.abs_error_bound, (nu, z, err, e.abs_error_bound)
+
+    def test_tri_method_consistency(self):
+        # below z = 40 of the 200-point sweep, where a power series once
+        # served as the second route, mpmath is now the reference
+        zs = np.geomspace(1e-3, 200.0, 200)
+        self._hold_to_mpmath(zs[zs < 40.0])
+
+    def test_large_z_matches_mpmath(self):
+        # the rest of the sweep, z >= 40
+        zs = np.geomspace(1e-3, 200.0, 200)
+        self._hold_to_mpmath(zs[zs >= 40.0])
 
     def test_bound_contract(self):
         for z in np.geomspace(1e-3, 200.0, 50):
@@ -150,19 +90,7 @@ class TestStruveK:
         e = struve_k(2, 192.0)
         assert e.value == pytest.approx(2.0 * 192.0 / (3.0 * math.pi), rel=1e-3)
 
-    @pytest.mark.parametrize("nu, z, error, message", [
-        (3, 1.0, UnsupportedOrderError, "orders 1 and 2, got 3"),
-        (1, 0.0, ValueError, "0 < z <= 12, got 0.0"),
-        (2, 12.0 + 1e-9, ValueError, "0 < z <= 12, got 12.000000001"),
-    ])
-    def test_series_route_refuses_outside_its_window(self, nu, z, error, message):
-        # one check of the order and the window for both power series
-        with pytest.raises(error, match=message):
-            specfun._struve_k_series(nu, z)
-
     def test_method_windows(self):
-        with pytest.raises(ValueError):
-            specfun._struve_k_series(1, 13.0)
         with pytest.raises(UnsupportedOrderError):
             struve_k(2.5, 1.0)
         with pytest.raises(UnsupportedOrderError):   # no half orders
@@ -266,7 +194,7 @@ class TestStruveK:
         assert {panels for _, panels in runs} == {len(specfun._STRUVE_K_GRID.half)} == {11}
 
     def test_starting_panels_match_single_panel_start(self, monkeypatch):
-        # over the tri-method sweep, the integral started from the fixed
+        # over the mpmath sweep, the integral started from the fixed
         # panels and from [0, 1] agree within the sum of their bounds
         zs = [float(z) for z in np.geomspace(1e-3, 200.0, 200)]
         fixed = {(nu, z): specfun._struve_k_integral(nu, z)
@@ -377,20 +305,20 @@ class TestBesselK:
     def test_relative_accuracy_sweep(self):
         # K_1 enters only through csch_k1; recover it and check against mpmath
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
-        for z in np.geomspace(1e-3, 100.0, 50):
-            got = csch_k1(float(z)) * math.sinh(float(z))
-            want = float(mp.besselk(1, float(z)))
-            assert got == pytest.approx(want, rel=1e-12)
+        with mp.workdps(30):
+            for z in np.geomspace(1e-3, 100.0, 50):
+                got = csch_k1(float(z)) * math.sinh(float(z))
+                want = float(mp.besselk(1, float(z)))
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestCschK1:
     def test_matches_components(self):
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
-        for z in np.geomspace(1e-3, 100.0, 50):
-            want = float(mp.besselk(1, float(z)) / mp.sinh(float(z)))
-            assert csch_k1(float(z)) == pytest.approx(want, rel=1e-12)
+        with mp.workdps(30):
+            for z in np.geomspace(1e-3, 100.0, 50):
+                want = float(mp.besselk(1, float(z)) / mp.sinh(float(z)))
+                assert csch_k1(float(z)) == pytest.approx(want, rel=1e-12)
 
     def test_strictly_decreasing(self):
         z = np.linspace(1e-3, 50.0, 10000)
@@ -470,12 +398,12 @@ class TestK1Kernel:
     @staticmethod
     def _rel_errors(zs):
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
         got = csch_k1_array(np.array(zs))
         out = []
-        for z, g in zip(zs, got):
-            want = mp.besselk(1, mp.mpf(z)) / mp.sinh(mp.mpf(z))
-            out.append(float(abs((mp.mpf(float(g)) - want) / want)))
+        with mp.workdps(30):
+            for z, g in zip(zs, got):
+                want = mp.besselk(1, mp.mpf(z)) / mp.sinh(mp.mpf(z))
+                out.append(float(abs((mp.mpf(float(g)) - want) / want)))
         return np.array(out)
 
     def test_tail_window_and_seams_match_mpmath(self):
