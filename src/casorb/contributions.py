@@ -122,12 +122,12 @@ class OrbifoldSignature:
 class LengthSpectrum:
     """Sorted primitive geodesic lengths with multiplicities.
 
-    ``group`` holds the cone orders of the group whose geodesics these
-    are, when known (``(2, 3, 7)`` for the built-in spectra, and whatever
-    a file's '# group' line names; at least one order, kept sorted); None
-    otherwise, and then :func:`casimir_energy` certifies nothing for a
-    signature with cones.  ``provenance`` is a label: equality and hash
-    see only the entries and the group.
+    ``group`` holds the cone orders of the genus-0 group whose geodesics
+    these are, when known (``(2, 3, 7)`` for the built-in spectra, and
+    whatever a file's '# group' line names; at least one order, kept
+    sorted); None otherwise, and then :func:`casimir_energy` certifies
+    nothing for a signature with cones.  ``provenance`` is a label:
+    equality and hash see only the entries and the group.
     """
 
     entries: Tuple[Tuple[float, int], ...]
@@ -416,30 +416,12 @@ def hyperbolic_n_tail_bound(ell, n_done):
 _MAX_WINDINGS = 100_000
 # Majorant tail at which every winding sum stops, head and class terms alike.
 _WINDING_TOL = 1e-13
-# With x = n ell at n = N + 1 windings, the majorant tail is
-# log hyperbolic_n_tail_bound(ell, N) = h(x) - log((1 - e^{-ell}) / ell),
-# h(x) = log(2 sqrt(pi)) + log(2 + x) - 2.5 log x - x - log(1 - e^{-x}),
-# so a length's stopping point solves h(x) = r(ell) with
-# r = log(_WINDING_TOL (1 - e^{-ell}) / ell): one equation in x for every
-# ell.  Its roots lie in x = 26.36..32.6 for 0 < ell <= 700, where the last
-# term of h is below 4e-12 and is left out of the estimate.  _X0 is a
-# point among them.  The root grows with ell, so every length below
-# _MIN_LENGTH needs more than _MAX_WINDINGS windings.  Such lengths are
-# refused before the majorant is evaluated, since there it underflows or
-# overflows.
-_LOG_2_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
-_X0 = 28.0
-_MIN_LENGTH = 26.0 / (_MAX_WINDINGS + 1)
-
-
-def _log_majorant(x):
-    """h(x) above without its last term, and its derivative."""
-    p = 2.0 + x
-    return (_LOG_2_SQRT_PI + np.log(p) - 2.5 * np.log(x) - x,
-            1.0 / p - 2.5 / x - 1.0)
-
-
-_H0, _DH0 = _log_majorant(_X0)
+# The majorant tail after N windings crosses _WINDING_TOL at x = (N + 1) ell
+# in 26.36..32.6 for 0 < ell <= 700 (mpmath), rising with ell: a secant
+# between x = 26 and 33 estimates N, and a length below _MIN_LENGTH needs
+# over _MAX_WINDINGS windings (refused before the majorant over/underflows).
+_SECANT_X = (26.0, 33.0)
+_MIN_LENGTH = _SECANT_X[0] / (_MAX_WINDINGS + 1)
 _LAST_TWO = np.array([1, 0])        # N - 1 and N
 
 
@@ -447,20 +429,21 @@ def _winding_counts(ell):
     """For each length, the first N >= 1 with
     hyperbolic_n_tail_bound(ell, N) <= _WINDING_TOL, and that tail.
 
-    Two Newton steps on h(x) = r, the first from _X0 where h and h' are
-    constants, estimate N; then the majorant itself moves N one winding
-    at a time until N passes the test and N - 1 does not.  The estimate
-    was already that N for the 25 945 lengths of 20 letters and for
-    45 000 lengths spread over 1e-3..700.  The crossing is unique: each
-    winding shrinks the majorant by at least e^{-ell}, far above its
-    rounding for every length the cap admits.
+    A secant on the majorant's logarithm estimates N; then the majorant
+    moves N one winding at a time until N passes the test and N - 1 does
+    not.  The estimate was that N for the 25 945 lengths of 20 letters,
+    and within 3 (9 below 1e-3) for 50 000 lengths over 1e-3..700.  The
+    crossing is unique: each winding shrinks the majorant by at least
+    e^{-ell}, far above its rounding for every length the cap admits.
+    Past 1000, where N = 1 and the tail is 0.0, a length counts as 1000,
+    so the majorant cannot overflow.
     """
     if (ell < _MIN_LENGTH).any():
         raise ArithmeticError("winding sum did not reach tolerance")
-    r = np.log(np.expm1(-ell) / ell * -_WINDING_TOL)
-    x = _X0 + (r - _H0) / _DH0
-    h, dh = _log_majorant(x)
-    x -= (h - r) / dh
+    ell = np.minimum(ell, 1000.0)
+    x0, x1 = _SECANT_X
+    h0, h1 = (np.log(hyperbolic_n_tail_bound(ell, x / ell - 1.0)) for x in _SECANT_X)
+    x = x0 + (x1 - x0) * (h0 - math.log(_WINDING_TOL)) / (h0 - h1)
     x /= ell                                # n = N + 1, not yet an integer
     np.maximum(x, 2.0, out=x)
     np.minimum(x, _MAX_WINDINGS + 1.0, out=x)
@@ -483,10 +466,10 @@ def _winding_sums(lengths):
     For each length ell, sum_{n <= N} (1/n) csch(n ell/2) K_1(n ell/2),
     where N is the first winding count whose majorant tail
     (:func:`hyperbolic_n_tail_bound`) is at most ``_WINDING_TOL``; N is
-    solved from the majorant's logarithm and checked against the majorant
-    (:func:`_winding_counts`).  Returns the sums, those tails and the N,
-    as arrays in the order of the lengths.  A sum depends only on its
-    length, so each distinct length is summed once and shared by its
+    estimated by a secant on the majorant's logarithm and checked against
+    the majorant (:func:`_winding_counts`).  Returns the sums, those tails
+    and the N, as arrays in the order of the lengths.  A sum depends only
+    on its length, so each distinct length is summed once and shared by its
     copies (3785 distinct of 25 945 lengths at 20 letters).  Each sum
     adds its terms smallest first.  The lengths must be positive and
     finite.
@@ -732,15 +715,19 @@ def casimir_energy(sig: OrbifoldSignature,
 
     This function alone decides certifiability, and refuses with
     ValueError, in this order: a spectrum whose ``group`` is not the cone
-    orders (None when there are none); a spectrum of total multiplicity
-    below 50 (an empty one included); lengths that break the growth floor.
+    orders (None when there are none), or names that genus-0 group for a
+    genus >= 1; a spectrum of total multiplicity below 50 (an empty one
+    included); lengths that break the growth floor.
     """
+    orders = ",".join(map(str, sig.cone_orders)) or "none"
     if spectrum.group != (sig.cone_orders or None):
         named = ("names no group" if spectrum.group is None
                  else f"is a ({','.join(map(str, spectrum.group))}) spectrum")
-        orders = ",".join(map(str, sig.cone_orders)) or "none"
         raise ValueError(f"the spectrum {named}, but the cone orders are "
                          f"{orders}; no certified bound")
+    if spectrum.group is not None and sig.genus != 0:
+        raise ValueError(f"the spectrum is a genus-0 ({orders}) spectrum, but "
+                         f"the genus is {sig.genus}; no certified bound")
     covered = spectrum.total_multiplicity
     if covered < _TAIL_J_LO - 1:
         raise ValueError(
@@ -778,8 +765,8 @@ def _parse_group_line(path: str, lineno: int, text: str) -> Tuple[int, ...]:
 def read_spectrum_file(path: str) -> LengthSpectrum:
     """Spectrum from a file of 'length,multiplicity' lines; '#' starts a comment.
 
-    A comment line '# group M1,M2,...' names the cone orders of the group
-    the lengths belong to (2,3,7 for the (2,3,7) triangle group); the
+    A comment line '# group M1,M2,...' names the cone orders of the genus-0
+    group the lengths belong to (2,3,7 for the (2,3,7) triangle group); the
     spectrum keeps them, sorted.
     """
     lengths, multiplicities = [], []

@@ -1,9 +1,9 @@
 """Struve/Bessel kernels and small special-function utilities.
 
-``struve_k`` returns an :class:`FnEval` carrying the value, an absolute
-error bound, and the evaluation method.  Its one route is the integral
-representation, whose bound is the heuristic Gauss-Kronrod estimate, so
-``bound_is_rigorous`` is False for every value it returns.
+``struve_k`` returns an :class:`FnEval` carrying the value and an absolute
+error bound.  Its one route is the integral representation, whose bound is
+the heuristic Gauss-Kronrod estimate, so every value it returns reads
+``method == "integral_rep"`` and ``bound_is_rigorous is False``.
 
 Struve K of orders 1 and 2 takes the integral route at every z.  The
 Laplace integral is mapped to [0, 1] by s = zt = v/(1-v), which leaves an
@@ -53,12 +53,10 @@ __all__ = [
 ]
 
 _LD = np.longdouble
-_EPS_LD = float(np.finfo(_LD).eps)
-_EPS = math.ulp(1.0)
+_U = 2.0 ** -53                         # binary64 unit roundoff
+_U_LD = float(np.finfo(_LD).eps) / 2    # longdouble unit roundoff
 _PI_LD = _LD("3.141592653589793238462643383279502884")
 _EULER_LD = _LD("0.577215664901532860606512090082402431")
-
-_METHODS = ("integral_rep",)
 
 
 class UnsupportedOrderError(ValueError):
@@ -67,22 +65,20 @@ class UnsupportedOrderError(ValueError):
 
 @dataclass(frozen=True)
 class FnEval:
+    """A Struve K value and its absolute error bound.  The class constants
+    ``method`` and ``bound_is_rigorous`` name the one (integral) route and
+    flag its bound, a Kronrod estimate, as no proof."""
+
     value: float
     abs_error_bound: float
-    method: str
+    method = "integral_rep"
+    bound_is_rigorous = False
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and math.isfinite(self.abs_error_bound)):
             raise ValueError("non-finite function value or error bound")
         if self.abs_error_bound < 0:
             raise ValueError("negative error bound")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-
-    @property
-    def bound_is_rigorous(self) -> bool:
-        """Integral-route bounds are Kronrod estimates, not proofs."""
-        return self.method != "integral_rep"
 
 
 # ----------------------------------------------------------------------
@@ -152,8 +148,8 @@ def _struve_k_integral(nu: int, z: float) -> FnEval:
         raise QuadratureNonConvergence(
             f"Struve K_{nu}({z!r}) missed its 1e-13 tolerance")
     value = c * res.value
-    bound = c * res.est_error + 8 * _EPS * abs(value)
-    return FnEval(value, bound, "integral_rep")
+    bound = c * res.est_error + 16 * _U * abs(value)
+    return FnEval(value, bound)
 
 
 # struve_k's memo of the integral route
@@ -216,8 +212,6 @@ def struve_k(nu: int, z: float) -> FnEval:
 # the window's relative bound, and _K1E_CHEB_REL_BOUND is the largest.
 # Everything is computed below from the samples and coefficients in use.
 
-_U = 2.0 ** -53                     # binary64 unit roundoff
-_U_LD = _EPS_LD / 2                 # longdouble unit roundoff
 # Allowance for the elementary functions, in ulp: numpy's exp, expm1 and
 # log, and the 80-bit exp and cos of the table build.  This is the one
 # assumption of the bounds below, not a proof: numpy and libm document no

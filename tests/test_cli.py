@@ -326,6 +326,26 @@ class TestExitCodes:
             "hyperbolic", "--spectrum", f"file:{path}"])
         assert code == 2
 
+    @pytest.mark.parametrize("length", ["1e308", "1.7976931348623157e308"])
+    def test_longest_lengths_take_one_winding(self, capsys, tmp_path, length):
+        # pytest turns RuntimeWarning into an error, so an overflow in the
+        # winding majorant would fail the run instead of printing a head
+        path = tmp_path / "long.txt"
+        path.write_text(f"# group 2,3,7\n{length},1\n")
+        code, out, err = _capture(capsys, [
+            "hyperbolic", "--spectrum", f"file:{path}", "--output", "json"])
+        assert (code, err) == (0, "")
+        d = json.loads(out)
+        assert (d["head"], d["bound"], d["entries"]) == (0.0, 0.0, 1)
+
+    def test_group_of_another_genus_is_refused(self, capsys):
+        # the table is the genus-0 (2,3,7) spectrum; genus 1 has other geodesics
+        code, out, err = _capture(capsys, [
+            "energy", "--cone-orders", "2,3,7", "--genus", "1", "--spectrum", "table"])
+        assert (code, out) == (2, "")
+        assert err == ("error: the spectrum is a genus-0 (2,3,7) spectrum, but "
+                       "the genus is 1; no certified bound\n")
+
     @pytest.mark.parametrize("length", ["1e-300", "5e-324"])
     def test_too_short_length_is_a_numerical_failure(self, capsys, tmp_path, length):
         # refused before the majorant runs, so no RuntimeWarning precedes

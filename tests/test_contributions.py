@@ -6,6 +6,8 @@ import json
 import math
 import random
 import re
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -408,6 +410,41 @@ class TestBatchedWindingSums:
         with pytest.raises(ArithmeticError, match="^winding sum did not reach tolerance$"):
             hyperbolic_contribution(spec)
 
+    def test_longest_lengths_take_one_winding(self):
+        # the counts work on min(ell, 1000), where N = 1 and the tail is
+        # 0.0; uncapped, the majorant at n = 2 overflows near 9e307
+        from casorb.contributions import _winding_sums
+
+        lengths = [1e3, 1e17, 3e17, 1e300, sys.float_info.max]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums, tails, ns = _winding_sums(lengths)
+        assert sums.tolist() == tails.tolist() == [0.0] * 5
+        assert ns.tolist() == [1] * 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    @example(0.0)
+    @example(1.0)
+    def test_secant_bracket(self, u):
+        # the majorant crosses _WINDING_TOL between x = (N + 1) ell = 26 and
+        # 33 for every admitted length up to 700, the bracket the secant
+        # and _MIN_LENGTH rest on
+        from casorb.contributions import _MIN_LENGTH, _SECANT_X, _WINDING_TOL
+
+        x0, x1 = _SECANT_X
+        ell = np.append(np.geomspace(_MIN_LENGTH, 700.0, 2001),
+                        _MIN_LENGTH * (700.0 / _MIN_LENGTH) ** u)
+        assert (hyperbolic_n_tail_bound(ell, x0 / ell - 1.0) > _WINDING_TOL).all()
+        assert (hyperbolic_n_tail_bound(ell, x1 / ell - 1.0) <= _WINDING_TOL).all()
+
+    def test_no_refused_length_fits_under_the_cap(self):
+        # the longest refused length still needs more than _MAX_WINDINGS
+        from casorb.contributions import _MAX_WINDINGS, _MIN_LENGTH, _WINDING_TOL
+
+        ell = np.nextafter(_MIN_LENGTH, 0.0)
+        assert hyperbolic_n_tail_bound(ell, _MAX_WINDINGS) > _WINDING_TOL
+
     @pytest.mark.parametrize("ell", [0.0, -1.0, math.nan, math.inf])
     def test_refuses_lengths_that_are_not_positive_and_finite(self, ell):
         # raw lengths are checked before a winding count is solved for them
@@ -769,6 +806,16 @@ class TestAssembly:
         with pytest.raises(ValueError, match="cone orders must be integers >= 2"):
             LengthSpectrum(table.entries, "x", ("2", "3", "7"))
 
+    @pytest.mark.parametrize("genus", [1, 2])
+    def test_refuses_group_of_another_genus(self, genus):
+        # a named group is the genus-0 group with those cone orders; the
+        # same orders at genus >= 1 are another orbifold with other geodesics
+        with pytest.raises(ValueError, match=(
+                r"^the spectrum is a genus-0 \(2,3,7\) spectrum, but the "
+                f"genus is {genus}; no certified bound$")):
+            casimir_energy(OrbifoldSignature((2, 3, 7), genus),
+                           _corpus_spectrum())
+
     def test_refuses_spectrum_naming_no_group(self):
         # the table's lengths without its group: nothing ties them to (2,3,7)
         unnamed = LengthSpectrum(_corpus_spectrum().entries)
@@ -1033,11 +1080,13 @@ class TestSpectrumTypesAndIO:
         assert back == spec and hash(back) == hash(spec)
 
     def test_file_group_of_a_non_triangle_orbifold(self, tmp_path):
-        # genus 1 with cone orders (2,3): the '# group 2,3' file passes the
-        # group check and is refused only because it is short
+        # genus 1 with cone orders (2,3): a named group has genus 0, so the
+        # '# group 2,3' file is refused by the group rule before its length
         path = tmp_path / "spec.txt"
         path.write_text("# group 2,3\n1.5,2\n")
-        with pytest.raises(ValueError, match=r"covers j=1\.\.2 "):
+        with pytest.raises(ValueError, match=r"^the spectrum is a genus-0 "
+                                             r"\(2,3\) spectrum, but the genus "
+                                             r"is 1; no certified bound$"):
             casimir_energy(OrbifoldSignature((2, 3), 1),
                            read_spectrum_file(str(path)))
 

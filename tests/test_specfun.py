@@ -1,5 +1,6 @@
 """Kernel contracts: frozen oracle values, dual-path consistency, bounds."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -34,19 +35,17 @@ class TestFnEval:
         for value, bound in ((math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
                              (1.0, math.nan), (1.0, math.inf)):
             with pytest.raises(ValueError):
-                FnEval(value, bound, "integral_rep")
+                FnEval(value, bound)
         with pytest.raises(ValueError):
-            FnEval(1.0, -1e-30, "integral_rep")
-        with pytest.raises(ValueError):
-            FnEval(1.0, 0.0, "magic")
-        with pytest.raises(ValueError):
-            FnEval(1.0, 1e-10, "closed_form")   # a route no kernel has
+            FnEval(1.0, -1e-30)
+        assert FnEval(1.0, 0.0).abs_error_bound == 0.0
 
     def test_rigor_flag(self):
         # no route with a proved bound ships, so every value is flagged
-        with pytest.raises(ValueError):
-            FnEval(1.0, 1e-13, "series")
-        assert struve_k(1, math.pi).bound_is_rigorous is False
+        e = struve_k(1, math.pi)
+        assert (e.method, e.bound_is_rigorous) == ("integral_rep", False)
+        assert [f.name for f in dataclasses.fields(FnEval)] == [
+            "value", "abs_error_bound"]
 
 
 class TestStruveK:
