@@ -79,31 +79,26 @@ class NonHyperbolicSignatureError(ValueError):
 # domain types
 # ----------------------------------------------------------------------
 
-def _cone_orders(orders) -> Tuple[int, ...]:
-    """The orders as a sorted tuple; each must be an int >= 2."""
-    orders = tuple(orders)
-    if any(not isinstance(m, int) or m < 2 for m in orders):
-        raise ValueError("cone orders must be integers >= 2")
-    return tuple(sorted(orders))
-
-
 @dataclass(frozen=True)
 class OrbifoldSignature:
-    """Genus and cone-point orders of a compact hyperbolic quotient; they
-    fix its area, :attr:`volume`, by Gauss-Bonnet; the orders are kept sorted."""
+    """Genus and cone-point orders (ints >= 2, kept sorted) of a compact
+    hyperbolic quotient; they fix its area, :attr:`volume`, by Gauss-Bonnet."""
 
     cone_orders: Tuple[int, ...]
     genus: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "cone_orders", _cone_orders(self.cone_orders))
+        orders = tuple(self.cone_orders)
+        if any(not isinstance(m, int) or m < 2 for m in orders):
+            raise ValueError("cone orders must be integers >= 2")
+        object.__setattr__(self, "cone_orders", tuple(sorted(orders)))
         # the cap keeps the area 2 pi (2g - 2 + sum(1 - 1/m)) a finite float
         if type(self.genus) is not int or not 0 <= self.genus <= 10**300:
             raise ValueError(f"genus must be an int in [0, 1e300], got {self.genus!r}")
         if self._euler_fraction()[0] <= 0:   # exact: (2,3,6) sits on zero
-            orders = ",".join(map(str, self.cone_orders)) or "none"
+            listed = ",".join(map(str, self.cone_orders)) or "none"
             raise NonHyperbolicSignatureError(
-                f"genus {self.genus} with cone orders {orders} is not "
+                f"genus {self.genus} with cone orders {listed} is not "
                 "hyperbolic: 2g - 2 + sum(1 - 1/m) <= 0")
 
     def _euler_fraction(self) -> Tuple[int, int]:
@@ -124,10 +119,11 @@ class LengthSpectrum:
 
     ``group`` holds the cone orders of the genus-0 group whose geodesics
     these are, when known (``(2, 3, 7)`` for the built-in spectra, and
-    whatever a file's '# group' line names; at least one order, kept
-    sorted); None otherwise, and then :func:`casimir_energy` certifies
-    nothing for a signature with cones.  ``provenance`` is a label:
-    equality and hash see only the entries and the group.
+    whatever a file's '# group' line names: cone orders that
+    :class:`OrbifoldSignature` takes at genus 0, kept sorted); None
+    otherwise, and then :func:`casimir_energy` certifies nothing for a
+    signature with cones.  ``provenance`` is a label: equality and hash
+    see only the entries and the group.
     """
 
     entries: Tuple[Tuple[float, int], ...]
@@ -136,9 +132,7 @@ class LengthSpectrum:
 
     def __post_init__(self):
         if self.group is not None:
-            object.__setattr__(self, "group", _cone_orders(self.group))
-            if not self.group:
-                raise ValueError("a group names at least one cone order")
+            object.__setattr__(self, "group", OrbifoldSignature(self.group).cone_orders)
         prev = 0.0
         for ell, mult in self.entries:
             # exactly float: np.float64 is a float subclass, but the file
@@ -757,7 +751,7 @@ def casimir_energy(sig: OrbifoldSignature,
 
 def _parse_group_line(path: str, lineno: int, text: str) -> Tuple[int, ...]:
     try:
-        return _cone_orders(int(f) for f in text.split(","))
+        return OrbifoldSignature(tuple(int(f) for f in text.split(","))).cone_orders
     except ValueError as exc:
         raise SpectrumFormatError(f"{path}:{lineno}: {exc}") from exc
 
@@ -767,7 +761,8 @@ def read_spectrum_file(path: str) -> LengthSpectrum:
 
     A comment line '# group M1,M2,...' names the cone orders of the genus-0
     group the lengths belong to (2,3,7 for the (2,3,7) triangle group); the
-    spectrum keeps them, sorted.
+    spectrum keeps them, sorted, and refuses orders (5, or 2,3,6) whose
+    genus-0 orbifold is not hyperbolic.
     """
     lengths, multiplicities = [], []
     group = None

@@ -1,12 +1,14 @@
 """Adaptive Gauss-Kronrod quadrature and the elliptic kernel integral.
 
-The tests check the elliptic kernel series against it; it is no independent oracle,
-since every Struve K value the certificate uses comes from its
-:func:`adaptive_quadrature`.  It imports only the standard library and
-numpy.  The base rule is the classical 7/15-point Gauss-Kronrod pair
-with largest-error-first bisection.  Semi-infinite domains are mapped to
-(0, 1] by t = e^{-y}, and the elliptic kernel by u = e^{-min(C,1) y}; endpoint
-values are never sampled because all Kronrod nodes are interior.
+The tests check the elliptic kernel series against it; it is no
+independent oracle, since every Struve K value the certificate uses
+comes from its :func:`adaptive_quadrature`.  It imports only the
+standard library and numpy.  The base rule is the classical 7/15-point
+Gauss-Kronrod pair, on a worst-first list: the panels are kept oldest
+first, and the one of largest error estimate is bisected next.
+Semi-infinite domains are mapped to (0, 1] by t = e^{-y}, and the
+elliptic kernel by u = e^{-min(C,1) y}; endpoint values are never sampled
+because all Kronrod nodes are interior.
 
 Integrands work on arrays: ``f`` takes a 1-d float64 array of nodes and
 returns an array of the same shape.  A run starts from a sequence of panel
@@ -14,10 +16,11 @@ edges, evaluates every starting panel in one call of ``f``, and then both
 halves of each bisected panel in one call; the G7/K15 sums of a batch of
 panels are one matrix product, and each panel's estimate is shaped on
 Python floats.  Starting panels that already resolve the integrand (see
-:func:`casorb.specfun.struve_k`) make a run one call, with no bisection
-heap.  A :class:`KronrodGrid` from :func:`kronrod_grid` holds validated
-starting edges and their read-only nodes; a run from it hands ``f`` that
-very node array on its first pass, so ``f`` may tabulate on it.
+:func:`casorb.specfun.struve_k`) make a run one call, which returns
+before the list of panel ends is built.  A :class:`KronrodGrid` from
+:func:`kronrod_grid` holds validated starting edges and their read-only
+nodes; a run from it hands ``f`` that very node array on its first pass,
+so ``f`` may tabulate on it.
 
 The returned ``est_error`` is the usual Kronrod-minus-Gauss discrepancy
 estimate.  It is a heuristic, not a proven bound; rigorous truncation
@@ -26,7 +29,6 @@ bounds live in the series routes of :mod:`casorb.contributions`.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -178,50 +180,39 @@ def adaptive_quadrature(
     ``edges`` is a :class:`KronrodGrid`, or the edges to build one from
     (see :func:`kronrod_grid`); ``(a, b)`` integrates over [a, b] from one
     panel.  Starting panels that meet the tolerance end the run.  Otherwise
-    the worst panel is split first, and each split evaluates both halves
-    in one call of ``f``.
+    the panels are kept in one list, oldest first: the split takes the
+    panel of largest error estimate (the oldest of equal ones) and appends
+    its halves, evaluated in one call of ``f``.  A panel too narrow to
+    halve leaves the list but still counts towards the totals and
+    ``max_intervals``.
     """
     grid = edges if isinstance(edges, KronrodGrid) else kronrod_grid(edges)
     values, errs = _kronrod_panels(f, grid.nodes, grid.half)
     evaluations = 15 * len(values)
-
-    def met(total_val, total_err):
-        return total_err <= max(tol_abs, tol_rel * abs(total_val))
-
-    total_val, total_err = math.fsum(values), math.fsum(errs)
-    if met(total_val, total_err):
-        return QuadResult(total_val, total_err, evaluations, True)
-    # heap entries: (-err, seq, a, b, value, err); seq breaks comparison ties
-    heap = [(-e, seq, a, b, v, e) for seq, (a, b, v, e) in enumerate(
-        zip(grid.edges[:-1].tolist(), grid.edges[1:].tolist(), values, errs))]
-    heapq.heapify(heap)
-    done = []  # panels too narrow to split further
-    seq = len(heap) - 1
-
-    def totals():
-        vals = [e[4] for e in heap] + [d[0] for d in done]
-        errs = [e[5] for e in heap] + [d[1] for d in done]
-        return math.fsum(vals), math.fsum(errs)
-
-    while heap and len(heap) + len(done) < max_intervals:
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
+    spans = None                        # built once a split is due
+    narrow_values, narrow_errs = [], []   # panels too narrow to halve
+    while True:
+        # fsum rounds once, so the order of the panels does not matter
+        total_val = math.fsum(values + narrow_values)
+        total_err = math.fsum(errs + narrow_errs)
+        converged = total_err <= max(tol_abs, tol_rel * abs(total_val))
+        if converged or not errs or len(errs) + len(narrow_errs) >= max_intervals:
+            return QuadResult(total_val, total_err, evaluations, converged)
+        if spans is None:
+            spans = list(zip(grid.edges[:-1].tolist(), grid.edges[1:].tolist()))
+        i = errs.index(max(errs))
+        (pa, pb), pval, perr = spans.pop(i), values.pop(i), errs.pop(i)
         mid = 0.5 * (pa + pb)
         if mid <= pa or mid >= pb:
-            done.append((pval, perr))
+            narrow_values.append(pval)
+            narrow_errs.append(perr)
             continue
         # increasing by construction, so not validated again
         (v1, v2), (e1, e2) = _kronrod_panels(f, *_panel_nodes(np.array((pa, mid, pb))))
         evaluations += 30
-        seq += 1
-        heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, pb, v2, e2))
-        total_val, total_err = totals()
-        if met(total_val, total_err):
-            return QuadResult(total_val, total_err, evaluations, True)
-
-    total_val, total_err = totals()
-    return QuadResult(total_val, total_err, evaluations, met(total_val, total_err))
+        spans += (pa, mid), (mid, pb)
+        values += v1, v2
+        errs += e1, e2
 
 
 def _halfline(f: Integrand) -> Integrand:
@@ -233,14 +224,13 @@ def _halfline(f: Integrand) -> Integrand:
     return g
 
 
-def integrate_decaying(f: Integrand, domain: str,
-                       tol: float = 1e-12) -> QuadResult:
+def integrate_decaying(f: Integrand, domain: str) -> QuadResult:
     """Integrate a smooth decaying integrand over [0, inf) or (-inf, inf).
 
     ``domain`` is ``"halfline"`` or ``"realline"``.  Both use the
     exponential substitution t = e^{-y}; the real line folds to the half
     line first, f(y) + f(-y).  ``f`` works on arrays, as for
-    :func:`adaptive_quadrature`.
+    :func:`adaptive_quadrature`, which runs at its default tolerances.
     """
     if domain == "halfline":
         g = _halfline(f)
@@ -248,7 +238,7 @@ def integrate_decaying(f: Integrand, domain: str,
         g = _halfline(lambda y: f(y) + f(-y))
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    return adaptive_quadrature(g, (0.0, 1.0), tol_abs=tol, tol_rel=tol)
+    return adaptive_quadrature(g, (0.0, 1.0))
 
 
 def elliptic_kernel_integral(C: float, D: float = 0.0,

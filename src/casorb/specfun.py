@@ -11,10 +11,10 @@ integrand that is smooth on the closed interval and flat to all orders at
 v = 1.  One adaptive Kronrod run starts from 11 fixed panels that narrow
 towards v = 1 (``_STRUVE_K_GRID``, a grid built and validated at import)
 and, at every argument of a (2,3,7) run, reaches a relative 1e-13 on them
-at once: one array call of the integrand, 165 evaluations, and no
-bisection heap.  The integrand's factors that do not depend on z (s,
-e^{-s}, (1-v)^2 and where s > 745) come from one helper; on the grid's
-165 nodes they are read from a table that helper built at import, so a
+at once: one array call of the integrand, 165 evaluations, and no split.
+The integrand's factors that do not depend on z (s, e^{-s}, (1-v)^2 and
+the suffix where s > 745) come from one helper; on the grid's 165 nodes
+they are read from a table that helper built at import, so a
 new argument computes only the z-dependent part, with the bits that
 bisected panels get.  Where s > 745, e^{-s} underflows and the integrand
 is taken as 0.
@@ -98,22 +98,20 @@ _STRUVE_K_GRID = kronrod_grid((0.0, 1 / 4, 1 / 2, 5 / 8, 3 / 4, 13 / 16, 7 / 8,
 
 def _struve_k_factors(v: np.ndarray):
     """The Struve K integrand's factors that do not depend on z, at nodes v:
-    s = v/(1-v), e^{-s}, (1-v)^2, and the cut where s > 745 (a mask)."""
+    s = v/(1-v), e^{-s}, (1-v)^2, and the cut where s > 745 as a slice: the
+    node arrays a run passes do not decrease, so neither does s, and the cut
+    is a suffix.  Only a split panel a few ulps wide about a power of two
+    puts its nodes out of order, and inside (0, 1) that is at 1/2 or below,
+    where s <= 1, so the suffix holds there too."""
     w = 1.0 - v
     s = v / w
-    return s, np.exp(-s), w * w, s > 745.0
+    return s, np.exp(-s), w * w, slice(int(np.count_nonzero(s <= 745.0)), None)
 
 
-def _struve_k_table(nodes: np.ndarray):
-    """``nodes`` and their factors, read-only, with the cut as a slice: the
-    nodes increase, so s > 745 on a suffix."""
-    s, e, w2, cut = _struve_k_factors(nodes)
-    for t in (s, e, w2):
-        t.flags.writeable = False
-    return nodes, (s, e, w2, slice(int(np.count_nonzero(~cut)), None))
-
-
-_STRUVE_K_TABLE = _struve_k_table(_STRUVE_K_GRID.nodes)
+_STRUVE_K_TABLE = _STRUVE_K_GRID.nodes, _struve_k_factors(_STRUVE_K_GRID.nodes)
+for _t in _STRUVE_K_TABLE[1][:3]:
+    _t.flags.writeable = False
+del _t
 
 
 def _struve_k_integral(nu: int, z: float) -> FnEval:

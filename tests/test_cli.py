@@ -346,6 +346,17 @@ class TestExitCodes:
         assert err == ("error: the spectrum is a genus-0 (2,3,7) spectrum, but "
                        "the genus is 1; no certified bound\n")
 
+    def test_group_of_a_non_hyperbolic_orbifold_is_refused(self, capsys, tmp_path):
+        # the genus-0 (2,3,6) orbifold is Euclidean: the file is refused at
+        # its group line, even by a command that takes no signature
+        path = tmp_path / "spec.txt"
+        path.write_text("# group 2,3,6\n1.5,2\n")
+        code, out, err = _capture(capsys, [
+            "spectrum", "--spectrum", f"file:{path}"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}:1: genus 0 with cone orders 2,3,6 is not "
+                       "hyperbolic: 2g - 2 + sum(1 - 1/m) <= 0\n")
+
     @pytest.mark.parametrize("length", ["1e-300", "5e-324"])
     def test_too_short_length_is_a_numerical_failure(self, capsys, tmp_path, length):
         # refused before the majorant runs, so no RuntimeWarning precedes

@@ -1024,29 +1024,41 @@ class TestSpectrumTypesAndIO:
         assert read_spectrum_file(str(path)).group is None
         assert spectrum_file_lines(read_spectrum_file(str(path)))[0] == (
             "# length,multiplicity")
-        # any number of orders >= 2, for orbifolds that are not triangles
-        for text, group in (("# group 2,3\n1.5,2\n", (2, 3)),
-                            ("# group 5\n1.5,2\n", (5,)),
+        # any hyperbolic genus-0 group, for orbifolds that are not triangles
+        for text, group in (("# group 3,2,2,2\n1.5,2\n", (2, 2, 2, 3)),
                             ("# group 2, 3, 7\n1.5,2\n", (2, 3, 7))):
             path.write_text(text)
             assert read_spectrum_file(str(path)).group == group
         for bad in ("# group 2,x,7\n1.5,2\n", "# group 1,3,7\n1.5,2\n",
                     "# group 2,3,\n1.5,2\n", "# group\n1.5,2\n",
                     "# group 2 3 7\n1.5,2\n",   # not the single order 237
+                    "# group 2,3\n1.5,2\n", "# group 5\n1.5,2\n",
+                    "# group 2,3,6\n1.5,2\n",
                     "# group 2,3,7\n# group 2,3,8\n1.5,2\n"):
             path.write_text(bad)
             with pytest.raises(SpectrumFormatError):
                 read_spectrum_file(str(path))
 
     @pytest.mark.parametrize("group, refusal", [
-        ((), "a group names at least one cone order"),
+        ((), "genus 0 with cone orders none is not hyperbolic"),
+        ((5,), "genus 0 with cone orders 5 is not hyperbolic"),
+        ((3, 2), "genus 0 with cone orders 2,3 is not hyperbolic"),
+        ((2, 2, 5), "genus 0 with cone orders 2,2,5 is not hyperbolic"),
+        ((2, 3, 6), "genus 0 with cone orders 2,3,6 is not hyperbolic"),
+        ((2, 4, 4), "genus 0 with cone orders 2,4,4 is not hyperbolic"),
+        ((3, 3, 3), "genus 0 with cone orders 3,3,3 is not hyperbolic"),
         ((1, 0), "cone orders must be integers >= 2"),
         ((2.5,), "cone orders must be integers >= 2"),
         (("2", "3", "7"), "cone orders must be integers >= 2"),
         ([7, 3, 2], None),
-    ], ids=["empty", "below-2", "float", "strings", "unsorted-list"])
+        ((3, 2, 2, 2), None),
+    ], ids=["empty", "one-order", "two-orders", "spherical", "euclidean-236",
+            "euclidean-244", "euclidean-333", "below-2", "float", "strings",
+            "unsorted-list", "four-orders"])
     def test_group_is_refused_or_round_trips(self, tmp_path, group, refusal):
-        # a group the file format cannot carry is refused at construction
+        # a group the file format cannot carry, or whose genus-0 orbifold
+        # is not hyperbolic (so that no energy run could use it), is
+        # refused at construction
         entries = ((0.983987, 1), (1.736006, 2))
         if refusal is not None:
             with pytest.raises(ValueError, match=re.escape(refusal)):
@@ -1068,11 +1080,13 @@ class TestSpectrumTypesAndIO:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(rows=st.lists(st.tuples(st.floats(0.0, 1e300, exclude_min=True),
                                    st.integers(1, 10**30)), min_size=1, max_size=20),
-           group=st.lists(st.integers(2, 50), min_size=1, max_size=6),
+           group=st.lists(st.integers(2, 50), min_size=3, max_size=6).filter(
+               lambda g: sum(1 - Fraction(1, m) for m in g) > 2),
            provenance=st.sampled_from(["file", "table_corpus", "enumerated"]))
     def test_file_round_trip_keeps_any_valid_group(self, tmp_path_factory, rows,
                                                    group, provenance):
-        # orders 2..50 in any order, repeats included; any provenance label
+        # hyperbolic genus-0 groups of orders 2..50 in any order, repeats
+        # included; any provenance label
         spec = LengthSpectrum(tuple(sorted(rows)), provenance, group)
         path = tmp_path_factory.mktemp("spec") / "spec.txt"
         path.write_text("\n".join(spectrum_file_lines(spec)) + "\n")
@@ -1080,15 +1094,15 @@ class TestSpectrumTypesAndIO:
         assert back == spec and hash(back) == hash(spec)
 
     def test_file_group_of_a_non_triangle_orbifold(self, tmp_path):
-        # genus 1 with cone orders (2,3): a named group has genus 0, so the
-        # '# group 2,3' file is refused by the group rule before its length
+        # genus 1 with cone orders (2,3) is hyperbolic, but a named group
+        # has genus 0, and the genus-0 (2,3) orbifold is not hyperbolic:
+        # the '# group 2,3' file is refused at its group line
         path = tmp_path / "spec.txt"
         path.write_text("# group 2,3\n1.5,2\n")
-        with pytest.raises(ValueError, match=r"^the spectrum is a genus-0 "
-                                             r"\(2,3\) spectrum, but the genus "
-                                             r"is 1; no certified bound$"):
-            casimir_energy(OrbifoldSignature((2, 3), 1),
-                           read_spectrum_file(str(path)))
+        with pytest.raises(SpectrumFormatError,
+                           match=re.escape(f"{path}:1: genus 0 with cone orders "
+                                           "2,3 is not hyperbolic")):
+            read_spectrum_file(str(path))
 
     def test_file_comments_and_errors(self, tmp_path):
         path = tmp_path / "ok.txt"

@@ -1,5 +1,6 @@
 """Quadrature core: rule validity, oracle integrals, domain maps."""
 
+import hashlib
 import math
 import pathlib
 import sys
@@ -314,3 +315,67 @@ def test_oracle_independence_of_module_source():
     for line in imports:
         top = line.split()[1].split(".")[0]
         assert top == "numpy" or top in sys.stdlib_module_names, line
+
+
+def _split_digest(monkeypatch, f, edges, tol, max_intervals):
+    """The run of ``f``, and a digest of the (a, b) of every panel it split,
+    in split order."""
+    from casorb import quadrature
+
+    real = quadrature._panel_nodes
+    splits = []
+
+    def recording(edges):
+        if len(edges) == 3:                 # (a, mid, b) of a split
+            splits.append((float(edges[0]), float(edges[2])))
+        return real(edges)
+
+    monkeypatch.setattr(quadrature, "_panel_nodes", recording)
+    res = adaptive_quadrature(f, edges, tol, tol, max_intervals)
+    digest = hashlib.sha256(repr(splits).encode()).hexdigest()[:16]
+    return res, len(splits), digest
+
+
+def test_split_order(monkeypatch):
+    # the worst panel is split first, the oldest of equal error estimates:
+    # a kink at 0.3 converges; a jump at 1/pi, run at tolerance 0, splits
+    # towards the jump until the widest panels' 50-ulp floors are the
+    # worst, and then splits those of one width, which tie, left to right
+    kink = _split_digest(monkeypatch, lambda x: np.sqrt(np.abs(x - 0.3)),
+                         (0.0, 0.25, 0.5, 0.75, 1.0), 1e-12, 4000)
+    assert (kink[0].evaluations, kink[0].converged) == (960, True)
+    assert kink[1:] == (30, "57eee9604426aa16")
+    jump = _split_digest(monkeypatch, lambda x: np.where(x < 1 / math.pi, 1.0, 2.0),
+                         (0.0, 1.0), 0.0, 100)
+    assert (jump[0].evaluations, jump[0].converged) == (2985, False)
+    assert jump[1:] == (99, "1e13726407066a23")
+
+
+@pytest.mark.parametrize("ulps, evaluations", [(1, 15), (2, 45)])
+def test_panels_too_narrow_to_halve(ulps, evaluations):
+    # a panel one ulp wide has no midpoint strictly inside it, so it stops
+    # splitting; two ulps split once, into two such panels.  At tolerance 0
+    # the run ends unconverged when no panel is left to split.
+    res = adaptive_quadrature(np.exp, (1.0, 1.0 + ulps * math.ulp(1.0)), 0.0, 0.0)
+    assert (res.evaluations, res.converged) == (evaluations, False)
+    assert res.value == pytest.approx(math.e * ulps * math.ulp(1.0), rel=1e-15, abs=0.0)
+
+
+def test_narrow_panel_stays_in_the_totals():
+    # the panel one ulp wide above 1 has nodes at x = 1.0, where f is 1e20:
+    # it is the worst panel and cannot be halved, so it leaves the list,
+    # but it keeps its value and error in the totals and still counts
+    # towards max_intervals, so with 3 one split of the other panel ends
+    # the run
+    u = math.ulp(1.0)
+
+    def f(x):
+        return np.where(x == 1.0, 1e20, 1.0)
+
+    (narrow, wide), (narrow_err, wide_err) = panels(f, (1.0, 1.0 + u, 2.0))
+    assert narrow_err > wide_err
+    halves, half_errs = panels(f, (1.0 + u, 0.5 * (1.0 + u + 2.0), 2.0))
+    res = adaptive_quadrature(f, (1.0, 1.0 + u, 2.0), 0.0, 0.0, 3)
+    assert (res.evaluations, res.converged) == (60, False)
+    assert res.value == math.fsum([narrow] + halves)
+    assert res.est_error == math.fsum([narrow_err] + half_errs)
