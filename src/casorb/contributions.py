@@ -544,7 +544,8 @@ def assumption_check(spectrum: LengthSpectrum) -> AssumptionReport:
 
 def _tail_terms(j: np.ndarray) -> np.ndarray:
     """csch(z_j) K_1(z_j) with z_j = (log j + log log j) / 2, for real j >= 3."""
-    return csch_k1_array(0.5 * (np.log(j) + np.log(np.log(j))))
+    lj = np.log(j)
+    return csch_k1_array(0.5 * (lj + np.log(lj)))
 
 
 # The tail's first index, past the spectrum, and the last index b1 covers.

@@ -99,10 +99,8 @@ _STRUVE_K_GRID = kronrod_grid((0.0, 1 / 4, 1 / 2, 5 / 8, 3 / 4, 13 / 16, 7 / 8,
 def _struve_k_factors(v: np.ndarray):
     """The Struve K integrand's factors that do not depend on z, at nodes v:
     s = v/(1-v), e^{-s}, (1-v)^2, and the cut where s > 745 as a slice: the
-    node arrays a run passes do not decrease, so neither does s, and the cut
-    is a suffix.  Only a split panel a few ulps wide about a power of two
-    puts its nodes out of order, and inside (0, 1) that is at 1/2 or below,
-    where s <= 1, so the suffix holds there too."""
+    node arrays a run passes do not decrease, since every panel's nodes lie
+    strictly inside it, so neither does s, and the cut is a suffix."""
     w = 1.0 - v
     s = v / w
     return s, np.exp(-s), w * w, slice(int(np.count_nonzero(s <= 745.0)), None)
@@ -221,22 +219,28 @@ _ELEM_ULP = 1.0
 _K1E_LO_EXP, _K1E_HI_EXP = -2, 9    # windows [2^k, 2^{k+1}), -2 <= k < 9
 _K1E_LO = 2.0 ** _K1E_LO_EXP
 _K1E_TOP = math.nextafter(2.0 ** _K1E_HI_EXP, 0.0)
-# The table build below also sets how fast the tail runs.  Its one pass
-# over all windows frees ~0.8 MB of temporaries (11 windows x 33 points x
-# _TRAP_NODES longdoubles), and glibc raises its dynamic mmap and trim
-# thresholds to match.  The tail's arrays (~16 000 floats, just over the
-# 128 KiB default) then stay on the heap; with the default thresholds they
-# are mapped and faulted in again on every call, and a warm tail_b1_bound
+# The table build below also sets how fast the tail runs, and what
+# `import casorb` costs in memory.  Its one pass samples every window on a
+# 363 x 141 longdouble grid (11 windows x 33 points x _TRAP_NODES,
+# 0.82 MB), and _k1e_samples forms the integrand in place, so the pass
+# holds two such grids at once: under tracemalloc _k1e_tables peaks at
+# 1.65 MB, and `import casorb` after `import numpy` at 2.04 MB (3.29 and
+# 3.68 MB with the integrand formed out of place, on four grids).
+# Freeing a grid makes glibc raise its dynamic mmap and trim thresholds
+# to match.  The tail's arrays (~16 000 floats, just over the 128 KiB
+# default) then stay on the heap; with the default thresholds they are
+# mapped and faulted in again on every call, and a warm tail_b1_bound
 # took 2.3 ms instead of 1.3 ms (MALLOC_MMAP_THRESHOLD_=131072, x86-64).
 # The winding sums hold a few arrays of one float per term.  A 16-letter
 # enumeration's 6865 terms (55 kB each) sit under the 128 KiB default;
 # a 20-letter one's 26 237 terms (210 kB each) stay on the heap too, and
 # pinning the threshold at 128 KiB made that head 1.5 to 2 times slower.
-# The one pass costs peak RSS at import: building the tables one window
-# at a time gave the same coefficients and a 2.4-2.7 MB lower peak after
-# `import casorb`, but left the thresholds low, and a warm tail_b1_bound
-# took 2.0-3.3 ms instead of 1.5-1.6.  Shrinking _CHEB_N, _TRAP_NODES or
-# the window range shrinks that pass.
+# So the pass stays whole.  Building the tables one window at a time gave
+# the same coefficients and 0.5 MB less RSS after `import casorb`, but not
+# a lower peak over a (2,3,7) run, which the tail's heap sets; and its
+# 74 kB grids left the thresholds low, so a warm tail_b1_bound(51, 10^7)
+# took 1.6-1.7 ms instead of 1.3-1.4 (medians of 200 calls, 2-core x86-64).
+# Shrinking _CHEB_N, _TRAP_NODES or the window range shrinks the pass.
 _CHEB_N = 32                        # interpolation degree
 _CHEB_TERMS = 21                    # coefficients kept for evaluation
 _BERNSTEIN_RHO = 4.0
@@ -259,8 +263,14 @@ def _k1e_samples(z):
     u = np.arange(_TRAP_NODES, dtype=_LD) * _TRAP_H
     w = np.exp(-u * u) * _TRAP_H
     w[0] /= 2
+    # g = (1 + s) / sqrt(2 + s) on two grids, in place; see the note above
+    # _CHEB_N on this pass's memory
     s = (u * u) / z[:, None]
-    g = (1 + s) / np.sqrt(2 + s)
+    g = s + 2
+    np.sqrt(g, out=g)
+    s += 1
+    np.divide(s, g, out=g)
+    del s
     total = g @ w
     rounding = (g @ (w * (3 * u * u + 24))) / total + _TRAP_NODES
     return 2 / np.sqrt(z) * total, rounding.astype(np.float64) * _U_LD

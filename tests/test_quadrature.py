@@ -351,31 +351,39 @@ def test_split_order(monkeypatch):
     assert jump[1:] == (99, "1e13726407066a23")
 
 
-@pytest.mark.parametrize("ulps, evaluations", [(1, 15), (2, 45)])
-def test_panels_too_narrow_to_halve(ulps, evaluations):
-    # a panel one ulp wide has no midpoint strictly inside it, so it stops
-    # splitting; two ulps split once, into two such panels.  At tolerance 0
-    # the run ends unconverged when no panel is left to split.
-    res = adaptive_quadrature(np.exp, (1.0, 1.0 + ulps * math.ulp(1.0)), 0.0, 0.0)
+@pytest.mark.parametrize("widths, evaluations", [(1, 15), (2, 45)])
+def test_panels_too_narrow_to_halve(widths, evaluations):
+    # a panel one ulp wide, or one subnormal step, has rounded nodes on or
+    # outside its edges and is refused.  Above 1, a panel 200 ulps wide
+    # holds its nodes strictly inside, but its 100-ulp halves do not, so it
+    # stops splitting; 400 ulps split once, into two such panels.  At
+    # tolerance 0 the run ends unconverged when no panel is left to split.
+    for edges in ((1.0, 1.0 + math.ulp(1.0)), (0.0, 5e-324)):
+        with pytest.raises(ValueError, match="too narrow"):
+            kronrod_grid(edges)
+        with pytest.raises(ValueError, match="too narrow"):
+            adaptive_quadrature(np.exp, edges)
+    width = widths * 200 * math.ulp(1.0)
+    res = adaptive_quadrature(np.exp, (1.0, 1.0 + width), 0.0, 0.0)
     assert (res.evaluations, res.converged) == (evaluations, False)
-    assert res.value == pytest.approx(math.e * ulps * math.ulp(1.0), rel=1e-15, abs=0.0)
+    assert res.value == pytest.approx(math.e * math.expm1(width), rel=1e-15, abs=0.0)
 
 
 def test_narrow_panel_stays_in_the_totals():
-    # the panel one ulp wide above 1 has nodes at x = 1.0, where f is 1e20:
-    # it is the worst panel and cannot be halved, so it leaves the list,
-    # but it keeps its value and error in the totals and still counts
-    # towards max_intervals, so with 3 one split of the other panel ends
-    # the run
-    u = math.ulp(1.0)
+    # f is 1e20 on the panel 200 ulps wide above 1 and 1 beyond: that
+    # panel is the worst and its halves are too narrow for their nodes, so
+    # it leaves the list, but it keeps its value and error in the totals
+    # and still counts towards max_intervals, so with 3 one split of the
+    # other panel ends the run
+    edge = 1.0 + 200 * math.ulp(1.0)
 
     def f(x):
-        return np.where(x == 1.0, 1e20, 1.0)
+        return np.where(x < edge, 1e20, 1.0)
 
-    (narrow, wide), (narrow_err, wide_err) = panels(f, (1.0, 1.0 + u, 2.0))
+    (narrow, wide), (narrow_err, wide_err) = panels(f, (1.0, edge, 2.0))
     assert narrow_err > wide_err
-    halves, half_errs = panels(f, (1.0 + u, 0.5 * (1.0 + u + 2.0), 2.0))
-    res = adaptive_quadrature(f, (1.0, 1.0 + u, 2.0), 0.0, 0.0, 3)
+    halves, half_errs = panels(f, (edge, 0.5 * (edge + 2.0), 2.0))
+    res = adaptive_quadrature(f, (1.0, edge, 2.0), 0.0, 0.0, 3)
     assert (res.evaluations, res.converged) == (60, False)
     assert res.value == math.fsum([narrow] + halves)
     assert res.est_error == math.fsum([narrow_err] + half_errs)

@@ -27,6 +27,8 @@ GAMMA_HALF_1 = 0.27880558528066198   # sqrt(pi) erfc(1)
 # SHA-256 of float.hex(value) and float.hex(abs_error_bound) of struve_k of
 # both orders at each of the 600 arguments z of a cold (2,3,7) run
 PRODUCTION_DIGEST = "6dbd7d954988af79eae107759d5d03c605b6dd9723417480fd4b981006490945"
+# SHA-256 of the bytes of the K_1 kernel's Chebyshev coefficient table
+K1E_COEFS_DIGEST = "0f5774b266d71e8ffd82dbae67507c0b6cd9b4bf6304ef58a48fa5472eb37302"
 
 
 class TestFnEval:
@@ -452,3 +454,46 @@ class TestK1Kernel:
         assert np.all(vals == 0.0)
         for z in (380.0, 512.0, 800.0, 1e6):
             assert csch_k1(z) == 0.0
+
+    def test_tables_keep_their_bits(self):
+        # every coefficient and the proved bound, not only the head and b1
+        # bits they feed
+        assert hashlib.sha256(specfun._K1E_COEFS.tobytes()).hexdigest() == K1E_COEFS_DIGEST
+        assert specfun.CSCH_K1_REL_ERROR.hex() == "0x1.0b79335361621p-49"
+
+    def test_table_build_memory(self):
+        # the pass over all 11 windows holds two 363 x 141 longdouble grids
+        # (0.82 MB each) at once and peaks at 1.65 MB; with the integrand
+        # built out of place it held four and peaked at 3.29 MB
+        import tracemalloc
+
+        specfun._k1e_tables()
+        tracemalloc.start()
+        try:
+            specfun._k1e_tables()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_import_memory(self):
+        # the table build sets the peak of `import casorb` in a fresh
+        # interpreter that has numpy: 2.04 MB, against 3.68 MB with the
+        # integrand built out of place.  Compiling casorb's source is traced
+        # too, so the figure is for an import without cached bytecode.
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(specfun.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p))
+        probe = ("import numpy, tracemalloc\n"
+                 "tracemalloc.start()\n"
+                 "import casorb\n"
+                 "print(tracemalloc.get_traced_memory()[1])")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) < 2_500_000
