@@ -9,8 +9,8 @@ first, and the one of largest error estimate is bisected next.
 Semi-infinite domains are mapped to (0, 1] by t = e^{-y}, and the
 elliptic kernel by u = e^{-min(C,1) y}; endpoint values are never sampled
 because every Kronrod node lies strictly inside its panel:
-:func:`kronrod_grid` refuses a panel too narrow for that, and a panel
-whose halves would be is not split.
+:func:`kronrod_grid` refuses a panel too narrow for that, and a run
+whose worst panel has such halves ends there, unconverged.
 
 Integrands work on arrays: ``f`` takes a 1-d float64 array of nodes and
 returns an array of the same shape.  A run starts from a sequence of panel
@@ -195,35 +195,31 @@ def adaptive_quadrature(
     panel.  Starting panels that meet the tolerance end the run.  Otherwise
     the panels are kept in one list, oldest first: the split takes the
     panel of largest error estimate (the oldest of equal ones) and appends
-    its halves, evaluated in one call of ``f``.  A panel too narrow to
-    halve, one whose halves' nodes would not lie strictly inside them,
-    leaves the list but still counts towards the totals and
-    ``max_intervals``.
+    its halves, evaluated in one call of ``f``.  When that panel is too
+    narrow to halve, its halves' nodes not lying strictly inside them, the
+    run returns its totals unconverged, as QUADPACK's QAG does (ier = 3).
     """
     grid = edges if isinstance(edges, KronrodGrid) else kronrod_grid(edges)
     values, errs = _kronrod_panels(f, grid.nodes, grid.half)
     evaluations = 15 * len(values)
     spans = None                        # built once a split is due
-    narrow_values, narrow_errs = [], []   # panels too narrow to halve
     while True:
         # fsum rounds once, so the order of the panels does not matter
-        total_val = math.fsum(values + narrow_values)
-        total_err = math.fsum(errs + narrow_errs)
+        total_val, total_err = math.fsum(values), math.fsum(errs)
         converged = total_err <= max(tol_abs, tol_rel * abs(total_val))
-        if converged or not errs or len(errs) + len(narrow_errs) >= max_intervals:
+        if converged or len(errs) >= max_intervals:
             return QuadResult(total_val, total_err, evaluations, converged)
         if spans is None:
             spans = list(zip(grid.edges[:-1].tolist(), grid.edges[1:].tolist()))
         i = errs.index(max(errs))
-        (pa, pb), pval, perr = spans.pop(i), values.pop(i), errs.pop(i)
+        pa, pb = spans[i]
         mid = 0.5 * (pa + pb)
         halves = _panel_nodes(np.array((pa, mid, pb)))
         if halves is None:
-            narrow_values.append(pval)
-            narrow_errs.append(perr)
-            continue
+            return QuadResult(total_val, total_err, evaluations, False)
         (v1, v2), (e1, e2) = _kronrod_panels(f, *halves)
         evaluations += 30
+        del spans[i], values[i], errs[i]
         spans += (pa, mid), (mid, pb)
         values += v1, v2
         errs += e1, e2

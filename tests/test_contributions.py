@@ -585,6 +585,12 @@ class TestAssumption:
         assert thr(j - 1) <= 30.0 < thr(j)
         rep = assumption_check(LengthSpectrum(((31.0, 10**12),)))
         assert rep == AssumptionReport(True, None, 10**12)
+        # past 2**63 the bisection still runs on Python ints, where
+        # bisect over a range would overflow len()
+        rep = assumption_check(LengthSpectrum(((31.0, 10**12), (73.0, 10**30))))
+        j = rep.first_violation
+        assert not rep.holds and rep.checked_through == j > 2**63
+        assert thr(j - 1) <= 73.0 < thr(j)
 
     def test_threshold_value(self):
         assert (math.log(3) + math.log(math.log(3))) == pytest.approx(

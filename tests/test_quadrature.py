@@ -356,8 +356,9 @@ def test_panels_too_narrow_to_halve(widths, evaluations):
     # a panel one ulp wide, or one subnormal step, has rounded nodes on or
     # outside its edges and is refused.  Above 1, a panel 200 ulps wide
     # holds its nodes strictly inside, but its 100-ulp halves do not, so it
-    # stops splitting; 400 ulps split once, into two such panels.  At
-    # tolerance 0 the run ends unconverged when no panel is left to split.
+    # cannot be halved; 400 ulps split once, into two such panels.  At
+    # tolerance 0 the run ends unconverged when its worst panel cannot be
+    # halved.
     for edges in ((1.0, 1.0 + math.ulp(1.0)), (0.0, 5e-324)):
         with pytest.raises(ValueError, match="too narrow"):
             kronrod_grid(edges)
@@ -372,9 +373,7 @@ def test_panels_too_narrow_to_halve(widths, evaluations):
 def test_narrow_panel_stays_in_the_totals():
     # f is 1e20 on the panel 200 ulps wide above 1 and 1 beyond: that
     # panel is the worst and its halves are too narrow for their nodes, so
-    # it leaves the list, but it keeps its value and error in the totals
-    # and still counts towards max_intervals, so with 3 one split of the
-    # other panel ends the run
+    # the run ends before any split, with both starting panels in its totals
     edge = 1.0 + 200 * math.ulp(1.0)
 
     def f(x):
@@ -382,8 +381,42 @@ def test_narrow_panel_stays_in_the_totals():
 
     (narrow, wide), (narrow_err, wide_err) = panels(f, (1.0, edge, 2.0))
     assert narrow_err > wide_err
-    halves, half_errs = panels(f, (edge, 0.5 * (edge + 2.0), 2.0))
-    res = adaptive_quadrature(f, (1.0, edge, 2.0), 0.0, 0.0, 3)
-    assert (res.evaluations, res.converged) == (60, False)
-    assert res.value == math.fsum([narrow] + halves)
-    assert res.est_error == math.fsum([narrow_err] + half_errs)
+    res = adaptive_quadrature(f, (1.0, edge, 2.0), 0.0, 0.0)
+    assert (res.evaluations, res.converged) == (30, False)
+    assert res.value == math.fsum([narrow, wide])
+    assert res.est_error == math.fsum([narrow_err, wide_err])
+
+
+def test_stuck_run_stops_at_the_narrow_panel():
+    # a jump of 1e6 inside the panel 200 ulps wide above 1, and a kink at
+    # 1.7 beyond: the kink's panels split until the jump's panel is the
+    # worst, which cannot be halved, and the run ends there, unconverged,
+    # with that panel's value (about 2e-8) in its total
+    edge = 1.0 + 200 * math.ulp(1.0)
+
+    def f(x):
+        return 1e6 * (x < 1.0 + 100 * math.ulp(1.0)) + np.sqrt(np.abs(x - 1.7))
+
+    (narrow, _), (narrow_err, _) = panels(f, (1.0, edge, 2.0))
+    res = adaptive_quadrature(f, (1.0, edge, 2.0))
+    assert (res.evaluations, res.converged) == (510, False)
+    assert narrow_err <= res.est_error < 2 * narrow_err
+    kink = (0.7 ** 1.5 + 0.3 ** 1.5) / 1.5
+    assert res.value - kink == pytest.approx(narrow, rel=0.02)
+
+
+def test_stuck_run_ends_unconverged_below_tolerance():
+    # a jump of 1 in the narrow panel, whose error (2.2e-14) is below
+    # tol_abs = 4e-14: once that panel is the worst the run ends,
+    # unconverged, although splitting the kink's panels further would meet
+    # the tolerance (a run that sets the panel aside converges after 1350)
+    edge = 1.0 + 200 * math.ulp(1.0)
+
+    def f(x):
+        return (x < 1.0 + 100 * math.ulp(1.0)) + np.sqrt(np.abs(x - 1.7))
+
+    _, (narrow_err, _) = panels(f, (1.0, edge, 2.0))
+    assert narrow_err < 4e-14
+    res = adaptive_quadrature(f, (1.0, edge, 2.0), 4e-14, 0.0)
+    assert (res.evaluations, res.converged) == (1230, False)
+    assert res.est_error > 4e-14
