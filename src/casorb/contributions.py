@@ -133,6 +133,9 @@ class LengthSpectrum:
     def __post_init__(self):
         if self.group is not None:
             object.__setattr__(self, "group", OrbifoldSignature(self.group).cone_orders)
+        # a tuple of pairs, so that equality and hash hold for a list or an
+        # iterator of entries too, and an iterator is read once
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         prev = 0.0
         for ell, mult in self.entries:
             # exactly float: np.float64 is a float subclass, but the file
@@ -599,8 +602,9 @@ def tail_b1_bound(j_lo: int = _TAIL_J_LO, j_hi: int = _TAIL_J_HI) -> float:
     allowance measured against mpmath, not documented by numpy).  The
     inequalities are exact, and the margin covers the floating-point
     error, whose largest parts are csch_k1's relative bound
-    (``specfun.CSCH_K1_REL_ERROR``, proved in the comment block that opens
-    the e^z K_1 section of ``specfun``) and the rounding of z_j, both
+    (``specfun.CSCH_K1_REL_ERROR``, proved from the committed coefficients
+    by tests/test_specfun.py::TestK1Kernel::test_rel_error_is_proved) and
+    the rounding of z_j, both
     present in the direct part too.  A j_hi whose z_J passes 350, the end of
     the proved kernel range (j_hi above about 10^301.2), is refused.
     """

@@ -22,19 +22,18 @@ is taken as 0.
 The modified Bessel function K_1 enters only through ``csch_k1`` and
 ``csch_k1_array``, which share one numpy kernel for e^z K_1(z): the power
 series below z = 1/4 and, above, Chebyshev series on dyadic windows whose
-coefficients are built at import from a trapezoid rule.  Its relative
-error bound (``CSCH_K1_REL_ERROR``, about 1.9e-15) is computed from the
-coefficients in use and proved given one assumption: numpy's elementary
-functions are within ``_ELEM_ULP`` ulp, an allowance measured against
-mpmath, not documented by numpy.  That table build is the only
-extended-precision (80-bit numpy longdouble) code in the package;
-everything else is plain binary64.
+231 coefficients are committed below as data.  Their relative error bound
+(``CSCH_K1_REL_ERROR``, about 1.9e-15) is committed too, and a Tier-1
+test proves it from those coefficients in mpmath, given one assumption:
+numpy's exp, expm1 and log are within 1 ulp, an allowance measured
+against mpmath, not documented by numpy.  All arithmetic is binary64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -52,11 +51,7 @@ __all__ = [
     "clear_caches",
 ]
 
-_LD = np.longdouble
 _U = 2.0 ** -53                         # binary64 unit roundoff
-_U_LD = float(np.finfo(_LD).eps) / 2    # longdouble unit roundoff
-_PI_LD = _LD("3.141592653589793238462643383279502884")
-_EULER_LD = _LD("0.577215664901532860606512090082402431")
 
 
 class UnsupportedOrderError(ValueError):
@@ -182,188 +177,127 @@ def struve_k(nu: int, z: float) -> FnEval:
 #
 # Below z = 1/4, K_1 is the power series DLMF 10.31.1.  From 1/4 up to
 # 2^9, e^z K_1(z) is a Chebyshev series on each dyadic window [a, 2a),
-# a = 2^k, in t = 2z/a - 3.  The nearest singularity, the branch point at
-# z = 0, sits at t = -3 for every window, so one degree serves them all.
-# Beyond 2^9, e^{-2z} underflows and csch_k1 is 0.
-#
-# Each window interpolates at the 33 Chebyshev points of the second kind,
-# sampled once at import, in 80-bit precision, by the trapezoid rule on
-#     e^z K_1(z) = (2/sqrt z) int_0^inf e^{-u^2} (1 + u^2/z) / sqrt(2 + u^2/z) du,
-# which is DLMF 10.32.9 under u^2 = z (cosh t - 1).  The error of the
-# evaluated series f~ against f = e^z K_1 on a window is at most the sum of
-#   - interpolation: 4 M rho^-N / (rho - 1) (Trefethen, Approximation Theory
-#     and Approximation Practice, Thm 8.2) on the Bernstein ellipse
-#     rho = 4, where |f(z)| <= e^x K_1(x) <= sqrt(pi/(2x)) (1 + 1/x) at
-#     x = Re z > 0 (DLMF 10.32.9, and K_1 <= K_{3/2});
-#   - samples: the trapezoid error M_T / (e^{2 pi s/h} - 1) for the strip
-#     |Im u| < s = 1/2 (Trefethen & Weideman, SIAM Review 56 (2014),
-#     Thm 5.1, halved for the half line), the truncation at u = 7, and the
-#     80-bit rounding, all times the Lebesgue constant (2/pi) log(N+1) + 1;
-#   - coefficients: their 80-bit rounding and the rounding to binary64;
-#   - truncation: the dropped binary64 coefficients, sum_{k >= 21} |c_k|;
-#   - Clenshaw's recurrence in binary64: each step's rounding eta_k enters
-#     the result as eta_k T_k(t), |T_k| <= 1, and |b_k| <= sum_{j>=k}
-#     |c_j| (j - k + 1) since b_k = sum_j c_j U_{j-k}(t).
-# Dividing by f(2a) = min f on the window (e^x K_1(x) is decreasing) gives
-# the window's relative bound, and _K1E_CHEB_REL_BOUND is the largest.
-# Everything is computed below from the samples and coefficients in use.
+# a = 2^k, in t = 2z/a - 3.  Beyond 2^9, e^{-2z} underflows and csch_k1
+# is 0.  Each window's series is its interpolant at the 33 Chebyshev
+# points of the second kind, cut to 21 terms and held in binary64.
+# tests/test_specfun.py::TestK1Kernel::test_rel_error_is_proved rebuilds
+# every interpolant in mpmath and proves CSCH_K1_REL_ERROR from these
+# very coefficients.
 
-# Allowance for the elementary functions, in ulp: numpy's exp, expm1 and
-# log, and the 80-bit exp and cos of the table build.  This is the one
-# assumption of the bounds below, not a proof: numpy and libm document no
-# error bound, and numpy picks its SIMD implementation per CPU.  Against
-# mpmath they stayed within 0.66 ulp (binary64, 20 000 arguments each;
-# numpy 2.4 on an AVX-512 x86-64 machine) and 0.57 ulp (80-bit, 3000
-# arguments each).
-_ELEM_ULP = 1.0
 _K1E_LO_EXP, _K1E_HI_EXP = -2, 9    # windows [2^k, 2^{k+1}), -2 <= k < 9
 _K1E_LO = 2.0 ** _K1E_LO_EXP
 _K1E_TOP = math.nextafter(2.0 ** _K1E_HI_EXP, 0.0)
-# The table build below also sets how fast the tail runs, and what
-# `import casorb` costs in memory.  Its one pass samples every window on a
-# 363 x 141 longdouble grid (11 windows x 33 points x _TRAP_NODES,
-# 0.82 MB), and _k1e_samples forms the integrand in place, so the pass
-# holds two such grids at once: under tracemalloc _k1e_tables peaks at
-# 1.65 MB, and `import casorb` after `import numpy` at 2.04 MB (3.29 and
-# 3.68 MB with the integrand formed out of place, on four grids).
-# Freeing a grid makes glibc raise its dynamic mmap and trim thresholds
-# to match.  The tail's arrays (~16 000 floats, just over the 128 KiB
-# default) then stay on the heap; with the default thresholds they are
-# mapped and faulted in again on every call, and a warm tail_b1_bound
-# took 2.3 ms instead of 1.3 ms (MALLOC_MMAP_THRESHOLD_=131072, x86-64).
-# The winding sums hold a few arrays of one float per term.  A 16-letter
-# enumeration's 6865 terms (55 kB each) sit under the 128 KiB default;
-# a 20-letter one's 26 237 terms (210 kB each) stay on the heap too, and
-# pinning the threshold at 128 KiB made that head 1.5 to 2 times slower.
-# So the pass stays whole.  Building the tables one window at a time gave
-# the same coefficients and 0.5 MB less RSS after `import casorb`, but not
-# a lower peak over a (2,3,7) run, which the tail's heap sets; and its
-# 74 kB grids left the thresholds low, so a warm tail_b1_bound(51, 10^7)
-# took 1.6-1.7 ms instead of 1.3-1.4 (medians of 200 calls, 2-core x86-64).
-# Shrinking _CHEB_N, _TRAP_NODES or the window range shrinks the pass.
-_CHEB_N = 32                        # interpolation degree
 _CHEB_TERMS = 21                    # coefficients kept for evaluation
-_BERNSTEIN_RHO = 4.0
-_TRAP_H = _LD(1) / 20
-_TRAP_NODES = 141                   # u = 0, h, ..., 7
-_TRAP_STRIP = 0.5
 _K1_SERIES_TERMS = 7
 
+# c_0 .. c_20 of each window in turn, from [1/4, 1/2) up to [256, 512)
+_K1E_COEFS = np.array([float.fromhex(h) for h in """
+     0x1.cc6fca98536a1p+1   -0x1.02afe4714c9e9p+0    0x1.59ee104a81829p-3
+    -0x1.d756f18349403p-6    0x1.4289266661bbep-8   -0x1.ba15353c12f7dp-11
+     0x1.2f292ea12a8b8p-13  -0x1.9fea8260c0c94p-16   0x1.1d59fbebc6f80p-18
+    -0x1.8795ebdebca00p-21   0x1.0cb3802bec400p-23  -0x1.70c5fad914000p-26
+     0x1.fa21048c88000p-29  -0x1.5b543c1180000p-31   0x1.dcb683e300000p-34
+    -0x1.4726751000000p-36   0x1.c106806000000p-39  -0x1.3427448000000p-41
+     0x1.a6f47c0000000p-44  -0x1.2243700000000p-46   0x1.8e6a000000000p-49
 
-def _k1e_samples(z):
-    """e^z K_1 at the longdouble array z >= 1/4 by the trapezoid rule.
+     0x1.0c168058ff38fp+1   -0x1.109704f203401p-1    0x1.62a943123bcb1p-4
+    -0x1.de0ca793e3bbcp-7    0x1.4570a58fa0611p-9   -0x1.bcce76b050a0fp-12
+     0x1.30836fd3612a6p-14  -0x1.a1518132afb10p-17   0x1.1e1a6095b9450p-19
+    -0x1.8869a7a6a1100p-22   0x1.0d2a88d378c00p-24  -0x1.714e363922000p-27
+     0x1.fabf453f18000p-30  -0x1.5bb15291c0000p-32   0x1.dd253a8700000p-35
+    -0x1.4768ec3c00000p-37   0x1.c156f78000000p-40  -0x1.34585c0000000p-42
+     0x1.a731500000000p-45  -0x1.2267600000000p-47   0x1.8ea7000000000p-50
 
-    Also returns each sample's relative rounding bound: every term carries
-    at most (3u^2 + 24) units of longdouble roundoff (3u^2 + 4 in the
-    weight, where e^{-u^2} amplifies the node's rounding; under 11 in the
-    integrand and its product with the weight; under 9 in the prefactor
-    and the sample point, where |z f'(z) / f(z)| <= 1), and the sum adds
-    one unit per term.
-    """
-    u = np.arange(_TRAP_NODES, dtype=_LD) * _TRAP_H
-    w = np.exp(-u * u) * _TRAP_H
-    w[0] /= 2
-    # g = (1 + s) / sqrt(2 + s) on two grids, in place; see the note above
-    # _CHEB_N on this pass's memory
-    s = (u * u) / z[:, None]
-    g = s + 2
-    np.sqrt(g, out=g)
-    s += 1
-    np.divide(s, g, out=g)
-    del s
-    total = g @ w
-    rounding = (g @ (w * (3 * u * u + 24))) / total + _TRAP_NODES
-    return 2 / np.sqrt(z) * total, rounding.astype(np.float64) * _U_LD
+     0x1.49a7d11a5fdaap+0   -0x1.2c99c05b2ff01p-2    0x1.771802938b2f6p-5
+    -0x1.ef7e590405e61p-8    0x1.4d94e572f301ap-10  -0x1.c4e05cf948947p-13
+     0x1.34b11b0083531p-15  -0x1.a5caee791bc80p-18   0x1.20901e3d801a0p-20
+    -0x1.8b2d22a92da00p-23   0x1.0ebf0ff720800p-25  -0x1.7323c559a2000p-28
+     0x1.fce747f788000p-31  -0x1.5cf95c7bc0000p-33   0x1.deaed69000000p-36
+    -0x1.48570bf000000p-38   0x1.c2793d8000000p-41  -0x1.350a5a0000000p-43
+     0x1.a80d400000000p-46  -0x1.22efc00000000p-48   0x1.8f34000000000p-51
 
+     0x1.a9a96101de109p-1   -0x1.5fc01585578d1p-3    0x1.a12cebba329f6p-6
+    -0x1.0b757569d9b51p-8    0x1.615f2cb94db61p-11  -0x1.d9a9f2e99f5b6p-14
+     0x1.3ff8e70ae7482p-16  -0x1.b258cad8b3b38p-19   0x1.27b0b0a6f5240p-21
+    -0x1.93672a4d7ac00p-24   0x1.138f5cae04400p-26  -0x1.78d6df1152000p-29
+     0x1.01dc3ab8b0000p-31  -0x1.6116424f40000p-34   0x1.e3af2d6000000p-37
+    -0x1.4b66dce000000p-39   0x1.c63ed1c000000p-42  -0x1.37606d0000000p-44
+     0x1.aaf4e80000000p-47  -0x1.24c1200000000p-49   0x1.916c000000000p-52
 
-def _trapezoid_truncation(z):
-    """Relative discretization and truncation error of _k1e_samples at z >= 1/4."""
-    a, h = _TRAP_STRIP, float(_TRAP_H)
-    # the integrand's absolute integral along each line Im u = y, |y| <= a
-    m_t = (math.exp(a * a) * math.sqrt(math.pi) * (1 + (a * a + 0.5) / z)
-           / np.sqrt(2 - a * a / z))
-    disc = m_t / math.expm1(2 * math.pi * a / h)
-    # past the last node the integrand is below e^{-u^2} (1 + u / sqrt z)
-    end = (_TRAP_NODES - 1) * h
-    trunc = (0.5 * math.sqrt(math.pi) * math.erfc(end)
-             + math.exp(-end * end) / (2 * np.sqrt(z)))
-    # the integral exceeds its z -> inf limit, sqrt(pi / 8)
-    return (disc + trunc) / math.sqrt(math.pi / 8)
+     0x1.1d20fe0dc5bfep-1   -0x1.b5813c791c40ep-4    0x1.ee3d39c9a8bcbp-7
+    -0x1.3250a4891b7a4p-9    0x1.8ae0e50ae5858p-12  -0x1.03d01578915ffp-14
+     0x1.5a1216ae00868p-17  -0x1.d08e35b73df30p-20   0x1.397046695b2a0p-22
+    -0x1.a88439e71b400p-25   0x1.203f9c471cc00p-27  -0x1.883987e97e000p-30
+     0x1.0b4266f900000p-32  -0x1.6ca5e10c40000p-35   0x1.f1fd221400000p-38
+    -0x1.544c55f000000p-40   0x1.d15d2b4000000p-43  -0x1.3e5a960000000p-45
+     0x1.b3bfe80000000p-48  -0x1.2a54c00000000p-50   0x1.9893000000000p-53
 
+     0x1.8748734cfc382p-2   -0x1.1e1167da4c611p-4    0x1.374730e689041p-7
+    -0x1.7679f335b2a62p-10   0x1.d727d2cf376c3p-13  -0x1.2fd7ff9a064b2p-15
+     0x1.8dfd937839a11p-18  -0x1.075dee6334b84p-20   0x1.5f1e71edd95a0p-23
+    -0x1.d6a06b9531500p-26   0x1.3cafb92e8b400p-28  -0x1.ab89e095ac000p-31
+     0x1.214ffc7d48000p-33  -0x1.8854aa6d80000p-36   0x1.0a72537100000p-38
+    -0x1.6a63f30000000p-41   0x1.ed6e070000000p-44  -0x1.503d4c0000000p-46
+     0x1.ca9c480000000p-49  -0x1.38f4c00000000p-51   0x1.ab87000000000p-54
 
-def _k1e_tables():
-    """Chebyshev coefficients of e^z K_1 on every window, and the largest
-    relative error bound among the windows.
+     0x1.104b77e2b5bb8p-2   -0x1.832184cb8a744p-5    0x1.9b1c569b29eb3p-8
+    -0x1.e41e45c9de36dp-11   0x1.2ada144dc96afp-13  -0x1.7b082b20e6366p-16
+     0x1.e91374a165f44p-19  -0x1.3f4e6f8282af0p-21   0x1.a48cd7678f100p-24
+    -0x1.16c1f20215000p-26   0x1.736b038a9f000p-29  -0x1.f0dfa46c38000p-32
+     0x1.4d6fd4f150000p-34  -0x1.c0b8358000000p-37   0x1.2e9aeff200000p-39
+    -0x1.98e865e000000p-42   0x1.14b8500000000p-44  -0x1.770b480000000p-47
+     0x1.fce9d00000000p-50  -0x1.59a1000000000p-52   0x1.d62a000000000p-55
 
-    All windows are sampled in one pass; see the note above _CHEB_N on
-    what freeing that pass's temporaries does to the tail's speed.
-    """
-    n = _CHEB_N
-    j = np.arange(n + 1)
-    a = 2.0 ** np.arange(_K1E_LO_EXP, _K1E_HI_EXP)        # window starts
-    x = np.cos(j.astype(_LD) * _PI_LD / n)
-    f, rounding = _k1e_samples((a.astype(_LD)[:, None] * (3 + x) / 2).ravel())
-    f = f.reshape(len(a), n + 1)
-    fw = f.copy()
-    fw[:, [0, -1]] /= 2
-    # cos(j k pi / n) from the reduced argument (j k mod 2n) pi / n
-    cos_jk = np.cos((np.outer(j, j) % (2 * n)).astype(_LD) * _PI_LD / n)
-    c_ld = (2 / _LD(n)) * (fw @ cos_jk)
-    c_ld[:, [0, -1]] /= 2
-    c = c_ld.astype(np.float64)
+     0x1.7deb685c21d81p-3   -0x1.0b61f2c4764fcp-5    0x1.17f6ab3c1327dp-8
+    -0x1.4560363f05982p-11   0x1.8cd137fbd9623p-14  -0x1.f18953801ac9fp-17
+     0x1.3d8ed2bafde18p-19  -0x1.9a7c3281f5500p-22   0x1.0bc3aa8bfddc0p-24
+    -0x1.5fcf21765c800p-27   0x1.d0d09d8135000p-30  -0x1.347132fc5e000p-32
+     0x1.9addd53230000p-35  -0x1.127efe1300000p-37   0x1.6fbbd08400000p-40
+    -0x1.edbd8a8000000p-43   0x1.4c19d04000000p-45  -0x1.bf81b20000000p-48
+     0x1.2df4580000000p-50  -0x1.97f0800000000p-53   0x1.13e9000000000p-55
 
-    sample = rounding.reshape(f.shape).max(axis=1) + _trapezoid_truncation(a)
-    f_max = f[:, -1].astype(np.float64) * (1 + sample)     # f(a)
-    f_min = f[:, 0].astype(np.float64) * (1 - sample)      # f(2a)
-    x_min = a * (3 - (_BERNSTEIN_RHO + 1 / _BERNSTEIN_RHO) / 2) / 2
-    m_ellipse = np.sqrt(np.pi / (2 * x_min)) * (1 + 1 / x_min)
-    interp = 4 * m_ellipse * _BERNSTEIN_RHO ** -n / (_BERNSTEIN_RHO - 1)
-    lebesgue = 2 / math.pi * math.log(n + 1) + 1
-    absc = np.abs(c)
-    # each longdouble coefficient: a cosine within 16 units, n + 1 summands
-    coefs = _U * absc.sum(axis=1) + 2 * (n + 1) * (n + 18) * _U_LD * f_max
-    kept = absc[:, :_CHEB_TERMS]
-    truncation = absc[:, _CHEB_TERMS:].sum(axis=1)
-    # B_k = sum_{j >= k} |c_j| (j - k + 1), padded with B_{m+1} = B_{m+2} = 0
-    bk = np.cumsum(np.cumsum(kept[:, ::-1], axis=1), axis=1)[:, ::-1]
-    bk = np.pad(bk, ((0, 0), (0, 2)))
-    steps = np.sum(bk[:, 1:-2] + 4 * bk[:, 2:-1] + bk[:, 3:], axis=1)
-    clenshaw = 1.01 * _U * (steps + bk[:, 1] + bk[:, 2])
-    absolute = (interp + lebesgue * sample * f_max + coefs + truncation
-                + clenshaw)
-    # the last two roundings, fl(c_0 + t b_1) and the final subtraction,
-    # are relative to the result itself
-    bound = absolute / f_min + 2.01 * _U
-    return np.ascontiguousarray(c[:, :_CHEB_TERMS]), float(bound.max())
+     0x1.0ced6ef1cb9d7p-3   -0x1.758ff9f53ad05p-6    0x1.84294d6ba1d97p-9
+    -0x1.bfd13d57f6f0cp-12   0x1.0f24474ce1cc5p-14  -0x1.51a4f9528c316p-17
+     0x1.ac2c619af88c8p-20  -0x1.12f9c0fc742f8p-22   0x1.64890e7365240p-25
+    -0x1.d1a8fb8f44400p-28   0x1.31d9a364aa800p-30  -0x1.93a79600f0000p-33
+     0x1.0b66705fe0000p-35  -0x1.636e5ecb00000p-38   0x1.d9c0b33400000p-41
+    -0x1.3c7c3c8000000p-43   0x1.a7ba060000000p-46  -0x1.1c2b300000000p-48
+     0x1.7dc4700000000p-51  -0x1.00c8000000000p-53   0x1.5a04000000000p-56
 
+     0x1.7b8463a186e53p-4   -0x1.06846f884190ap-6    0x1.0fb14c5ff886ep-9
+    -0x1.383a500d9867ap-12   0x1.78a59a6912966p-15  -0x1.d3449b8f3b291p-18
+     0x1.272f660f6e501p-20  -0x1.79c4eb16cf718p-23   0x1.e8147426f4040p-26
+    -0x1.3d9f4648c1500p-28   0x1.9fce5cab82800p-31  -0x1.11768bf70c000p-33
+     0x1.691ccd2300000p-36  -0x1.de6f7cd980000p-39   0x1.3dd5a0de00000p-41
+    -0x1.a751b30000000p-44   0x1.1a81a6c000000p-46  -0x1.79c55c0000000p-49
+     0x1.f9ffd00000000p-52  -0x1.535cc00000000p-54   0x1.c7a4000000000p-57
 
-_K1E_COEFS, _K1E_CHEB_REL_BOUND = _k1e_tables()
+     0x1.0c12fe39889ccp-4   -0x1.7218d65d35915p-7    0x1.7e411a7028821p-10
+    -0x1.b666f3b345ee5p-13   0x1.07e69c12bf887p-15  -0x1.46c012f0ae4b3p-18
+     0x1.9c0709a7ead12p-21  -0x1.0724043d802d8p-23   0x1.5354075d31240p-26
+    -0x1.b8cdc1b136800p-29   0x1.1ffd99ed96800p-31  -0x1.7a199dff94000p-34
+     0x1.f25dc07140000p-37  -0x1.498997cc80000p-39   0x1.b50b394400000p-42
+    -0x1.228612c000000p-44   0x1.83141f8000000p-47  -0x1.02590e0000000p-49
+     0x1.5972700000000p-52  -0x1.ce92800000000p-55   0x1.3626000000000p-57
+""".split()]).reshape(_K1E_HI_EXP - _K1E_LO_EXP, _CHEB_TERMS)
 
-# (psi(k+1) + psi(k+2)) / 2 for the series, from harmonic numbers
+# (psi(k+1) + psi(k+2)) / 2 for the series, from harmonic numbers and
+# Euler's constant to 36 digits, rounded once
 _K1_SERIES_H = tuple(
-    float(sum(_LD(1) / i for i in range(1, k + 1)) + _LD(1) / (2 * k + 2) - _EULER_LD)
+    float(sum(Fraction(1, i) for i in range(1, k + 1)) + Fraction(1, 2 * k + 2)
+          - Fraction("0.577215664901532860606512090082402431"))
     for k in range(_K1_SERIES_TERMS))
-
-# Series route, z < 1/4: K_1 = 1/z + (z/2) s, s = sum_k r_k (log(z/2) - h_k),
-# r_k = (z^2/4)^k / (k! (k+1)!), all terms of one sign.  There z K_1(z) >=
-# 0.936 (it decreases from 1) and (z^2/2)|s| <= 0.07.  With s within 25 u
-# of itself (log included), (z/2) s within 26 u, and one rounding each for
-# 1/z and the sum, K_1 is within 3.82 u / z, under 4.1 u relative; the
-# first dropped term is below 1e-21 relative.  exp(z) and the product add
-# _ELEM_ULP ulp and u.
-_K1E_SERIES_REL_BOUND = 4.1 * _U + 2 * _ELEM_ULP * _U + _U
 
 # The end of the range where CSCH_K1_REL_ERROR is proved.
 _CSCH_K1_Z_MAX = 350.0
 
-CSCH_K1_REL_ERROR = (max(_K1E_CHEB_REL_BOUND, _K1E_SERIES_REL_BOUND)
-                     + 2 * 2 * _ELEM_ULP * _U + 2 * _U)
-"""Relative error of csch_k1 and csch_k1_array for 1e-150 <= z <= 350.
+CSCH_K1_REL_ERROR = float.fromhex("0x1.0b79335361621p-49")
+"""Relative error of csch_k1 and csch_k1_array for 1e-150 <= z <= 350
+(about 1.86e-15).
 
-The larger kernel bound, an allowance of _ELEM_ULP ulp for each of
-exp(-2z) and expm1(-2z), and the two roundings of the product and quotient.
-Proved given numpy's exp, expm1 and log within _ELEM_ULP ulp, which is
-measured, not documented.
+Proved in tests/test_specfun.py from the committed coefficients, given
+numpy's exp, expm1 and log within 1 ulp: an allowance measured against
+mpmath, not documented by numpy.
 Past z = 354, e^{-2z} is subnormal and only an absolute bound holds.
 """
 
@@ -478,3 +412,9 @@ def clear_caches() -> None:
     for cache in (_struve_k_dispatch, contributions._euler_weights,
                   triangle.table_corpus, triangle.generators_237):
         cache.cache_clear()
+
+
+# Freeing one 1 MiB block raises glibc's mmap threshold past the tail's
+# 131 kB arrays, which then stay on the heap instead of being mapped anew
+# on every call
+np.empty(1 << 17)

@@ -947,6 +947,18 @@ class TestSpectrumTypesAndIO:
         with pytest.raises(ValueError, match="is not hyperbolic"):
             OrbifoldSignature((2, 3))
 
+    @pytest.mark.parametrize("entries", [
+        [(1.0, 1), (2.0, 3)], [[1.0, 1], [2.0, 3]], iter([(1.0, 1), (2.0, 3)])],
+        ids=["list", "list-of-lists", "iterator"])
+    def test_entries_stored_as_tuple_of_pairs(self, entries):
+        # a list would make the spectrum unhashable and unequal to its
+        # tuple twin; an iterator would be used up by the validation
+        spec = LengthSpectrum(entries, group=(2, 3, 7))
+        twin = LengthSpectrum(((1.0, 1), (2.0, 3)), group=(2, 3, 7))
+        assert spec.entries == ((1.0, 1), (2.0, 3))
+        assert spec == twin and hash(spec) == hash(twin)
+        assert len(spec) == 2 and spec.total_multiplicity == 4
+
     def test_bool_multiplicity_refused(self):
         # True is an int to isinstance, but would be written as "True"
         with pytest.raises(ValueError, match="multiplicities must be positive integers"):

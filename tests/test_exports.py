@@ -160,3 +160,12 @@ def test_every_private_name_has_a_caller_in_the_package():
             elif isinstance(node, ast.alias):
                 used.add(node.asname or node.name)
     assert [d for d in defined if d[1] not in used] == []
+
+
+def test_no_extended_precision_in_the_package():
+    # every figure is binary64 on every host: numpy's longdouble is 80-bit
+    # on x86-64 Linux but binary64 on Windows and Apple arm64, where a
+    # bound derived in it would silently be weaker
+    src = pathlib.Path(casorb.__file__).resolve().parent
+    assert [p.name for p in sorted(src.glob("*.py"))
+            if "longdouble" in p.read_text(encoding="utf-8")] == []

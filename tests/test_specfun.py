@@ -463,26 +463,84 @@ class TestK1Kernel:
         assert hashlib.sha256(specfun._K1E_COEFS.tobytes()).hexdigest() == K1E_COEFS_DIGEST
         assert specfun.CSCH_K1_REL_ERROR.hex() == "0x1.0b79335361621p-49"
 
-    def test_table_build_memory(self):
-        # the pass over all 11 windows holds two 363 x 141 longdouble grids
-        # (0.82 MB each) at once and peaks at 1.65 MB; with the integrand
-        # built out of place it held four and peaked at 3.29 MB
-        import tracemalloc
-
-        specfun._k1e_tables()
-        tracemalloc.start()
-        try:
-            specfun._k1e_tables()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+    def test_rel_error_is_proved(self):
+        # CSCH_K1_REL_ERROR from the committed coefficients.  On the window
+        # [a, 2a), in t = 2z/a - 3 (exact in the kernel), the evaluated
+        # series differs from f = e^z K_1 by at most the sum of
+        #   - interpolation: f minus its exact interpolant p at the n + 1
+        #     Chebyshev points is at most 4 M rho^-n / (rho - 1) (Trefethen,
+        #     Approximation Theory and Approximation Practice, Thm 8.2) on
+        #     the Bernstein ellipse rho = 4.  The branch point z = 0 sits at
+        #     t = -3, outside it; on it Re z >= x_min > 0, and |f(z)| <=
+        #     e^x K_1(x) <= sqrt(pi/(2x)) (1 + 1/x) at x = Re z (DLMF
+        #     10.32.9, and K_1 <= K_{3/2});
+        #   - the committed coefficients: sum_{k<21} |c_k - p_k|;
+        #   - truncation: the dropped sum_{k>=21} |p_k|;
+        #   - Clenshaw's recurrence in binary64.  A rounding at step k acts
+        #     as a change of c_k, so it enters the result times T_k(t),
+        #     |T_k| <= 1.  Step k rounds t2 b_{k+1}, its difference with
+        #     b_{k+2} and the sum with c_k, and |b_k| <= B_k = sum_{j>=k}
+        #     |c_j| (j - k + 1), since b_k = sum_j c_j U_{j-k}(t);
+        #   - mpmath's own error: every sample within eps relative (20
+        #     digits against 40 measured 2.1e-21 at most), which moves
+        #     each p_k by at most 2 eps f(a) and f(2a) by eps f(2a).  It
+        #     also covers the 20-digit arithmetic and this test's float
+        #     roundings, both far smaller.
+        # Dividing by f(2a) = min f on the window (e^x K_1(x) decreases),
+        # and adding the last two roundings, fl(c_0 + t b_1) and the final
+        # subtraction, which are relative to the result, bounds the window.
+        mp = pytest.importorskip("mpmath")
+        u = 2.0 ** -53
+        n, rho, eps = 32, 4.0, 1e-19
+        coefs = specfun._K1E_COEFS
+        windows = range(specfun._K1E_LO_EXP, specfun._K1E_HI_EXP)
+        assert coefs.shape == (len(windows), specfun._CHEB_TERMS)
+        cheb = 0.0
+        with mp.workdps(20):
+            cos = [mp.cospi(mp.mpf(m) / n) for m in range(2 * n)]
+            for c, k in zip(coefs, windows):
+                # e^z K_1(z) = 2z sqrt(pi) U(3/2, 3, 2z) (DLMF 10.39.6):
+                # mpmath's U takes about half the time of mp.besselk here
+                zs = [mp.ldexp(3 + cos[j], k - 1) for j in range(n + 1)]
+                f = [2 * z * mp.sqrt(mp.pi) * mp.hyperu(1.5, 3, 2 * z) for z in zs]
+                w = [f[0] / 2] + f[1:-1] + [f[-1] / 2]
+                p = [mp.fsum(w[j] * cos[j * m % (2 * n)] for j in range(n + 1)) * 2 / n
+                     for m in range(n + 1)]
+                p[0] /= 2
+                p[-1] /= 2
+                f_max, f_min = float(f[-1]), float(f[0])    # f(a), f(2a)
+                x_min = 2.0 ** k * (3 - (rho + 1 / rho) / 2) / 2
+                m_ellipse = math.sqrt(math.pi / (2 * x_min)) * (1 + 1 / x_min)
+                interp = 4 * m_ellipse * rho ** -n / (rho - 1)
+                coef = float(mp.fsum(abs(ci - pi) for ci, pi in zip(c.tolist(), p)))
+                dropped = float(mp.fsum(abs(pi) for pi in p[len(c):]))
+                # B_k, padded with B_21 = B_22 = 0
+                bk = np.pad(np.cumsum(np.cumsum(np.abs(c)[::-1]))[::-1], (0, 2))
+                steps = np.sum(bk[1:-2] + 4 * bk[2:-1] + bk[3:])
+                clenshaw = 1.01 * u * (steps + bk[1] + bk[2])
+                absolute = interp + coef + dropped + clenshaw + 2 * (n + 1) * eps * f_max
+                cheb = max(cheb, absolute / (f_min * (1 - eps)) + 2.01 * u)
+            # the series' constants (psi(k+1) + psi(k+2)) / 2, correctly rounded
+            assert specfun._K1_SERIES_H == tuple(
+                float((mp.digamma(k + 1) + mp.digamma(k + 2)) / 2)
+                for k in range(specfun._K1_SERIES_TERMS))
+        # Series route, z < 1/4: K_1 = 1/z + (z/2) s, s = sum_k r_k (log(z/2)
+        # - h_k), r_k = (z^2/4)^k / (k! (k+1)!), all terms of one sign.  There
+        # z K_1(z) >= 0.936 (it decreases from 1) and (z^2/2)|s| <= 0.07.
+        # With s within 25 u of itself (log included), (z/2) s within 26 u,
+        # and one rounding each for 1/z and the sum, K_1 is within 3.82 u / z,
+        # under 4.1 u relative; the first dropped term is below 1e-21
+        # relative.  exp(z) adds 1 ulp and the product u.
+        series = 4.1 * u + 2 * u + u
+        # csch_k1_array: 1 ulp each for exp(-2z) and expm1(-2z), and one
+        # rounding each for the product and the quotient
+        derived = max(cheb, series) + 2 * 2 * u + 2 * u
+        assert specfun.CSCH_K1_REL_ERROR >= derived, derived
 
     def test_import_memory(self):
-        # the table build sets the peak of `import casorb` in a fresh
-        # interpreter that has numpy: 2.04 MB, against 3.68 MB with the
-        # integrand built out of place.  Compiling casorb's source is traced
-        # too, so the figure is for an import without cached bytecode.
+        # `import casorb` in a fresh interpreter that has numpy peaks at
+        # 1.93 MB.  Compiling casorb's source is traced too, so the figure
+        # is for an import without cached bytecode.
         import os
         import pathlib
         import subprocess
