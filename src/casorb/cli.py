@@ -247,15 +247,16 @@ def _cmd_spectrum(args) -> str:
     classes, spectrum = _load_spectrum(args.spectrum)
     if args.output == "json" and classes is not None:
         return tri.classes_to_json(classes)
+    rows = zip(spectrum.lengths.tolist(), spectrum.multiplicities.tolist())
     if args.output == "json":
         # the group and the repr of each length, so the JSON rebuilds the
         # spectrum exactly
         return json.dumps({"group": spectrum.group,
                            "entries": [{"length": l, "multiplicity": m}
-                                       for l, m in spectrum.entries]}, indent=2)
+                                       for l, m in rows]}, indent=2)
     if args.output == "csv":
         lines = ["length,multiplicity"]
-        lines.extend(f"{fmt10(l)},{m}" for l, m in spectrum.entries)
+        lines.extend(f"{fmt10(l)},{m}" for l, m in rows)
         return "\n".join(lines)
     return "\n".join(co.spectrum_file_lines(spectrum))
 

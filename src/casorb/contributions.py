@@ -13,9 +13,9 @@ certified lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,9 +113,14 @@ class OrbifoldSignature:
         return 2.0 * math.pi * (n / L)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LengthSpectrum:
     """Sorted primitive geodesic lengths with multiplicities.
+
+    The spectrum is two read-only columns, ``lengths`` (float64) and
+    ``multiplicities`` (int64, or Python ints in an object column once a
+    count passes int64); ``entries`` is the derived tuple of
+    ``(length, multiplicity)`` pairs, the constructor's argument.
 
     ``group`` holds the cone orders of the genus-0 group whose geodesics
     these are, when known (``(2, 3, 7)`` for the built-in spectra, and
@@ -126,18 +131,19 @@ class LengthSpectrum:
     see only the entries and the group.
     """
 
-    entries: Tuple[Tuple[float, int], ...]
-    provenance: str = field(default="file", compare=False)
+    lengths: np.ndarray
+    multiplicities: np.ndarray
+    provenance: str = "file"
     group: Optional[Tuple[int, ...]] = None
 
-    def __post_init__(self):
-        if self.group is not None:
-            object.__setattr__(self, "group", OrbifoldSignature(self.group).cone_orders)
-        # a tuple of pairs, so that equality and hash hold for a list or an
-        # iterator of entries too, and an iterator is read once
-        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+    def __init__(self, entries: Iterable[Tuple[float, int]],
+                 provenance: str = "file",
+                 group: Optional[Tuple[int, ...]] = None):
+        group = _cone_orders(group)
+        lengths, multiplicities = [], []
         prev = 0.0
-        for ell, mult in self.entries:
+        # one pass, so an iterator of entries is read once
+        for ell, mult in entries:
             # exactly float: np.float64 is a float subclass, but the file
             # format would write it as "np.float64(1.5)", which the reader refuses
             if type(ell) is not float:
@@ -151,6 +157,26 @@ class LengthSpectrum:
             if ell < prev:
                 raise ValueError("lengths must be non-decreasing")
             prev = ell
+            lengths.append(ell)
+            multiplicities.append(mult)
+        self._store(np.array(lengths, dtype=np.float64), multiplicities,
+                    provenance, group)
+
+    def _store(self, lengths: np.ndarray, multiplicities,
+               provenance: str, group: Optional[Tuple[int, ...]]) -> None:
+        """Keep the columns read-only; a list of counts becomes int64, or
+        objects once a count passes int64."""
+        if not isinstance(multiplicities, np.ndarray):
+            try:
+                multiplicities = np.array(multiplicities, dtype=np.int64)
+            except OverflowError:
+                multiplicities = np.array(multiplicities, dtype=object)
+        lengths.flags.writeable = False
+        multiplicities.flags.writeable = False
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "group", group)
 
     @classmethod
     def from_columns(cls, lengths: Sequence[float], multiplicities: Sequence[int],
@@ -159,10 +185,11 @@ class LengthSpectrum:
         """Spectrum of lengths[i] with multiplicities[i], by length, then multiplicity.
 
         Each length goes through float(); one ``np.lexsort`` orders both
-        columns together.  A multiplicity is never coerced: an integer
-        column comes back as Python ints of the same values, any other
-        reaches the constructor unconverted, and a bool is refused here,
-        since numpy would hold it among ints as 0 or 1.
+        columns together, and the sorted columns are checked whole; only a
+        faulty spectrum goes through the constructor, which refuses its
+        first faulty entry.  A multiplicity is never coerced: an integer
+        column keeps its values, any other must hold Python ints, and a
+        bool is refused here, since numpy would hold it among ints as 0 or 1.
         """
         if not {bool, np.bool_}.isdisjoint(map(type, multiplicities)):
             raise ValueError("multiplicities must be positive integers")
@@ -170,16 +197,48 @@ class LengthSpectrum:
         mult = np.array(multiplicities)
         if mult.dtype.kind == "f":   # as numpy holds ints on both sides of 2**63
             mult = np.array(multiplicities, dtype=object)
+        if ell.ndim != 1 or mult.shape != ell.shape:
+            raise ValueError("lengths and multiplicities must be 1-d columns "
+                             f"of equal length, got shapes {ell.shape} and {mult.shape}")
         order = np.lexsort((mult, ell))
-        return cls(tuple(zip(ell[order].tolist(), mult[order].tolist())),
-                   provenance, group)
+        ell, mult = ell[order], mult[order]
+        kind = mult.dtype.kind
+        counted = ((mult >= 1).all() if kind in "iu" else kind == "O" and
+                   all(type(m) is int and m >= 1 for m in mult.tolist()))
+        if not (counted and ((ell > 0) & (ell < math.inf)).all()):
+            # the constructor checks entry by entry and names the first fault
+            return cls(zip(ell.tolist(), mult.tolist()), provenance, group)
+        group = _cone_orders(group)
+        spectrum = cls.__new__(cls)
+        spectrum._store(ell, mult if mult.dtype == np.int64 else mult.tolist(),
+                        provenance, group)
+        return spectrum
+
+    @property
+    def entries(self) -> Tuple[Tuple[float, int], ...]:
+        """The (length, multiplicity) pairs, as Python floats and ints."""
+        return tuple(zip(self.lengths.tolist(), self.multiplicities.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group == other.group
+                and np.array_equal(self.lengths, other.lengths)
+                and np.array_equal(self.multiplicities, other.multiplicities))
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.group))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.lengths)
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
+        return sum(self.multiplicities.tolist())
+
+
+def _cone_orders(group: Optional[Tuple[int, ...]]) -> Optional[Tuple[int, ...]]:
+    return None if group is None else OrbifoldSignature(group).cone_orders
 
 
 @dataclass(frozen=True)
@@ -490,8 +549,8 @@ def hyperbolic_contribution(spectrum: LengthSpectrum) -> SeriesEvaluation:
     """
     if len(spectrum) == 0:
         raise ValueError("empty length spectrum")
-    ell, mult = (np.array(col) for col in zip(*spectrum.entries))
-    sums, tails, n = _winding_sums(ell)
+    mult = spectrum.multiplicities
+    sums, tails, n = _winding_sums(spectrum.lengths)
     return SeriesEvaluation(-math.fsum((mult * sums).tolist()) / FOUR_PI,
                             math.fsum((mult * tails).tolist()) / FOUR_PI,
                             int(n.max()))
@@ -532,7 +591,7 @@ def assumption_check(spectrum: LengthSpectrum) -> AssumptionReport:
     the floor iff it does at its last index, found first by bisection.
     """
     hi = 0
-    for ell, mult in spectrum.entries:
+    for ell, mult in zip(spectrum.lengths.tolist(), spectrum.multiplicities.tolist()):
         lo, hi = max(hi + 1, 3), hi + mult
         if lo <= hi and ell < _growth_threshold(hi):
             while lo < hi:
@@ -805,5 +864,6 @@ def spectrum_file_lines(spectrum: LengthSpectrum) -> list[str]:
     if spectrum.group is not None:
         lines.append("# group " + ",".join(map(str, spectrum.group)))
     lines.append("# length,multiplicity")
-    lines.extend(f"{ell!r},{mult}" for ell, mult in spectrum.entries)
+    lines.extend(f"{ell!r},{mult}" for ell, mult in
+                 zip(spectrum.lengths.tolist(), spectrum.multiplicities.tolist()))
     return lines

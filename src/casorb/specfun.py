@@ -331,8 +331,13 @@ def _clenshaw(coef, t2):
 
 
 # _K1E_COLUMNS[k] holds c_k of every window, contiguous, for gathering one
-# step's coefficients at a time
-_K1E_COLUMNS = tuple(np.ascontiguousarray(_K1E_COEFS.T))
+# step's coefficients at a time; both tables are read-only, as the Struve
+# ones are, so neither way of _k1e can drift from the other
+_K1E_COLUMNS = np.ascontiguousarray(_K1E_COEFS.T)
+for _t in (_K1E_COEFS, _K1E_COLUMNS):
+    _t.flags.writeable = False
+del _t
+_K1E_COLUMNS = tuple(_K1E_COLUMNS)
 
 
 def _k1e(z):

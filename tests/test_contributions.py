@@ -1008,6 +1008,67 @@ class TestSpectrumTypesAndIO:
         assert spec.entries == tuple(sorted(pairs))
         assert LengthSpectrum.from_columns([], [], "file").entries == ()
 
+    @pytest.mark.parametrize("lengths, multiplicities", [
+        ([[1.0, 2.0]], [[1, 2]]), ([1.0, 2.0], [1, 2, 3]), ([1.0, 2.0], [1])],
+        ids=["2-d", "longer-counts", "shorter-counts"])
+    def test_from_columns_refuses_columns_that_do_not_pair(self, lengths,
+                                                           multiplicities):
+        # a ValueError, which the CLI reports with exit code 2, not numpy's
+        # IndexError or its lexsort message
+        with pytest.raises(ValueError, match="lengths and multiplicities must be "
+                                             "1-d columns of equal length"):
+            LengthSpectrum.from_columns(lengths, multiplicities)
+
+    @pytest.mark.parametrize("counts", [(3, 1), (10**30, 1)], ids=["int64", "big"])
+    def test_columns_match_the_entries(self, counts):
+        # both builders store the same two read-only columns, and entries
+        # gives them back as Python floats and ints
+        pairs = ((1.5, counts[0]), (2.5, counts[1]))
+        spec = LengthSpectrum(pairs, group=(2, 3, 7))
+        twin = LengthSpectrum.from_columns([2.5, 1.5], counts[::-1], "x", (2, 3, 7))
+        assert spec == twin and hash(spec) == hash(twin)
+        assert spec.entries == twin.entries == pairs
+        assert all(type(ell) is float and type(m) is int
+                   for ell, m in twin.entries)
+        assert twin.lengths.dtype == np.float64
+        assert twin.multiplicities.dtype == (np.int64 if counts[0] < 2**63 else object)
+        for column in (twin.lengths, twin.multiplicities):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+        assert spec == twin and spec.total_multiplicity == sum(counts)
+
+    @pytest.mark.parametrize("build, refusal", [
+        (lambda: LengthSpectrum(((1.0, 0), (-1.0, 1))), "multiplicities"),
+        (lambda: LengthSpectrum(((-1.0, 1), (1.0, 0))), "lengths"),
+        # sorted, the first faulty entry is (-1.0, 1), then (1.0, 0)
+        (lambda: LengthSpectrum.from_columns([2.0, -1.0], [0, 1]), "lengths"),
+        (lambda: LengthSpectrum.from_columns([math.inf, 1.0], [1, 0]), "multiplicities"),
+        (lambda: LengthSpectrum.from_columns([math.nan, 1.0], [1, 2.5]),
+         "multiplicities")])
+    def test_first_faulty_entry_is_reported(self, build, refusal):
+        # with two faulty entries, the first in length order names the refusal
+        message = {"lengths": "lengths must be positive and finite",
+                   "multiplicities": "multiplicities must be positive integers"}
+        with pytest.raises(ValueError, match=f"^{message[refusal]}$"):
+            build()
+
+    def test_enumerated_spectrum_is_small(self):
+        # two columns of 2147 entries: 34 KB, not a tuple of 2147 pairs
+        # (185 KB); numpy reports its buffers to tracemalloc
+        import tracemalloc
+
+        from casorb.triangle import enumerate_classes, to_spectrum
+
+        classes = enumerate_classes(16)
+        to_spectrum(classes)
+        tracemalloc.start()
+        try:
+            spectrum = to_spectrum(classes)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(spectrum) == 2147 and kept < 64_000
+
     def test_multiplicity_and_merge(self):
         spec = LengthSpectrum(
             ((1.0, 2), (1.0 + 1e-12, 3), (2.0, 1)), "file")

@@ -462,6 +462,13 @@ class TestK1Kernel:
         # bits they feed
         assert hashlib.sha256(specfun._K1E_COEFS.tobytes()).hexdigest() == K1E_COEFS_DIGEST
         assert specfun.CSCH_K1_REL_ERROR.hex() == "0x1.0b79335361621p-49"
+        # unsorted input reads the transposed copy, so it holds the same
+        # bits, and neither table takes a write
+        columns = specfun._K1E_COLUMNS
+        assert np.array_equal(np.stack(columns), specfun._K1E_COEFS.T)
+        for table in (specfun._K1E_COEFS, columns[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] += 1e-3
 
     def test_rel_error_is_proved(self):
         # CSCH_K1_REL_ERROR from the committed coefficients.  On the window
