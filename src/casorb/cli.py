@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import contributions as co
 from . import triangle as tri
@@ -152,55 +153,6 @@ def _load_spectrum(src: str):
         f"--spectrum must be 'table', 'enumerate:N' or 'file:PATH', got {src!r}")
 
 
-def _add_signature_flags(p):
-    p.add_argument("--cone-orders", help="comma-separated cone orders")
-    p.add_argument("--genus", type=int, help="genus of the quotient (default 0)")
-
-
-_SPECTRUM_HELP = ("table | enumerate:N | file:PATH; table and enumerate:N are "
-                  "(2,3,7) spectra; enumerate:N overcounts, since words equal "
-                  "in the group are not identified, so it is an exploration "
-                  "source only, which energy refuses")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="casorb",
-        description="Casimir energy of compact hyperbolic 2-orbifolds "
-                    "from genus, cone orders, and a geodesic length spectrum.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("energy", help="full breakdown and certified lower bound")
-    _add_signature_flags(p)
-    p.add_argument("--spectrum", required=True, help=_SPECTRUM_HELP)
-    p.add_argument("--output", choices=("text", "json", "csv"), default="text")
-
-    p = sub.add_parser("elliptic", help="cone-point contribution")
-    _add_signature_flags(p)
-    p.add_argument("--output", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("identity", help="area contribution and bracket")
-    _add_signature_flags(p)
-    p.add_argument("--output", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("hyperbolic", help="geodesic head contribution")
-    p.add_argument("--spectrum", required=True, help=_SPECTRUM_HELP)
-    p.add_argument("--output", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("spectrum", help="export a length spectrum")
-    p.add_argument("--spectrum", required=True, help=_SPECTRUM_HELP)
-    p.add_argument("--output", choices=("text", "csv", "json"), default="text")
-
-    p = sub.add_parser("tail", help="index-tail bounds for the geodesic sum")
-    p.add_argument("--j-lo", type=int, default=co._TAIL_J_LO)
-    p.add_argument("--j-hi", type=int, default=co._TAIL_J_HI)
-    p.add_argument("--output", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("verify-237", help="run the full (2,3,7) certification")
-    p.add_argument("--output", choices=("text", "json"), default="text")
-    return ap
-
-
 # ----------------------------------------------------------------------
 # command bodies
 # ----------------------------------------------------------------------
@@ -287,26 +239,62 @@ def _cmd_verify_237(args) -> str:
     return "\n".join(lines)
 
 
+class _Command(NamedTuple):      # a row of _COMMANDS
+    body: Callable[[argparse.Namespace], str]
+    help: str
+    signature: bool = False      # takes --cone-orders and --genus
+    spectrum: bool = False       # takes a required --spectrum
+    ints: tuple = ()             # (flag, default) of each integer flag
+    outputs: tuple = ("text", "json")   # the --output choices
+
+
+# one row per subcommand, in the order the help lists them
 _COMMANDS = {
-    "energy": _cmd_energy,
-    "elliptic": _cmd_elliptic,
-    "identity": _cmd_identity,
-    "hyperbolic": _cmd_hyperbolic,
-    "spectrum": _cmd_spectrum,
-    "tail": _cmd_tail,
-    "verify-237": _cmd_verify_237,
+    "energy": _Command(_cmd_energy, "full breakdown and certified lower bound",
+                       signature=True, spectrum=True,
+                       outputs=("text", "json", "csv")),
+    "elliptic": _Command(_cmd_elliptic, "cone-point contribution", signature=True),
+    "identity": _Command(_cmd_identity, "area contribution and bracket", signature=True),
+    "hyperbolic": _Command(_cmd_hyperbolic, "geodesic head contribution", spectrum=True),
+    "spectrum": _Command(_cmd_spectrum, "export a length spectrum", spectrum=True,
+                         outputs=("text", "csv", "json")),
+    "tail": _Command(_cmd_tail, "index-tail bounds for the geodesic sum",
+                     ints=(("--j-lo", co._TAIL_J_LO), ("--j-hi", co._TAIL_J_HI))),
+    "verify-237": _Command(_cmd_verify_237, "run the full (2,3,7) certification"),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="casorb",
+        description="Casimir energy of compact hyperbolic 2-orbifolds "
+                    "from genus, cone orders, and a geodesic length spectrum.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.signature:
+            p.add_argument("--cone-orders", help="comma-separated cone orders")
+            p.add_argument("--genus", type=int, help="genus of the quotient (default 0)")
+        if cmd.spectrum:
+            p.add_argument("--spectrum", required=True, help=(
+                "table | enumerate:N | file:PATH; table and enumerate:N are (2,3,7) "
+                "spectra; enumerate:N overcounts, since words equal in the group are "
+                "not identified, so it is an exploration source only, which energy "
+                "refuses"))
+        for flag, default in cmd.ints:
+            p.add_argument(flag, type=int, default=default)
+        p.add_argument("--output", choices=cmd.outputs, default="text")
+    return ap
 
 
 def run(argv=None) -> int:
     """Parse arguments, run one command, print its report; returns exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        print(_COMMANDS[args.command](args), flush=True)
+        print(_COMMANDS[args.command].body(args), flush=True)
         return 0
     except BrokenPipeError:          # the reader left: not refused input
         return 141

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .quadrature import QuadResult, elliptic_kernel_integral
-from .specfun import (_CSCH_K1_Z_MAX, csch_k1, csch_k1_array, struve_k,
+from .specfun import (_CSCH_K1_Z_MAX, csch_k1_array, struve_k,
                       upper_incomplete_gamma_half)
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "elliptic_contribution_via_integral",
     "identity_series",
     "identity_interval",
-    "hyperbolic_term",
     "hyperbolic_n_tail_bound",
     "hyperbolic_contribution",
     "geodesic_contribution",
@@ -164,13 +163,10 @@ class LengthSpectrum:
 
     def _store(self, lengths: np.ndarray, multiplicities,
                provenance: str, group: Optional[Tuple[int, ...]]) -> None:
-        """Keep the columns read-only; a list of counts becomes int64, or
-        objects once a count passes int64."""
+        """Keep the columns read-only, a list of counts as :func:`_count_column`
+        holds it."""
         if not isinstance(multiplicities, np.ndarray):
-            try:
-                multiplicities = np.array(multiplicities, dtype=np.int64)
-            except OverflowError:
-                multiplicities = np.array(multiplicities, dtype=object)
+            multiplicities = _count_column(multiplicities)
         lengths.flags.writeable = False
         multiplicities.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
@@ -235,6 +231,15 @@ class LengthSpectrum:
     @property
     def total_multiplicity(self) -> int:
         return sum(self.multiplicities.tolist())
+
+
+def _count_column(counts) -> np.ndarray:
+    """Integer counts as an int64 column, or as an object column of Python
+    ints once a count passes int64."""
+    try:
+        return np.array(counts, dtype=np.int64)
+    except OverflowError:
+        return np.array(counts, dtype=object)
 
 
 def _cone_orders(group: Optional[Tuple[int, ...]]) -> Optional[Tuple[int, ...]]:
@@ -446,15 +451,6 @@ def identity_interval(volume: float) -> Tuple[float, float]:
 # geodesic (hyperbolic) term
 # ----------------------------------------------------------------------
 
-def hyperbolic_term(ell: float, n: int) -> float:
-    """(1/n) csch(n ell / 2) K_1(n ell / 2); one winding of one geodesic."""
-    if ell <= 0:
-        raise ValueError("length must be positive")
-    if n < 1:
-        raise ValueError("winding number must be >= 1")
-    return csch_k1(0.5 * n * ell) / n
-
-
 def hyperbolic_n_tail_bound(ell, n_done):
     """Bound on sum_{n > n_done} (1/n) csch(n ell/2) K_1(n ell/2), elementwise.
 
@@ -566,7 +562,7 @@ def geodesic_contributions(lengths, weights) -> list[float]:
     if not ((ell > 0) & (ell < np.inf)).all():
         raise ValueError("lengths must be positive and finite")
     sums, _, _ = _winding_sums(ell)
-    return (-np.asarray(weights, dtype=np.int64) * sums / FOUR_PI).tolist()
+    return (-_count_column(weights) * sums / FOUR_PI).tolist()
 
 
 def geodesic_contribution(ell: float, weight: int = 1) -> float:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -281,12 +280,14 @@ _K1E_COEFS = np.array([float.fromhex(h) for h in """
      0x1.5972700000000p-52  -0x1.ce92800000000p-55   0x1.3626000000000p-57
 """.split()]).reshape(_K1E_HI_EXP - _K1E_LO_EXP, _CHEB_TERMS)
 
-# (psi(k+1) + psi(k+2)) / 2 for the series, from harmonic numbers and
-# Euler's constant to 36 digits, rounded once
-_K1_SERIES_H = tuple(
-    float(sum(Fraction(1, i) for i in range(1, k + 1)) + Fraction(1, 2 * k + 2)
-          - Fraction("0.577215664901532860606512090082402431"))
-    for k in range(_K1_SERIES_TERMS))
+# (psi(k+1) + psi(k+2)) / 2 for the series, k < _K1_SERIES_TERMS, rounded
+# once from harmonic numbers and Euler's constant to 36 digits (rebuilt in
+# tests/test_specfun.py)
+_K1_SERIES_H = tuple(float.fromhex(h) for h in """
+    -0x1.3c467e37db0c8p-4   0x1.58773039049e7p-1   0x1.16e642c72cf9ep+0
+     0x1.6190ed71d7a49p+0   0x1.9b2a870b713e2p+0   0x1.ca1975fa602d1p+0
+     0x1.f1b7efe1fea70p+0
+""".split())
 
 # The end of the range where CSCH_K1_REL_ERROR is proved.
 _CSCH_K1_Z_MAX = 350.0

@@ -321,18 +321,21 @@ def _least_proper_rotations(v: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return least
 
 
+# each byte's bits in reverse order
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)],
+                           dtype=np.int32)
+
+
 def _reverse_words(v: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """Each word in v read backwards; letters is ascending, as above."""
-    out = np.zeros_like(v)
-    bit = np.empty_like(v)
-    for i in range(int(letters[-1])):
-        s = np.searchsorted(letters, i + 1)
-        bs = bit[s:]
-        np.right_shift(v[s:], i, out=bs)
-        bs &= 1
-        bs <<= letters[s:] - 1 - i
-        out[s:] |= bs
-    return out
+    """Each word in v, of at most 24 letters, read backwards.
+
+    Its three bytes are reversed through a table and swapped, which reads
+    24 letters backwards; the shift drops the 24 - letters padding bits.
+    """
+    out = _REVERSED_BYTES[v & 0xFF] << 16
+    out |= _REVERSED_BYTES[(v >> 8) & 0xFF] << 8
+    out |= _REVERSED_BYTES[v >> 16]
+    return out >> (24 - letters)
 
 
 def _orbit_representatives(max_letters: int) -> tuple[np.ndarray, ...]:

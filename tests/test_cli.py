@@ -39,12 +39,17 @@ GOLDEN_CASES = [
      ["spectrum", "--spectrum", "enumerate:12", "--output", "json"]),
     ("hyperbolic_enumerate16",
      ["hyperbolic", "--spectrum", "enumerate:16", "--output", "json"]),
-]
+    ("help", ["--help"]),
+] + [(f"help_{command.replace('-', '_')}", [command, "--help"])
+     for command in ("energy", "elliptic", "identity", "hyperbolic", "spectrum",
+                     "tail", "verify-237")]
 
 
 @pytest.mark.parametrize("name, argv", GOLDEN_CASES)
-def test_golden_output(capsys, name, argv):
-    # default outputs are byte-stable; a deliberate change rewrites the file
+def test_golden_output(capsys, monkeypatch, name, argv):
+    # default outputs are byte-stable; a deliberate change rewrites the file.
+    # argparse wraps help to the terminal width, so the width is pinned
+    monkeypatch.setenv("COLUMNS", "80")
     code, out, err = _capture(capsys, argv)
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")

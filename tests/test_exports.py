@@ -46,7 +46,7 @@ def test_submodule_surfaces_are_pinned():
         "elliptic_kernel_truncation_bound",
         "elliptic_kernel_truncation_bound_log10", "elliptic_kernel_series_noise",
         "elliptic_contribution", "elliptic_contribution_via_integral",
-        "identity_series", "identity_interval", "hyperbolic_term",
+        "identity_series", "identity_interval",
         "hyperbolic_n_tail_bound", "hyperbolic_contribution",
         "geodesic_contribution", "geodesic_contributions", "assumption_check",
         "tail_direct_sum", "tail_b1_bound", "tail_far_prefactor",
@@ -116,6 +116,12 @@ def test_no_test_only_import_in_the_package():
 def test_import_leaves_logging_out():
     # logging takes milliseconds to import, and nothing in casorb logs
     assert "logging" not in _fresh_modules("import casorb")
+
+
+def test_import_leaves_exact_arithmetic_out():
+    # the kernel's constants are committed as hex, so no exact arithmetic
+    # module is imported to build them
+    assert not {"fractions", "decimal"} & _fresh_modules("import casorb")
 
 
 def test_console_script_runs_verify_237(monkeypatch, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -469,6 +470,15 @@ class TestK1Kernel:
         for table in (specfun._K1E_COEFS, columns[0]):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] += 1e-3
+
+    def test_series_constants_are_their_exact_sums(self):
+        # (psi(k+1) + psi(k+2)) / 2 from harmonic numbers and Euler's
+        # constant to 36 digits, rounded once, as the committed hex holds it
+        want = tuple(
+            float(sum(Fraction(1, i) for i in range(1, k + 1)) + Fraction(1, 2 * k + 2)
+                  - Fraction("0.577215664901532860606512090082402431"))
+            for k in range(specfun._K1_SERIES_TERMS))
+        assert [h.hex() for h in specfun._K1_SERIES_H] == [h.hex() for h in want]
 
     def test_rel_error_is_proved(self):
         # CSCH_K1_REL_ERROR from the committed coefficients.  On the window

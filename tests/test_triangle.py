@@ -355,6 +355,17 @@ class TestEnumeration:
             got = [_bits_to_word(x, n) for x in triangle._lyndon_bits(n).tolist()]
             assert got == [w for w in want if len(w) == n], n
 
+    def test_reverse_words_matches_string_reversal(self):
+        # any mix of lengths, in any order, as int32 words
+        rng = random.Random(3)
+        letters = [rng.randint(1, 20) for _ in range(2000)]
+        words = [rng.getrandbits(n) for n in letters]
+        got = triangle._reverse_words(np.array(words, dtype=np.int32),
+                                      np.array(letters, dtype=np.int32))
+        assert got.dtype == np.int32
+        assert [_bits_to_word(x, n) for x, n in zip(got.tolist(), letters)] == [
+            _bits_to_word(x, n)[::-1] for x, n in zip(words, letters)]
+
     def test_orbit_size_matches_word_orbit(self):
         # a Lyndon word is kept exactly when it leads its word_orbit, with
         # that orbit's size; each length's slice of the one batched result
